@@ -20,6 +20,14 @@ Then H(s) = sum over I with chi_I != 0 of chi_I * n_{I,s}, and the Euler
 characteristic of the structure sheaf of a complete intersection with
 degree rows d_1..d_k is the alternating sum of H over subset sums of the
 -d_i.
+
+The sum is not taken over all 2^r ray sets.  `h_of_s` walks the cells of
+the arrangement of the hyperplanes <p_j, q> = -s_j depth first, deciding
+the rays in index order, and carries the c_S reduced to the rays not yet
+decided.  A branch is cut when that table is empty (every chi below it is
+zero) or, where both children are still chi-live, when the constraints
+decided so far have no rational solution.  The regions of a fixed
+dimension m meet O(r^m) cells, far fewer than 2^r.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from itertools import combinations
 
 from .errors import ConsistencyError
 from .fans import Fan, is_complete, validate, is_simplicial
-from .lattice import RationalPolyhedron, lattice_points
+from .lattice import RationalPolyhedron, count_lattice_points, is_feasible
 
 MAX_RAYS = 24
 MAX_CONES = 24
@@ -42,13 +50,11 @@ class HilbertContext:
     duplicated computation always lands on the same result).
     """
 
-    def __init__(self, fan: Fan, c_table, nonzero_chi):
+    def __init__(self, fan: Fan, c_table):
         self.fan = fan
         self.r = len(fan.rays)
-        self.c_table = c_table  # dict: ray bitmask -> integer coefficient
-        self.nonzero_chi = nonzero_chi  # tuple of (ray bitmask, chi) pairs
+        self.c_table = c_table  # dict: ray bitmask -> nonzero integer coefficient
         self.simplicial = is_simplicial(fan)
-        self._n_memo = {}
         self._h_memo = {}
 
     def chi_of_mask(self, mask: int) -> int:
@@ -88,8 +94,9 @@ def build_context(fan: Fan) -> HilbertContext:
     """Aggregate the nerve combinatorics of a complete fan.
 
     Raises on invalid or non-complete fans, and on fans beyond the
-    documented desk-scale caps (24 rays / 24 maximal cones): the chi sweep
-    is exponential in the number of rays.
+    documented desk-scale caps (24 rays / 24 maximal cones).  Only the
+    intersection semilattice is built here; chi_I is never tabulated over
+    all ray sets, since `h_of_s` reduces the c_S along its cell walk.
     """
     report = validate(fan)
     if not report.ok:
@@ -110,40 +117,26 @@ def build_context(fan: Fan) -> HilbertContext:
         for i in cone:
             m |= 1 << i
         cone_masks.append(m)
-    c_table = _intersection_coefficients(cone_masks)
+    return HilbertContext(fan, _intersection_coefficients(cone_masks))
 
-    nonzero = []
-    if r <= 20:
-        # subset-sum (zeta) transform over the full lattice of ray subsets
-        chi = [0] * (1 << r)
-        for s, c in c_table.items():
-            chi[s] = c
-        for j in range(r):
-            bit = 1 << j
-            for mask in range(1 << r):
-                if mask & bit:
-                    chi[mask] += chi[mask ^ bit]
-        nonzero = [(mask, chi[mask]) for mask in range(1 << r) if chi[mask] != 0]
-    else:
-        items = tuple(c_table.items())
-        for mask in range(1 << r):
-            total = 0
-            for s, c in items:
-                if s & mask == s:
-                    total += c
-            if total:
-                nonzero.append((mask, total))
-    return HilbertContext(fan, c_table, tuple(nonzero))
+
+def _halfspaces(ctx: HilbertContext, s):
+    """Per ray j, the constraint for j in I and the one for j not in I.
+
+    In I: <p_j, q> >= -s_j.  Not in I: <p_j, q> <= -s_j - 1.
+    """
+    return [
+        ((tuple(ray), -s[j]), (tuple(-x for x in ray), s[j] + 1))
+        for j, ray in enumerate(ctx.fan.rays)
+    ]
 
 
 def _region(ctx: HilbertContext, mask: int, s) -> RationalPolyhedron:
-    cons = []
-    for j, ray in enumerate(ctx.fan.rays):
-        if mask & (1 << j):
-            cons.append((tuple(ray), -s[j]))
-        else:
-            cons.append((tuple(-x for x in ray), s[j] + 1))
-    return RationalPolyhedron(tuple(cons), ctx.fan.dim)
+    cons = tuple(
+        pair[0] if mask >> j & 1 else pair[1]
+        for j, pair in enumerate(_halfspaces(ctx, s))
+    )
+    return RationalPolyhedron(cons, ctx.fan.dim)
 
 
 def _as_mask(ctx: HilbertContext, subset) -> int:
@@ -168,33 +161,75 @@ def n_I_s(ctx: HilbertContext, subset, s) -> int:
     s = tuple(s)
     if len(s) != ctx.r:
         raise ValueError("s-vector length must match the number of rays")
-    key = (mask, s)
-    cached = ctx._n_memo.get(key)
-    if cached is not None:
-        return cached
-    bounded, pts = lattice_points(_region(ctx, mask, s))
+    bounded, count = count_lattice_points(_region(ctx, mask, s))
     if not bounded:
         if ctx.chi_of_mask(mask) != 0:
             raise ConsistencyError(
                 f"unbounded region with nonzero chi for ray set {bin(mask)}"
             )
         raise ValueError("region is unbounded; the count is not finite")
-    val = len(pts)
-    ctx._n_memo[key] = val
-    return val
+    return count
+
+
+def _split(table, bit):
+    """The c_S tables of the two children that decide the ray `bit`.
+
+    In I: every S maps to S - {bit}, adding up coefficients that meet.  Not
+    in I: every S containing the ray is dropped.  Zero entries are removed.
+    """
+    outside = {S: c for S, c in table.items() if not S & bit}
+    inside = dict(outside)
+    for S, c in table.items():
+        if S & bit:
+            c += inside.get(S ^ bit, 0)
+            if c:
+                inside[S ^ bit] = c
+            else:
+                del inside[S ^ bit]
+    return inside, outside
 
 
 def h_of_s(ctx: HilbertContext, s) -> int:
-    """H(s) = sum over I with chi_I != 0 of chi_I * n_{I,s}."""
+    """H(s) = sum over I with chi_I != 0 of chi_I * n_{I,s}.
+
+    Depth-first walk over the rays in index order.  A node at depth j has
+    decided for the rays before j whether they lie in I, and carries their
+    constraints and the c_S reduced to the undecided rays (`_split`).  An
+    empty table means chi is zero on the whole branch; at a leaf the table
+    is {0: chi_I} and the region is counted by `n_I_s`.  Rational
+    feasibility is only tested at a fork, where both children are live: a
+    lone live child is checked by the next fork or by the leaf's count.
+    """
     s = tuple(s)
     if len(s) != ctx.r:
         raise ValueError("s-vector length must match the number of rays")
     cached = ctx._h_memo.get(s)
     if cached is not None:
         return cached
-    total = 0
-    for mask, chi in ctx.nonzero_chi:
-        total += chi * n_I_s(ctx, mask, s)
+    r, dim = ctx.r, ctx.fan.dim
+    halfspaces = _halfspaces(ctx, s)
+    cons = []
+
+    def walk(j, table, mask):
+        if j == r:
+            return table[0] * n_I_s(ctx, mask, s)
+        bit = 1 << j
+        inside, outside = _split(table, bit)
+        if inside and outside and cons:
+            if not is_feasible(RationalPolyhedron(tuple(cons), dim)):
+                return 0
+        total = 0
+        for child, con, child_mask in (
+            (inside, halfspaces[j][0], mask | bit),
+            (outside, halfspaces[j][1], mask),
+        ):
+            if child:
+                cons.append(con)
+                total += walk(j + 1, child, child_mask)
+                cons.pop()
+        return total
+
+    total = walk(0, ctx.c_table, 0)
     ctx._h_memo[s] = total
     return total
 

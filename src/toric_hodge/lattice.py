@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 
 Vector = tuple  # tuple of ints (or Fractions for rational data)
 
@@ -465,6 +466,9 @@ def _int_constraints(constraints):
     """Scale (normal, bound) pairs so every number is an integer."""
     out = []
     for n, b in constraints:
+        if isinstance(b, int):
+            out.append((tuple(int(x) for x in n), b))
+            continue
         b = Fraction(b)
         mult = b.denominator
         out.append((tuple(int(x) * mult for x in n), int(b * mult)))
@@ -518,34 +522,29 @@ def _fm_eliminate_last(constraints, dim):
     normal.x >= bound.  Returns None if a contradictory constant constraint
     appears (empty polyhedron).
     """
-    lower, upper, keep = [], [], []
+    k = dim - 1
+    lower, upper, out = [], [], []
     for n, b in constraints:
-        c = n[dim - 1]
+        c = n[k]
         if c > 0:
             lower.append((n, b))
         elif c < 0:
             upper.append((n, b))
         else:
-            keep.append((n[: dim - 1], b))
-    out = []
-    for n, b in keep:
-        out.append((n, b))
+            out.append((n[:k], b))
     for nl, bl in lower:
+        cl = nl[k]
         for nu, bu in upper:
-            cl = nl[dim - 1]
-            cu = -nu[dim - 1]
-            n = tuple(cu * nl[j] + cl * nu[j] for j in range(dim - 1))
-            b = cu * bl + cl * bu
-            out.append((n, b))
+            cu = -nu[k]
+            n = tuple(cu * x + cl * y for x, y in zip(nl[:k], nu[:k]))
+            out.append((n, cu * bl + cl * bu))
     norm = {}
     for n, b in out:
-        if is_zero(n):
+        if not any(n):
             if b > 0:
                 return None
             continue
-        g = 0
-        for x in n:
-            g = gcd(g, x)
+        g = gcd(*n)
         # keep bounds exact: divide only when the gcd divides the bound
         if g > 1 and b % g == 0:
             n = tuple(x // g for x in n)
@@ -556,27 +555,31 @@ def _fm_eliminate_last(constraints, dim):
     return sorted(norm.items())
 
 
-def lattice_points(region: RationalPolyhedron):
-    """All integer points of a polyhedron, or an unbounded flag.
+def is_feasible(region: RationalPolyhedron) -> bool:
+    """Exact test that a polyhedron has a rational point.
 
-    Boundedness is decided exactly from the recession cone of the constraint
-    system (pointedness via double description, cached per normal set).
-    When bounded, the integer points are collected by sweeping the bounding
-    box one coordinate at a time: the exact Fourier-Motzkin projections give
-    the bounding interval at every level, and at the innermost level the
-    interval over the original constraints is precisely the exact membership
-    test for every emitted point.  Empty regions fall out of the cascade
-    (a contradictory constant constraint or an empty interval).
-
-    Returns (bounded, points); points are sorted lexicographically.
+    Eliminates every coordinate by Fourier-Motzkin; the system is infeasible
+    exactly when a contradictory constant constraint appears on the way.
     """
-    dim = region.dim
-    if not recession_is_trivial(region):
-        return False, []
-    cons = _int_constraints(region.constraints)
-    if dim == 0:
-        feasible = all(b <= 0 for _, b in cons)
-        return True, ([()] if feasible else [])
+    cur = _int_constraints(region.constraints)
+    for t in range(region.dim, 0, -1):
+        cur = _fm_eliminate_last(cur, t)
+        if cur is None:
+            return False
+    return all(b <= 0 for _, b in cur)
+
+
+def _integer_runs(cons, dim):
+    """Sweep the integer points of a bounded integer system, dim >= 1.
+
+    The exact Fourier-Motzkin projections give the bounding interval at
+    every level of the bounding box, and at the innermost level the interval
+    over the original constraints is precisely the exact membership test.
+    Empty systems fall out of the cascade (a contradictory constant
+    constraint or an empty interval).  Yields runs (prefix, lo, hi): the
+    points prefix + (v,) for lo <= v <= hi, in lexicographic order.  The
+    prefix is a list that the sweep reuses; copy it to keep it.
+    """
     # cascade of projections onto the first t coordinates, t = dim .. 1;
     # levels[t-1] constrains (x_1 .. x_t) and levels[dim-1] is the original
     # system, so the innermost interval is an exact membership test.
@@ -585,18 +588,17 @@ def lattice_points(region: RationalPolyhedron):
     for t in range(dim, 1, -1):
         cur = _fm_eliminate_last(cur, t)
         if cur is None:
-            return True, []
+            return
         levels.append(cur)
     levels.reverse()
 
-    points = []
     prefix = []
 
     def bounds_for(level_cons, t):
         lo, hi = None, None
         for n, b in level_cons:
             c = n[t - 1]
-            rest = b - sum(n[j] * prefix[j] for j in range(t - 1))
+            rest = b - sum(map(mul, n, prefix))  # prefix holds t - 1 values
             if c > 0:
                 cand = -((-rest) // c)  # ceil(rest / c)
                 if lo is None or cand > lo:
@@ -614,17 +616,47 @@ def lattice_points(region: RationalPolyhedron):
         if lo is None or hi is None or lo > hi:
             return
         if t == dim:
-            base = tuple(prefix)
-            for v in range(lo, hi + 1):
-                points.append(base + (v,))
+            yield prefix, lo, hi
             return
         for v in range(lo, hi + 1):
             prefix.append(v)
-            sweep(t + 1)
+            yield from sweep(t + 1)
             prefix.pop()
 
-    sweep(1)
-    return True, sorted(points)
+    yield from sweep(1)
+
+
+def lattice_points(region: RationalPolyhedron):
+    """All integer points of a polyhedron, or an unbounded flag.
+
+    Boundedness is decided exactly from the recession cone of the constraint
+    system (pointedness via double description, cached per normal set).
+    Returns (bounded, points); points are sorted lexicographically.
+    """
+    if not recession_is_trivial(region):
+        return False, []
+    cons = _int_constraints(region.constraints)
+    if region.dim == 0:
+        return True, ([()] if all(b <= 0 for _, b in cons) else [])
+    points = []
+    for prefix, lo, hi in _integer_runs(cons, region.dim):
+        base = tuple(prefix)
+        points.extend(base + (v,) for v in range(lo, hi + 1))
+    return True, points
+
+
+def count_lattice_points(region: RationalPolyhedron):
+    """Number of integer points of a polyhedron, or an unbounded flag.
+
+    The same sweep as `lattice_points`, adding up the innermost intervals
+    instead of building the points.  Returns (bounded, count).
+    """
+    if not recession_is_trivial(region):
+        return False, 0
+    cons = _int_constraints(region.constraints)
+    if region.dim == 0:
+        return True, int(all(b <= 0 for _, b in cons))
+    return True, sum(hi - lo + 1 for _, lo, hi in _integer_runs(cons, region.dim))
 
 
 # ---------------------------------------------------------------------------

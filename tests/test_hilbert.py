@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_hodge.errors import ConsistencyError
 from toric_hodge.fans import degrees_of
@@ -26,7 +28,8 @@ from oracles import brute_h, chi_table_by_definition
 
 
 def _chi_dict(ctx):
-    return dict(ctx.nonzero_chi)
+    chis = {mask: ctx.chi_of_mask(mask) for mask in range(1 << ctx.r)}
+    return {mask: chi for mask, chi in chis.items() if chi}
 
 
 def test_p1_chi_sets():
@@ -74,9 +77,19 @@ def test_n_I_s_unbounded_with_nonzero_chi_is_fatal():
     from toric_hodge.hilbert import HilbertContext
 
     fan = fan_p2()
-    forged = HilbertContext(fan, {0b001: 1}, ((0b001, 1),))
+    forged = HilbertContext(fan, {0b001: 1})
     with pytest.raises(ConsistencyError):
         n_I_s(forged, (0,), (0, 0, 0))
+
+
+def test_h_of_s_walk_keeps_the_unbounded_region_guard():
+    # the same forged coefficient makes chi nonzero on the unbounded region
+    # of the ray set {0}; the cell walk must reach it and raise
+    from toric_hodge.hilbert import HilbertContext
+
+    forged = HilbertContext(fan_p2(), {0b001: 1})
+    with pytest.raises(ConsistencyError):
+        h_of_s(forged, (0, 0, 0))
 
 
 def test_h_line_bundle_degrees_on_p1():
@@ -97,6 +110,35 @@ def test_h_against_brute_oracle():
         for _ in range(25):
             s = tuple(rng.randint(-4, 4) for _ in range(ctx.r))
             assert h_of_s(ctx, s) == brute_h(fan, s)
+
+
+@st.composite
+def polygon_and_s(draw):
+    r = draw(st.sampled_from((4, 6, 8, 10)))
+    s = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    return r, tuple(s)
+
+
+@given(polygon_and_s())
+@settings(max_examples=30, deadline=None)
+def test_cell_walk_matches_brute_and_the_mask_sum(case):
+    r, s = case
+    fan = polygon_fan(r)
+    ctx = build_context(fan)
+    h = h_of_s(ctx, s)
+    assert h == brute_h(fan, s)
+    chis = ((mask, ctx.chi_of_mask(mask)) for mask in range(1 << r))
+    assert h == sum(chi * n_I_s(ctx, mask, s) for mask, chi in chis if chi)
+
+
+def test_serre_duality_at_the_ray_cap():
+    fan = polygon_fan(24)
+    ctx = build_context(fan)
+    assert ctx.r == 24
+    rng = random.Random(24)
+    for s in ((2,) * 24, tuple(rng.randint(-2, 2) for _ in range(24))):
+        dual = tuple(-1 - x for x in s)
+        assert h_of_s(ctx, s) == h_of_s(ctx, dual)
 
 
 def test_h_zero_is_one_on_corpus():

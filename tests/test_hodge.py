@@ -1,6 +1,5 @@
 """Hodge-Deligne tables: torus recursion and orbit sums."""
 
-import os
 import random
 
 import pytest
@@ -329,10 +328,6 @@ def test_quartic_torus_curve_table():
     assert t.entries == ((-11, -3), (-3, 1))
 
 
-@pytest.mark.skipif(
-    not os.environ.get("TORIC_HODGE_SLOW"),
-    reason="minutes-long stress case near the ray/cone caps; set TORIC_HODGE_SLOW=1",
-)
 def test_euler_equals_newton_volume_octahedron():
     # the normal fan of the cross-polytope is non-simplicial, so this input
     # exercises stellar subdivision inside the recursion (14 rays, 24 cones)

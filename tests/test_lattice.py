@@ -12,8 +12,10 @@ from toric_hodge.lattice import (
     RationalPolyhedron,
     affine_lattice_reduction,
     convex_hull,
+    count_lattice_points,
     det_int,
     dot,
+    is_feasible,
     lattice_points,
     minkowski_support,
     primitive,
@@ -194,6 +196,43 @@ def test_lattice_points_fractional_bounds():
         (((2,), Fraction(1)), ((-2,), Fraction(-7))), 1
     )
     assert lattice_points(region) == (True, [(1,), (2,), (3,)])
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-6, 6)),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_count_lattice_points_matches_the_point_list(rows):
+    box = (((1, 0), -4), ((-1, 0), -4), ((0, 1), -4), ((0, -1), -4))
+    cons = box + tuple(((a, b), c) for a, b, c in rows)
+    region = RationalPolyhedron(cons, 2)
+    bounded, pts = lattice_points(region)
+    assert bounded
+    assert pts == brute_box_points(cons, 2, 4)
+    assert count_lattice_points(region) == (True, len(pts))
+    if pts:
+        assert is_feasible(region)
+
+
+def test_count_lattice_points_unbounded_and_point():
+    assert count_lattice_points(RationalPolyhedron((((1,), 0),), 1)) == (False, 0)
+    assert count_lattice_points(RationalPolyhedron((), 0)) == (True, 1)
+    assert count_lattice_points(RationalPolyhedron((((), 1),), 0)) == (True, 0)
+
+
+def test_is_feasible_is_rational():
+    # x = 1/2 is the only solution: feasible over Q with no lattice point
+    half = RationalPolyhedron((((2,), 1), ((-2,), -1)), 1)
+    assert is_feasible(half)
+    assert lattice_points(half) == (True, [])
+    assert not is_feasible(RationalPolyhedron((((1, 1), 3), ((-1, 0), 0), ((0, -1), 0)), 2))
+    assert is_feasible(RationalPolyhedron((((1, 0), 0),), 2))  # unbounded is fine
+    assert is_feasible(RationalPolyhedron((), 0))
+    assert not is_feasible(RationalPolyhedron((((), 1),), 0))
 
 
 cone_constraint_sets = st.lists(
