@@ -26,6 +26,7 @@ from .fans import (
     validate,
 )
 from .forms import (
+    chi_all,
     chi_alt,
     chi_alt_hilbert,
     chi_sym,
@@ -81,6 +82,7 @@ __all__ = [
     "affine_lattice_reduction",
     "all_cones",
     "build_context",
+    "chi_all",
     "chi_alt",
     "chi_alt_hilbert",
     "chi_structure_sheaf",

@@ -21,8 +21,17 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, InputError
-from .fans import Fan, TorusCIProblem, adapted_subfan, is_complete, is_regular, is_simplicial, validate
-from .forms import chi_alt, chi_sym, chi_tensor
+from .fans import (
+    Fan,
+    TorusCIProblem,
+    adapted_subfan,
+    degrees_of,
+    is_complete,
+    is_regular,
+    is_simplicial,
+    validate,
+)
+from .forms import chi_all, chi_alt, chi_sym, chi_tensor
 from .hilbert import build_context
 from .hodge import epq_c_ci, hodge_compact
 from .hodge_tables import EPQTable
@@ -210,13 +219,13 @@ def cmd_euler(args) -> int:
     doc = load_document(args.file)
     _require(doc, "fan", "euler")
     ctx = build_context(doc.fan)
-    from .fans import degrees_of
-
     degrees = degrees_of(doc.fan, doc.supports) if doc.supports else []
-    fn = _KIND_FUNCS[args.kind]
-    n = doc.fan.dim - len(doc.supports)
-    ps = [args.p] if args.p is not None else list(range(max(n, 0) + 1))
-    values = [fn(ctx, degrees, p) for p in ps]
+    if args.p is not None:
+        ps = [args.p]
+        values = [_KIND_FUNCS[args.kind](ctx, degrees, args.p)]
+    else:
+        ps = list(range(max(doc.fan.dim - len(doc.supports), 0) + 1))
+        values = chi_all(ctx, degrees, args.kind, ps[-1])
     if args.json:
         _emit_json({"kind": args.kind, "ps": ps, "values": values})
     else:

@@ -17,10 +17,9 @@ from .lattice import (
     cone_extreme_rays,
     det_int,
     dot,
-    kernel_basis_columns,
     primitive,
     rank_of,
-    saturation_data,
+    row_lattice,
     smith_normal_form,
     vec_sub,
 )
@@ -102,18 +101,11 @@ def cone_hrep(fan: Fan, cone: Cone):
     """
     dim = fan.dim
     rays = [fan.rays[i] for i in cone]
-    if not rays:
-        eqs = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
-        return tuple(eqs), ()
-    rank, coord = saturation_data(rays, dim)
-    eqs = []
-    if rank < dim:
-        basis, _ = kernel_basis_columns(rays, dim)
-        eqs = [primitive(u) for u in basis]
-    reduced = [coord(r) for r in rays]
-    duals = cone_extreme_rays(reduced, rank) if rank else []
-    snf = smith_normal_form([list(v) for v in rays])
-    right = snf.right
+    span = row_lattice(rays, dim)
+    rank, right = span.rank, span.right
+    eqs = [primitive(u) for u in span.kernel]
+    reduced = [span.coord(r) for r in rays]
+    duals = cone_extreme_rays(reduced, rank)
     ineqs = []
     for a in duals:
         w = tuple(sum(right[i][j] * a[j] for j in range(rank)) for i in range(dim))
@@ -222,10 +214,8 @@ def validate(fan: Fan) -> ValidationReport:
             problems.append(f"cone {cone} has an out-of-range ray index")
             continue
         used.update(cone)
-        rays = [fan.rays[i] for i in cone]
         if cone:
             eqs, ineqs = cone_hrep(fan, cone)
-            span_rank = rank_of(rays)
             hrep_rank = rank_of([list(e) for e in eqs] + [list(n) for n in ineqs])
             if hrep_rank < fan.dim:
                 problems.append(f"cone {cone} is not strongly convex")
@@ -450,9 +440,6 @@ class AdaptedSubfan:
     whole_fan: bool
     maximal_adapted: tuple
 
-    def __iter__(self):  # (per-cone map, subfan) unpacking convenience
-        return iter((self.per_cone, self.maximal_adapted))
-
 
 def adapted_subfan(fan: Fan, supports) -> AdaptedSubfan:
     """Cones on which every restricted support stays nonempty.
@@ -493,14 +480,11 @@ def orbit_problem(fan: Fan, cone: Cone, supports, degrees: DegreeMatrix) -> Toru
     survivors = [s for s in restricted if s]
     if not cone:
         return TorusCIProblem(m=fan.dim, supports=tuple(survivors))
-    rays = [fan.rays[i] for i in cone]
-    srank = rank_of(rays)
-    basis, coord = kernel_basis_columns(rays, fan.dim)
-    new_dim = fan.dim - srank
+    span = row_lattice([fan.rays[i] for i in cone], fan.dim)
     reduced = []
     for s in survivors:
         base = min(s)
-        coords = sorted(coord(vec_sub(q, base)) for q in s)
+        coords = sorted(span.kernel_coord(vec_sub(q, base)) for q in s)
         rebase = coords[0]
         reduced.append(tuple(vec_sub(c, rebase) for c in coords))
-    return TorusCIProblem(m=new_dim, supports=tuple(reduced))
+    return TorusCIProblem(m=fan.dim - span.rank, supports=tuple(reduced))

@@ -14,10 +14,13 @@ series P(x) with an explicit rational factorization:
                      / (1 - y (x_1 + .. + x_r + m - r - sum_i x^{d_i}))
 
 Every factor is expanded exactly modulo y^(p+1); the pairing against P(x)
-is H(-s) per x-monomial, evaluated through the Hilbert context.  A second,
-independently coded evaluation path (`chi_alt_hilbert`) writes the
-alternating case as a nested sum of Hilbert values with binomial weights
-and is used as a cross-check.
+is H(-s) per x-monomial, evaluated through the Hilbert context.  `chi_all`
+expands once up to y^pmax and reads every p = 0 .. pmax from that one
+expansion; `chi_alt` / `chi_sym` / `chi_tensor` pair only the y^p terms of
+an expansion to y^p, for a single p.  A second, independently coded
+evaluation path (`chi_alt_hilbert`) writes the alternating case as a
+nested sum of Hilbert values with binomial weights and is used as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -172,32 +175,80 @@ def _unit(ctx, j):
     return tuple(e)
 
 
-def _require_simplicial(ctx):
+def _checked_rows(ctx, degrees, p):
+    """Degree rows of a form-sheaf problem, after the shared input checks."""
     if not ctx.simplicial:
         raise ValueError("form-sheaf Euler characteristics require a simplicial fan")
-
-
-def _check_degrees(ctx, degrees):
     rows = [tuple(row) for row in degrees]
     for row in rows:
         if len(row) != ctx.r:
             raise ValueError("degree row length must match the number of rays")
+    if p < 0:
+        raise ValueError("negative form degree")
     return rows
+
+
+def _factors(ctx, degrees, kind: str, p: int):
+    """The series factorization of one form type ("alt", "sym" or "tensor")."""
+    rows = _checked_rows(ctx, degrees, p)
+    m = ctx.fan.dim
+    if kind == "alt":
+        factors = [YMonomialBinomial(_unit(ctx, j), 1) for j in range(ctx.r)]
+        factors.append(ScalarBinomialPower(m - ctx.r, 1))
+        for d in rows:
+            factors.append(XMonomialBinomial(d))
+            factors.append(GeometricInverse(d, 1))
+        return factors
+    if kind == "sym":
+        factors = []
+        for d in rows:
+            factors.append(XMonomialBinomial(d))
+            factors.append(YMonomialBinomial(d, -1))
+        factors.append(ScalarBinomialPower(ctx.r - m, -1))
+        for j in range(ctx.r):
+            factors.append(GeometricInverse(_unit(ctx, j), -1))
+        return factors
+    if kind == "tensor":
+        form = {}
+        for j in range(ctx.r):
+            e = _unit(ctx, j)
+            form[e] = form.get(e, 0) + 1
+        zero = _zero_exp(ctx.r)
+        form[zero] = form.get(zero, 0) + (m - ctx.r)
+        for d in rows:
+            form[d] = form.get(d, 0) - 1
+        factors = [XMonomialBinomial(d) for d in rows]
+        factors.append(LinearFormInverse(tuple(sorted(form.items()))))
+        return factors
+    raise ValueError(f"unknown form kind {kind!r}")
+
+
+def chi_all(ctx: HilbertContext, degrees, kind: str, pmax: int) -> list:
+    """Euler characteristics of the p-forms of `kind` for p = 0 .. pmax.
+
+    One expansion modulo y^(pmax+1) serves every p: each term q_{s,j} x^s y^j
+    adds q_{s,j} * H(-s) to the value at p = j.
+    """
+    expanded = y_truncated_expand(_factors(ctx, degrees, kind, pmax), pmax, ctx.r)
+    values = [0] * (pmax + 1)
+    for (e, j), c in expanded.items():
+        values[j] += c * h_of_s(ctx, tuple(-x for x in e))
+    return values
 
 
 def chi_alt(ctx: HilbertContext, degrees, p: int) -> int:
     """Euler characteristic of the sheaf of alternating p-forms."""
-    _require_simplicial(ctx)
-    rows = _check_degrees(ctx, degrees)
-    if p < 0:
-        raise ValueError("negative form degree")
-    m = ctx.fan.dim
-    factors = [YMonomialBinomial(_unit(ctx, j), 1) for j in range(ctx.r)]
-    factors.append(ScalarBinomialPower(m - ctx.r, 1))
-    for d in rows:
-        factors.append(XMonomialBinomial(d))
-        factors.append(GeometricInverse(d, 1))
-    return coeff_x0_yp(ctx, factors, p)
+    return coeff_x0_yp(ctx, _factors(ctx, degrees, "alt", p), p)
+
+
+def chi_sym(ctx: HilbertContext, degrees, p: int) -> int:
+    """Euler characteristic of the sheaf of symmetric p-th powers."""
+    return coeff_x0_yp(ctx, _factors(ctx, degrees, "sym", p), p)
+
+
+def chi_tensor(ctx: HilbertContext, degrees, p: int) -> int:
+    """Euler characteristic of the p-th unconstrained tensor power."""
+    return coeff_x0_yp(ctx, _factors(ctx, degrees, "tensor", p), p)
 
 
 def chi_alt_hilbert(ctx: HilbertContext, degrees, p: int) -> int:
@@ -213,10 +264,7 @@ def chi_alt_hilbert(ctx: HilbertContext, degrees, p: int) -> int:
     The binomial weight is the y^a coefficient of (1+y)^(m-r) up to sign;
     it collapses to 1 exactly when r = m + 1 (projective-like fans).
     """
-    _require_simplicial(ctx)
-    rows = _check_degrees(ctx, degrees)
-    if p < 0:
-        raise ValueError("negative form degree")
+    rows = _checked_rows(ctx, degrees, p)
     m = ctx.fan.dim
     r = ctx.r
     k = len(rows)
@@ -253,41 +301,3 @@ def chi_alt_hilbert(ctx: HilbertContext, degrees, p: int) -> int:
                                 s[j] -= rows[t][j]
                         total += sign * weight * h_of_s(ctx, tuple(s))
     return total
-
-
-def chi_sym(ctx: HilbertContext, degrees, p: int) -> int:
-    """Euler characteristic of the sheaf of symmetric p-th powers."""
-    _require_simplicial(ctx)
-    rows = _check_degrees(ctx, degrees)
-    if p < 0:
-        raise ValueError("negative form degree")
-    m = ctx.fan.dim
-    factors = []
-    for d in rows:
-        factors.append(XMonomialBinomial(d))
-        factors.append(YMonomialBinomial(d, -1))
-    factors.append(ScalarBinomialPower(ctx.r - m, -1))
-    for j in range(ctx.r):
-        factors.append(GeometricInverse(_unit(ctx, j), -1))
-    return coeff_x0_yp(ctx, factors, p)
-
-
-def chi_tensor(ctx: HilbertContext, degrees, p: int) -> int:
-    """Euler characteristic of the p-th unconstrained tensor power."""
-    _require_simplicial(ctx)
-    rows = _check_degrees(ctx, degrees)
-    if p < 0:
-        raise ValueError("negative form degree")
-    m = ctx.fan.dim
-    form = {}
-    for j in range(ctx.r):
-        e = _unit(ctx, j)
-        form[e] = form.get(e, 0) + 1
-    zero = _zero_exp(ctx.r)
-    form[zero] = form.get(zero, 0) + (m - ctx.r)
-    for d in rows:
-        d = tuple(d)
-        form[d] = form.get(d, 0) - 1
-    factors = [XMonomialBinomial(tuple(d)) for d in rows]
-    factors.append(LinearFormInverse(tuple(sorted(form.items()))))
-    return coeff_x0_yp(ctx, factors, p)

@@ -48,7 +48,7 @@ from .fans import (
     stellar_subdivide_to_simplicial,
     validate,
 )
-from .forms import chi_alt
+from .forms import chi_all
 from .hilbert import build_context
 from .hodge_tables import EPQTable, zero_table
 from .lattice import affine_lattice_reduction, minkowski_support
@@ -159,9 +159,9 @@ def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
         for q in range(n + 1):
             if p + q < n:
                 ebar[p][q] = ebar[n - p][n - q]
-    ctx = build_context(fan)
+    chis = chi_all(build_context(fan), degrees, "alt", n)
     for p in range(n + 1):
-        ep = (-1) ** p * chi_alt(ctx, degrees, p)
+        ep = (-1) ** p * chis[p]
         ebar[p][n - p] = ep - sum(ebar[p][q] for q in range(n + 1) if q != n - p)
 
     # 8. recover the open part; re-derive the upper triangle as a check

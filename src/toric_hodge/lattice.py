@@ -1,24 +1,27 @@
 """Exact integer and rational polyhedral geometry.
 
-Everything in this module works over arbitrary-precision integers and
-`fractions.Fraction`; there is no floating point anywhere.  Lattice vectors
-are plain tuples of ints, rational vectors are tuples of Fractions.  The
-polyhedral machinery (double description for extreme rays, Fourier-Motzkin
-elimination for coordinate projections) is written for desk-scale inputs:
-dimensions up to about 6 and a few dozen constraints, which is all the
-counting formulas downstream ever need.
+Everything in this module is exact; there is no floating point anywhere.
+Lattice vectors are plain tuples of ints.  Elimination is integer and
+fraction-free: one Bareiss routine (`_eliminate`) gives ranks, independent
+rows, determinants and inverses, and one Smith decomposition per matrix
+(`row_lattice`) gives saturations and kernels.  `fractions.Fraction`
+appears only in rational bounds of half-spaces.  The polyhedral machinery
+(double description for extreme rays, Fourier-Motzkin elimination for
+coordinate projections) is written for desk-scale inputs: dimensions up to
+about 6 and a few dozen constraints, which is all the counting formulas
+downstream ever need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 from operator import mul
 
-Vector = tuple  # tuple of ints (or Fractions for rational data)
+Vector = tuple  # tuple of ints
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +42,6 @@ def vec_add(a, b):
 
 def vec_neg(a):
     return tuple(-x for x in a)
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
 
 
 def is_zero(a):
@@ -87,91 +86,69 @@ def vec_mat(v, a):
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(cols))
 
 
-def rank_of(rows) -> int:
-    """Rank of a matrix given as an iterable of integer/Fraction rows."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
+
+    Returns (a, pivots, d): the reduced rows, the pivot columns in order and
+    the last pivot d.  Each entry of `a` is a minor of the input, so every
+    division is exact.  Row i < rank ends with d in column pivots[i] and 0
+    in the other pivot columns; the rows from the rank on are zero.  A row
+    swap negates one of the two rows, so a square invertible B has
+    d = det(B), and eliminating [B | I] leaves det(B) * B^-1 on the right.
+    """
+    a = [list(row) for row in rows]
+    pivots = []
+    prev = 1
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
         if piv is None:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [x - c * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+        if piv != r:
+            a[r], a[piv] = a[piv], [-x for x in a[r]]
+        top = a[r]
+        d = top[col]
+        for i, row in enumerate(a):
+            if i != r:
+                c = row[col]
+                a[i] = [(d * x - c * y) // prev for x, y in zip(row, top)]
+        pivots.append(col)
+        prev = d
+    return a, pivots, prev
+
+
+def rank_of(rows) -> int:
+    """Rank of a matrix given as an iterable of integer rows."""
+    return len(_eliminate(rows)[1])
 
 
 def independent_rows(rows, target_rank=None):
-    """Indices of a lexicographically-first maximal independent subset."""
-    chosen = []
-    basis = []  # reduced Fraction rows
-    for idx, row in enumerate(rows):
-        cand = [Fraction(x) for x in row]
-        for b in basis:
-            lead = next((j for j in range(len(b)) if b[j] != 0), None)
-            if lead is not None and cand[lead] != 0:
-                c = cand[lead] / b[lead]
-                cand = [x - c * y for x, y in zip(cand, b)]
-        if any(x != 0 for x in cand):
-            chosen.append(idx)
-            basis.append(cand)
-            if target_rank is not None and len(chosen) == target_rank:
-                break
-    return chosen
+    """Indices of a lexicographically-first maximal independent subset.
+
+    These are the pivot columns of the transpose; with `target_rank` only
+    the first that many are returned.
+    """
+    return _eliminate([list(col) for col in zip(*rows)])[1][:target_rank]
 
 
 def invert_unimodular(mat):
     """Exact inverse of a square integer matrix with determinant +-1."""
     n = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if work[i][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [x - c * y for x, y in zip(work[i], work[col])]
-    out = []
-    for i in range(n):
-        row = work[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
+    a, pivots, d = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(mat)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    if abs(d) != 1:
+        raise ValueError("matrix is not unimodular")
+    return [[d * x for x in row[n:]] for row in a]
 
 
 def det_int(mat) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(row) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Determinant of a square integer matrix."""
+    _, pivots, d = _eliminate(mat)
+    return d if len(pivots) == len(mat) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +211,7 @@ def smith_normal_form(mat) -> SmithDecomposition:
         for r in range(cols):
             right[r][i], right[r][j] = right[r][j], right[r][i]
 
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
+    def pivot(t):  # nonzero entry of least absolute value, ties row-major
         piv = None
         best = None
         for i in range(t, rows):
@@ -244,6 +219,12 @@ def smith_normal_form(mat) -> SmithDecomposition:
                 if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
                     best = abs(a[i][j])
                     piv = (i, j)
+        return piv
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        piv = pivot(t)
         if piv is None:
             break
         while True:
@@ -279,13 +260,7 @@ def smith_normal_form(mat) -> SmithDecomposition:
                         break
                 if not fixed:
                     break
-            piv = None
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                        best = abs(a[i][j])
-                        piv = (i, j)
+            piv = pivot(t)
         t += 1
 
     diag = tuple(a[i][i] for i in range(limit))
@@ -296,53 +271,46 @@ def smith_normal_form(mat) -> SmithDecomposition:
     )
 
 
-def saturation_data(vectors, dim):
-    """Saturated lattice of the span of integer vectors.
+@dataclass(frozen=True)
+class RowLattice:
+    """One Smith decomposition of integer rows R (n x dim), read two ways.
 
-    Returns (rank, coord) where coord maps an integer vector lying in the
-    rational span to its integer coordinates in a basis of the saturation
-    (the largest sublattice of Z^dim with the same rational span).
+    With left * R * right = diag and `rank` nonzero diagonal entries, the
+    first `rank` columns of `right` send a vector of the rational row span
+    to its integer coordinates in a basis of the saturation, the largest
+    sublattice of Z^dim with the same span (`coord`).  The remaining
+    columns are an integer basis of the kernel {q in Z^dim : R q = 0}
+    (`kernel`), with exact coordinates `kernel_coord`.
     """
-    if not vectors:
-        mat = [[0] * dim] if dim else [[]]
-        snf = smith_normal_form(mat)
-        rank = 0
-    else:
-        snf = smith_normal_form([list(v) for v in vectors])
-        rank = sum(1 for d in snf.diag if d != 0)
-    right = [list(r) for r in snf.right]
 
-    def coord(v):
-        full = vec_mat(v, right)
-        if any(full[i] != 0 for i in range(rank, dim)):
+    dim: int
+    rank: int
+    right: tuple
+    kernel: tuple
+
+    def coord(self, v):
+        full = vec_mat(v, self.right)
+        if any(full[i] != 0 for i in range(self.rank, self.dim)):
             raise ValueError("vector outside the rational span")
-        return tuple(full[:rank])
+        return tuple(full[: self.rank])
 
-    return rank, coord
+    @cached_property
+    def _right_inverse(self):
+        return invert_unimodular(self.right)
 
-
-def kernel_basis_columns(rows_mat, dim):
-    """Integer basis of {q in Z^dim : R q = 0} for integer rows R.
-
-    The returned tuple (basis, coord) gives basis vectors (columns of the
-    right Smith transform) and an exact coordinate map on the kernel.
-    """
-    if not rows_mat:
-        basis = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
-        return basis, lambda v: tuple(v)
-    snf = smith_normal_form([list(r) for r in rows_mat])
-    rank = sum(1 for d in snf.diag if d != 0)
-    right = [list(r) for r in snf.right]
-    rinv = invert_unimodular(right)
-    basis = [tuple(right[i][j] for i in range(dim)) for j in range(rank, dim)]
-
-    def coord(v):
-        full = mat_vec(rinv, v)
-        if any(full[i] != 0 for i in range(rank)):
+    def kernel_coord(self, q):
+        full = mat_vec(self._right_inverse, q)
+        if any(full[i] != 0 for i in range(self.rank)):
             raise ValueError("vector not in the kernel lattice")
-        return tuple(full[rank:])
+        return tuple(full[self.rank :])
 
-    return basis, coord
+
+def row_lattice(rows, dim) -> RowLattice:
+    """Saturation and kernel of integer rows in Z^dim, from one Smith form."""
+    snf = smith_normal_form([list(v) for v in rows] or [[0] * dim])
+    rank = sum(1 for d in snf.diag if d != 0)
+    kernel = tuple(tuple(r[j] for r in snf.right) for j in range(rank, dim))
+    return RowLattice(dim=dim, rank=rank, right=snf.right, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +331,12 @@ def cone_extreme_rays(normals, dim):
     if len(basis_idx) < dim:
         raise ValueError("cone is not pointed (constraints do not have full rank)")
 
-    b_mat = [list(normals[i]) for i in basis_idx]
-    binv = _fraction_inverse(b_mat)
-    rays = []
-    for j in range(dim):
-        col = [binv[i][j] for i in range(dim)]
-        denlcm = 1
-        for x in col:
-            denlcm = denlcm * x.denominator // gcd(denlcm, x.denominator)
-        ray = tuple(int(x * denlcm) for x in col)
-        if not is_zero(ray):
-            rays.append(primitive(ray))
+    # the simplex cone of the basis rows: its rays are the columns of B^-1,
+    # read positively scaled from det(B) * B^-1
+    a, _, d = _eliminate([list(normals[k]) + [int(i == j) for j in range(dim)]
+                          for i, k in enumerate(basis_idx)])
+    sign = 1 if d > 0 else -1
+    rays = [primitive(tuple(sign * row[dim + j] for row in a)) for j in range(dim)]
 
     processed = [normals[i] for i in basis_idx]
     rest = [normals[i] for i in range(len(normals)) if i not in set(basis_idx)]
@@ -426,22 +389,6 @@ def cone_extreme_rays(normals, dim):
     return sorted(rays)
 
 
-def _fraction_inverse(mat):
-    n = len(mat)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if work[i][col] != 0)
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [x - c * y for x, y in zip(work[i], work[col])]
-    return [row[n:] for row in work]
-
-
 # ---------------------------------------------------------------------------
 # rational polyhedra
 
@@ -473,26 +420,6 @@ def _int_constraints(constraints):
         mult = b.denominator
         out.append((tuple(int(x) * mult for x in n), int(b * mult)))
     return out
-
-
-def polyhedron_vertices(region: RationalPolyhedron):
-    """Exact vertex enumeration of a polyhedron with trivial recession cone.
-
-    Returns the (possibly empty) list of vertices as Fraction tuples.  The
-    caller is responsible for having checked boundedness; a ray in the
-    homogenization is reported as an internal error.
-    """
-    dim = region.dim
-    cons = _int_constraints(region.constraints)
-    hom = [n + (-b,) for n, b in cons]
-    hom.append(tuple([0] * dim + [1]))
-    rays = cone_extreme_rays(hom, dim + 1)
-    verts = []
-    for r in rays:
-        if r[dim] == 0:
-            raise ValueError("unexpected recession ray during vertex enumeration")
-        verts.append(tuple(Fraction(x, r[dim]) for x in r[:dim]))
-    return sorted(verts)
 
 
 @lru_cache(maxsize=65536)
@@ -691,35 +618,31 @@ def convex_hull(points) -> Polytope:
         raise ValueError("points of mixed dimension")
     p0 = pts[0]
     diffs = [vec_sub(p, p0) for p in pts[1:]]
-    rank, coord = saturation_data(diffs, ambient)
+    span = row_lattice(diffs, ambient)
+    rank = span.rank
 
     # affine-hull equalities from the kernel of the difference matrix
     eqs = []
-    if rank < ambient:
-        basis, _ = kernel_basis_columns(diffs if diffs else [], ambient)
-        if not diffs:
-            basis = [tuple(int(i == j) for i in range(ambient)) for j in range(ambient)]
-        for u in basis:
-            u = primitive(u)
-            val = dot(u, p0)
-            eqs.append((u, val))
-            eqs.append((vec_neg(u), -val))
+    for u in span.kernel:
+        u = primitive(u)
+        val = dot(u, p0)
+        eqs.append((u, val))
+        eqs.append((vec_neg(u), -val))
 
     if rank == 0:
         return Polytope(
             vertices=(p0,), facets=tuple(sorted(eqs)), dim=0, ambient_dim=ambient
         )
 
-    reduced = [coord(vec_sub(p, p0)) for p in pts]
+    reduced = [span.coord(vec_sub(p, p0)) for p in pts]
     # facets of the full-dimensional reduced polytope: extreme rays of the
     # dual cone {(a, c) : a.r + c >= 0 for every reduced point r}
     dual_normals = [r + (1,) for r in reduced]
     facet_rays = cone_extreme_rays(dual_normals, rank + 1)
 
     # map a reduced-space functional back to the ambient lattice
-    snf = smith_normal_form([list(v) for v in diffs])
-    right = snf.right
-    t0 = tuple(vec_mat(p0, [list(r) for r in right])[:rank])
+    right = span.right
+    t0 = vec_mat(p0, right)[:rank]
 
     facets = list(eqs)
     red_facets = []
@@ -799,7 +722,8 @@ def affine_lattice_reduction(supports) -> AffineReduction:
         base = s[0]
         translated.append([vec_sub(q, base) for q in s])
     everything = [q for s in translated for q in s]
-    rank, coord = saturation_data(everything, dim)
+    span = row_lattice(everything, dim)
+    rank = span.rank
     if rank == dim:
         # the saturation is the whole lattice; keep identity coordinates so
         # that reducing an already reduced system is a fixpoint
@@ -807,7 +731,7 @@ def affine_lattice_reduction(supports) -> AffineReduction:
     else:
         rebased = []
         for s in translated:
-            coords = sorted(coord(q) for q in s)
+            coords = sorted(span.coord(q) for q in s)
             base = coords[0]
             rebased.append(tuple(vec_sub(q, base) for q in coords))
         reduced = tuple(rebased)

@@ -372,7 +372,7 @@ def wps_chi(w, degrees, p: int, kind: str) -> int:
             lin = lin + xp
         for xp in degree_pows:
             lin = lin - xp
-        series = [_rf_pow_rf(lin, a) for a in range(p + 1)]
+        series = [_rf_pow(lin, a) for a in range(p + 1)]
     else:
         raise ValueError(f"unknown kind {kind!r}")
 
@@ -383,14 +383,7 @@ def wps_chi(w, degrees, p: int, kind: str) -> int:
     return int(val)
 
 
-def _rf_pow(xp: RationalFunction, a: int) -> RationalFunction:
-    out = RF_ONE
-    for _ in range(a):
-        out = out * xp
-    return out
-
-
-def _rf_pow_rf(f: RationalFunction, a: int) -> RationalFunction:
+def _rf_pow(f: RationalFunction, a: int) -> RationalFunction:
     out = RF_ONE
     for _ in range(a):
         out = out * f

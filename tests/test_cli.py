@@ -110,7 +110,7 @@ def test_exit_code_precondition(capsys):
 def test_exit_code_internal_consistency(capsys, monkeypatch):
     import toric_hodge.hodge as hodge_mod
 
-    monkeypatch.setattr(hodge_mod, "chi_alt", lambda ctx, degs, p: 999)
+    monkeypatch.setattr(hodge_mod, "chi_all", lambda ctx, degs, kind, pmax: [999] * (pmax + 1))
     hodge_mod.clear_epq_memo()
     code = cli.main(["hodge-torus", data("torus_line.json")])
     hodge_mod.clear_epq_memo()

@@ -8,6 +8,8 @@ from toric_hodge.forms import (
     ScalarBinomialPower,
     XMonomialBinomial,
     YMonomialBinomial,
+    _factors,
+    chi_all,
     chi_alt,
     chi_alt_hilbert,
     chi_sym,
@@ -145,3 +147,43 @@ def test_chi_alt_vanishes_above_dimension():
         n = fan.dim - len(supports)
         for p in range(n + 1, fan.dim + 1):
             assert chi_alt(ctx, degs, p) == 0, (name, p)
+
+
+# --- chi_all: one expansion for every p ---------------------------------------
+
+KIND_FUNCS = {"alt": chi_alt, "sym": chi_sym, "tensor": chi_tensor}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FUNCS))
+def test_chi_all_matches_single_p(kind):
+    for name, fan, supports in forms_fixture_corpus():
+        ctx = build_context(fan)
+        degs = degrees_of(fan, supports) if supports else []
+        values = chi_all(ctx, degs, kind, fan.dim)
+        assert values == [KIND_FUNCS[kind](ctx, degs, p) for p in range(fan.dim + 1)], name
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FUNCS))
+def test_expansion_truncates_consistently(kind):
+    for name, fan, supports in forms_fixture_corpus():
+        ctx = build_context(fan)
+        degs = degrees_of(fan, supports) if supports else []
+        n = fan.dim
+        factors = _factors(ctx, degs, kind, n)
+        full = y_truncated_expand(factors, n, ctx.r)
+        for p in range(n + 1):
+            low = {key: c for key, c in full.items() if key[1] <= p}
+            assert low == y_truncated_expand(factors, p, ctx.r), (name, p)
+
+
+def test_chi_all_checks_its_input():
+    ctx = build_context(fan_octahedron())
+    with pytest.raises(ValueError, match="simplicial"):
+        chi_all(ctx, [], "alt", 1)
+    ctx = build_context(fan_p2())
+    with pytest.raises(ValueError, match="negative"):
+        chi_all(ctx, [], "sym", -1)
+    with pytest.raises(ValueError, match="number of rays"):
+        chi_all(ctx, [(1, 2)], "tensor", 1)
+    with pytest.raises(ValueError, match="unknown form kind"):
+        chi_all(ctx, [], "wedge", 1)

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,15 +16,119 @@ from toric_hodge.lattice import (
     count_lattice_points,
     det_int,
     dot,
+    independent_rows,
+    invert_unimodular,
     is_feasible,
     lattice_points,
     minkowski_support,
     primitive,
+    rank_of,
+    row_lattice,
     smith_normal_form,
 )
 
 from helpers import apply_matrix, unimodular_matrix
 from oracles import brute_box_points
+
+
+# --- integer elimination ----------------------------------------------------
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 8 x 6, entries in [-5, 5]; some rows are forced to be dependent
+    (a +-1 combination of at most two earlier rows, or zero)."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    nrows = draw(st.integers(min_value=1, max_value=8))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(range(len(rows))), max_size=2))
+            signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=2, max_size=2))
+            rows.append([sum(c * rows[i][j] for c, i in zip(signs, picks))
+                         for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(st.integers(min_value=-5, max_value=5),
+                                      min_size=ncols, max_size=ncols)))
+    return rows
+
+
+def _greedy_independent(rows, target_rank=None):
+    """Keep a row when the sympy rank grows."""
+    chosen = []
+    for i, row in enumerate(rows):
+        if sp.Matrix([rows[j] for j in chosen] + [row]).rank() > len(chosen):
+            chosen.append(i)
+            if len(chosen) == target_rank:
+                break
+    return chosen
+
+
+@given(integer_matrices(), st.integers(min_value=1, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_sympy(rows, target):
+    assert rank_of(rows) == sp.Matrix(rows).rank()
+    assert independent_rows(rows) == _greedy_independent(rows)
+    assert independent_rows(rows, target_rank=target) == _greedy_independent(rows, target)
+    k = min(len(rows), len(rows[0]))
+    square = [row[:k] for row in rows[:k]]
+    assert det_int(square) == sp.Matrix(square).det()
+
+
+def test_det_int_sign_follows_row_swaps():
+    # permutation matrices force a row swap at almost every elimination step
+    for perm in permutations(range(4)):
+        mat = [[int(j == perm[i]) for j in range(4)] for i in range(4)]
+        assert det_int(mat) == sp.Matrix(mat).det()
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=80, deadline=None)
+def test_invert_unimodular_is_an_inverse(dim, seed):
+    mat = unimodular_matrix(dim, random.Random(seed), steps=12)
+    inv = invert_unimodular(mat)
+    prod = [[sum(inv[i][t] * mat[t][j] for t in range(dim)) for j in range(dim)]
+            for i in range(dim)]
+    assert prod == [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+@pytest.mark.parametrize("mat, why", [
+    ([[0]], "singular"),
+    ([[1, 2], [2, 4]], "singular"),
+    ([[0, 0], [3, 1]], "singular"),
+    ([[2, 1], [0, 2]], "not unimodular"),
+])
+def test_invert_unimodular_rejects(mat, why):
+    with pytest.raises(ValueError, match=why):
+        invert_unimodular(mat)
+
+
+@given(integer_matrices(), st.lists(st.integers(min_value=-3, max_value=3), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_row_lattice_coordinates(rows, mix):
+    dim = len(rows[0])
+    span = row_lattice(rows, dim)
+    assert span.rank == sp.Matrix(rows).rank()
+    assert len(span.kernel) == dim - span.rank
+    # coord inverts the first `rank` rows of right^-1, a basis of the saturation
+    basis = sp.Matrix([list(r) for r in span.right]).inv().tolist()[: span.rank]
+    for row in rows:
+        c = span.coord(row)
+        assert [sum(c[i] * basis[i][j] for i in range(span.rank)) for j in range(dim)] == row
+    for q in span.kernel:
+        assert all(dot(row, q) == 0 for row in rows)
+    for i, q in enumerate(span.kernel):
+        assert span.kernel_coord(q) == tuple(int(i == j) for j in range(len(span.kernel)))
+    mix = (mix + [0] * dim)[: len(span.kernel)]
+    q = tuple(sum(c * k[j] for c, k in zip(mix, span.kernel)) for j in range(dim))
+    assert span.kernel_coord(q) == tuple(mix)
+
+
+def test_row_lattice_of_no_rows_is_the_whole_lattice():
+    span = row_lattice([], 3)
+    assert span.rank == 0
+    assert span.kernel == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert span.kernel_coord((4, -1, 2)) == (4, -1, 2)
 
 
 # --- smith normal form -------------------------------------------------------
@@ -257,22 +362,6 @@ def test_cone_extreme_rays_invariants(normals):
         assert rank_of(tight) == 2  # extreme rays lie on a rank-(dim-1) face
         assert primitive(r) == r
     assert len(set(rays)) == len(rays)
-
-
-def test_polyhedron_vertices_exact():
-    from toric_hodge.lattice import polyhedron_vertices
-
-    region = RationalPolyhedron(
-        (((2, 0), 1), ((-1, 0), -2), ((0, 1), 0), ((0, -1), -1)), 2
-    )
-    assert polyhedron_vertices(region) == [
-        (Fraction(1, 2), Fraction(0)),
-        (Fraction(1, 2), Fraction(1)),
-        (Fraction(2), Fraction(0)),
-        (Fraction(2), Fraction(1)),
-    ]
-    empty = RationalPolyhedron((((1,), 3), ((-1,), 0)), 1)
-    assert polyhedron_vertices(empty) == []
 
 
 def test_lattice_points_unimodular_invariance():
