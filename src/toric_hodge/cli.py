@@ -8,8 +8,9 @@ Three shapes are accepted:
 * torus problem:  {"dim": m, "supports": [[[...], ...], ...]}
 * wps problem:    {"weights": [...], "degrees": [...]}
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 internal consistency failure.
+Exit codes: 0 success, 2 parse error, 3 precondition violation or an
+exhausted resource (recursion depth, memory), 4 internal consistency or
+other internal failure.
 """
 
 from __future__ import annotations
@@ -330,6 +331,13 @@ def main(argv=None) -> int:
         return 3
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 4
+    except (RecursionError, MemoryError) as exc:  # RecursionError is a RuntimeError
+        resource = "recursion depth" if isinstance(exc, RecursionError) else "memory"
+        print(f"error: out of {resource}; the problem is too large", file=sys.stderr)
+        return 3
+    except RuntimeError as exc:
+        print(f"internal failure: {exc}", file=sys.stderr)
         return 4
 
 

@@ -10,6 +10,7 @@ reduction of a support system to a torus orbit all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .lattice import (
@@ -97,10 +98,14 @@ def cone_hrep(fan: Fan, cone: Cone):
     """H-representation of cone(rays): (equalities, inequalities).
 
     The cone is {x : e.x = 0 for all equalities, n.x >= 0 for all
-    inequalities}; normals are primitive integer vectors.
+    inequalities}; normals are primitive integer vectors.  Cached per ray
+    vectors, so every fan that holds the same cone shares the answer.
     """
-    dim = fan.dim
-    rays = [fan.rays[i] for i in cone]
+    return _cone_hrep(fan.dim, tuple(tuple(fan.rays[i]) for i in cone))
+
+
+@lru_cache(maxsize=65536)
+def _cone_hrep(dim, rays):
     span = row_lattice(rays, dim)
     rank, right = span.rank, span.right
     eqs = [primitive(u) for u in span.kernel]

@@ -338,27 +338,24 @@ def cone_extreme_rays(normals, dim):
     sign = 1 if d > 0 else -1
     rays = [primitive(tuple(sign * row[dim + j] for row in a)) for j in range(dim)]
 
-    processed = [normals[i] for i in basis_idx]
-    rest = [normals[i] for i in range(len(normals)) if i not in set(basis_idx)]
+    in_basis = set(basis_idx)
+    rest = [n for i, n in enumerate(normals) if i not in in_basis]
 
-    def tight_mask(ray):
-        m = 0
-        for k, n in enumerate(processed):
-            if dot(n, ray) == 0:
-                m |= 1 << k
-        return m
-
-    masks = [tight_mask(r) for r in rays]
-    for n in rest:
+    # bit k of masks[i] is set when rays[i] is tight on the k-th processed
+    # normal; simplex ray j is tight on every basis row but row j
+    masks = [((1 << dim) - 1) ^ (1 << j) for j in range(dim)]
+    for k, n in enumerate(rest):
+        bit = 1 << (dim + k)
         vals = [dot(n, r) for r in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         zer = [i for i, v in enumerate(vals) if v == 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
         if not neg:
-            processed.append(n)
-            masks = [tight_mask(r) for r in rays]
+            for i in zer:
+                masks[i] |= bit
             continue
         new_rays = [rays[i] for i in pos + zer]
+        new_masks = [masks[i] for i in pos] + [masks[i] | bit for i in zer]
         for ip in pos:
             for im in neg:
                 t = masks[ip] & masks[im]
@@ -375,17 +372,19 @@ def cone_extreme_rays(normals, dim):
                         for j in range(dim)
                     )
                     if not is_zero(comb):
+                        # a positive combination of two rays is tight
+                        # exactly where both of them are
                         new_rays.append(primitive(comb))
-        processed.append(n)
+                        new_masks.append(t | bit)
         seen = set()
-        rays = []
-        for r in new_rays:
+        rays, masks = [], []
+        for r, m in zip(new_rays, new_masks):
             if r not in seen:
                 seen.add(r)
                 rays.append(r)
+                masks.append(m)
         if not rays:
             break
-        masks = [tight_mask(r) for r in rays]
     return sorted(rays)
 
 
@@ -617,8 +616,11 @@ def convex_hull(points) -> Polytope:
     if any(len(p) != ambient for p in pts):
         raise ValueError("points of mixed dimension")
     p0 = pts[0]
-    diffs = [vec_sub(p, p0) for p in pts[1:]]
-    span = row_lattice(diffs, ambient)
+    # the primitive rows of the reduced echelon form depend only on the
+    # affine hull, so the Polytope depends only on the hull, not on the
+    # points that span it
+    a, pivots, _ = _eliminate([vec_sub(p, p0) for p in pts[1:]])
+    span = row_lattice([primitive(row) for row in a[: len(pivots)]], ambient)
     rank = span.rank
 
     # affine-hull equalities from the kernel of the difference matrix
@@ -679,12 +681,18 @@ def convex_hull(points) -> Polytope:
 
 
 def minkowski_support(supports) -> Polytope:
-    """Convex hull of the pointwise Minkowski sum of finite point sets."""
+    """Convex hull of the pointwise Minkowski sum of finite point sets.
+
+    The hull of a Minkowski sum is the hull of the sums of vertices, so with
+    more than one support only the vertices of each support's hull are added.
+    """
     if not supports:
         raise ValueError("no supports given")
     for s in supports:
         if not s:
             raise ValueError("empty support set")
+    if len(supports) > 1:
+        supports = [convex_hull(s).vertices for s in supports]
     sums = set()
     for combo in product(*supports):
         total = combo[0]

@@ -11,6 +11,7 @@ function.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 
 import sympy as sp
 
@@ -136,6 +137,41 @@ def brute_box_points(cons, dim, radius):
         if all(sum(a * b2 for a, b2 in zip(n, q)) >= b for n, b in cons):
             pts.append(q)
     return sorted(pts)
+
+
+# --- extreme rays by enumeration ----------------------------------------------
+
+
+def _det(mat):
+    """Determinant by Laplace expansion along the first row."""
+    if not mat:
+        return 1
+    return sum(
+        (-1) ** j * mat[0][j] * _det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j in range(len(mat))
+        if mat[0][j]
+    )
+
+
+def brute_extreme_rays(normals, dim):
+    """Extreme rays of the pointed cone {x : n.x >= 0 for each normal}.
+
+    Every extreme ray spans the kernel of some dim - 1 constraints of rank
+    dim - 1, and that kernel is the line of the signed maximal minors of
+    those rows (a nonzero vector exactly at rank dim - 1).  Each primitive
+    sign of each such line that satisfies every constraint is a ray.
+    """
+    rays = set()
+    for rows in combinations([tuple(n) for n in normals], dim - 1):
+        k = [(-1) ** j * _det([row[:j] + row[j + 1 :] for row in rows]) for j in range(dim)]
+        if not any(k):
+            continue
+        g = gcd(*k)
+        for sign in (1, -1):
+            cand = tuple(sign * x // g for x in k)
+            if all(sum(a * b for a, b in zip(n, cand)) >= 0 for n in normals):
+                rays.add(cand)
+    return sorted(rays)
 
 
 # --- Hirzebruch-style chi_y for complete intersections in P^m ----------------

@@ -117,6 +117,34 @@ def test_exit_code_internal_consistency(capsys, monkeypatch):
     assert code == 4
 
 
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "exc,code,message",
+    [
+        (RuntimeError("stellar subdivision did not terminate"), 4, "did not terminate"),
+        (RecursionError("maximum recursion depth exceeded"), 3, "recursion depth"),
+        (MemoryError(), 3, "memory"),
+    ],
+    ids=["runtime", "recursion", "memory"],
+)
+def test_exit_code_uncaught_failures(capsys, monkeypatch, exc, code, message):
+    import toric_hodge.hodge as hodge_mod
+
+    monkeypatch.setattr(hodge_mod, "stellar_subdivide_to_simplicial", _raise(exc))
+    hodge_mod.clear_epq_memo()
+    result = cli.main(["hodge-torus", data("torus_line.json")])
+    hodge_mod.clear_epq_memo()
+    assert result == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_fan_check_reports_invalid(capsys):
     import tempfile
 

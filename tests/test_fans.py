@@ -10,6 +10,7 @@ from toric_hodge.fans import (
     adapted_subfan,
     all_cones,
     cone_contains,
+    cone_hrep,
     degrees_of,
     is_complete,
     is_regular,
@@ -28,8 +29,12 @@ from helpers import (
     fan_p2,
     fan_p3,
     fan_p1p1,
+    fan_p1p1p1,
+    fan_p2p1,
+    fan_p3p1,
     fan_projective,
     fan_wps_1423,
+    polygon_fan,
     simplex_support,
 )
 
@@ -70,6 +75,34 @@ def test_validate_redundant_generator():
     report = validate(fan)
     assert not report.ok
     assert "redundant" in report.first_violation
+
+
+def test_validate_rejects_overlap_among_known_cones():
+    # the cone cache holds geometry, not verdicts: a fan that reuses the rays
+    # and cones of a valid fan still has every pair of cones checked
+    for valid in (fan_p2(), fan_p3()):
+        assert validate(valid).ok
+        m = valid.dim
+        inside = tuple(range(m - 1)) + (len(valid.rays),)  # inside cone(e_1..e_m)
+        fan = Fan(m, valid.rays + ((1,) * m,), valid.maximal_cones + (inside,))
+        report = validate(fan)
+        assert not report.ok
+        assert "common face" in report.first_violation
+
+
+def test_cone_hrep_cache_matches_fresh_computation():
+    import toric_hodge.fans as fans_mod
+
+    pyramid = convex_hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+    octahedron = convex_hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    corpus = [
+        fan_p1(), fan_p2(), fan_p3(), fan_p1p1(), fan_p2p1(), fan_p3p1(), fan_p1p1p1(),
+        fan_wps_1423(), fan_octahedron(), polygon_fan(8),
+    ] + [stellar_subdivide_to_simplicial(normal_fan(p, 3)) for p in (pyramid, octahedron)]
+    cached = [(fan, cone, cone_hrep(fan, cone)) for fan in corpus for cone in all_cones(fan)]
+    for fan, cone, hrep in cached:
+        fans_mod._cone_hrep.cache_clear()
+        assert cone_hrep(fan, cone) == hrep
 
 
 # --- predicates --------------------------------------------------------------

@@ -28,7 +28,7 @@ from toric_hodge.lattice import (
 )
 
 from helpers import apply_matrix, unimodular_matrix
-from oracles import brute_box_points
+from oracles import brute_box_points, brute_extreme_rays
 
 
 # --- integer elimination ----------------------------------------------------
@@ -364,6 +364,39 @@ def test_cone_extreme_rays_invariants(normals):
     assert len(set(rays)) == len(rays)
 
 
+@st.composite
+def cone_systems(draw):
+    """(dim, normals) in dims 2-4.  Half the time every normal is made
+    nonnegative on a drawn witness vector, so the cone is rarely {0}.
+    Repeats and nonnegative combinations of rows are redundant and, placed
+    last, cut no ray."""
+    dim = draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    normals = draw(st.lists(vec, min_size=dim - 1, max_size=dim + 4))
+    if draw(st.booleans()):
+        w = draw(vec)
+        normals = [n if dot(n, w) >= 0 else tuple(-x for x in n) for n in normals]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(normals) - 1))
+        j = draw(st.integers(0, len(normals) - 1))
+        a, b = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+        normals.append(tuple(a * x + b * y for x, y in zip(normals[i], normals[j])))
+    return dim, normals
+
+
+@given(cone_systems())
+@settings(max_examples=300, deadline=None)
+def test_cone_extreme_rays_match_enumeration(system):
+    from toric_hodge.lattice import cone_extreme_rays
+
+    dim, normals = system
+    if sp.Matrix(normals).rank() < dim:
+        with pytest.raises(ValueError):
+            cone_extreme_rays(normals, dim)
+        return
+    assert cone_extreme_rays(normals, dim) == brute_extreme_rays(normals, dim)
+
+
 def test_lattice_points_unimodular_invariance():
     rng = random.Random(11)
     cons = (((1, 1), 0), ((-1, 0), -2), ((0, -1), -2), ((1, -1), -3))
@@ -401,6 +434,28 @@ def test_minkowski_square_from_segments():
     poly = minkowski_support([[(0, 0), (1, 0)], [(0, 0), (0, 1)]])
     assert poly.vertices == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert set(poly.facets) == _facet_normals_by_vertex_pairs(poly.vertices)
+
+
+@st.composite
+def support_systems(draw):
+    """1-3 supports in dims 1-3.  Half the time every point lies in the
+    span of two drawn vectors, so the sum is often lower-dimensional."""
+    dim = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim)
+    point = vec
+    if draw(st.booleans()):
+        u, v = draw(vec), draw(vec)
+        point = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+            lambda ab: tuple(ab[0] * x + ab[1] * y for x, y in zip(u, v))
+        )
+    return draw(st.lists(st.lists(point, min_size=1, max_size=5), min_size=1, max_size=3))
+
+
+@given(support_systems())
+@settings(max_examples=200, deadline=None)
+def test_minkowski_is_hull_of_all_sums(supports):
+    sums = [tuple(map(sum, zip(*combo))) for combo in product(*supports)]
+    assert minkowski_support(supports) == convex_hull(sums)
 
 
 def test_minkowski_empty_support():
