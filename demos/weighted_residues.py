@@ -11,7 +11,6 @@ Run:  python3 demos/weighted_residues.py
 """
 
 from toric_hodge import (
-    RationalFunction,
     residue_infinity,
     residue_zero,
     wps_chi,
@@ -22,14 +21,13 @@ from toric_hodge import (
 )
 from toric_hodge.cli import render_diamond
 from toric_hodge.fans import is_regular, is_simplicial
-from toric_hodge.wps import poly_mul
 
 
 def main():
-    f = RationalFunction((1,), poly_mul((0, 0, 0, 1), (1, -2, 1)))  # x^-3/(1-x)^2
-    print("res_0 of x^-3/(1-x)^2 =", residue_zero(f))
-    print("res_0 + res_inf of 1/x =", residue_zero(RationalFunction((1,), (0, 1)))
-          + residue_infinity(RationalFunction((1,), (0, 1))))
+    # an integrand is its numerator {exponent: coeff} over prod_j (1 - x^{w_j})
+    print("res_0 of x^-3/(1-x)^2 =", residue_zero({-3: 1}, (1, 1)))
+    print("res_0 + res_inf of 1/x =", residue_zero({-1: 1}, ())
+          + residue_infinity({-1: 1}, ()))
     print()
 
     print("dilated-simplex counts from residues:")

@@ -50,7 +50,6 @@ from .lattice import (
     smith_normal_form,
 )
 from .wps import (
-    RationalFunction,
     Weights,
     residue_infinity,
     residue_zero,
@@ -73,7 +72,6 @@ __all__ = [
     "HilbertContext",
     "InputError",
     "Polytope",
-    "RationalFunction",
     "RationalPolyhedron",
     "SmithDecomposition",
     "TorusCIProblem",

@@ -443,7 +443,6 @@ def restrict_supports(fan: Fan, cone: Cone, supports, degrees: DegreeMatrix):
 class AdaptedSubfan:
     per_cone: dict  # cone tuple -> bool
     whole_fan: bool
-    maximal_adapted: tuple
 
 
 def adapted_subfan(fan: Fan, supports) -> AdaptedSubfan:
@@ -458,16 +457,8 @@ def adapted_subfan(fan: Fan, supports) -> AdaptedSubfan:
     for cone in all_cones(fan):
         restricted = restrict_supports(fan, cone, supports, degrees)
         per_cone[cone] = all(len(r) > 0 for r in restricted)
-    adapted = [c for c, ok in per_cone.items() if ok]
-    maximal_adapted = tuple(
-        sorted(
-            c
-            for c in adapted
-            if not any(set(c) < set(d) for d in adapted)
-        )
-    )
     whole = all(per_cone[c] for c in fan.maximal_cones)
-    return AdaptedSubfan(per_cone=per_cone, whole_fan=whole, maximal_adapted=maximal_adapted)
+    return AdaptedSubfan(per_cone=per_cone, whole_fan=whole)
 
 
 def orbit_problem(fan: Fan, cone: Cone, supports, degrees: DegreeMatrix) -> TorusCIProblem:

@@ -593,8 +593,9 @@ def count_lattice_points(region: RationalPolyhedron):
 class Polytope:
     """Bounded polyhedron with both representations.
 
-    `facets` lists (normal, bound) constraints meaning normal.x >= bound;
-    for lower-dimensional polytopes the affine hull appears as pairs of
+    `facets` lists (normal, bound) constraints meaning normal.x >= bound,
+    with a primitive integer normal and an integer bound; for
+    lower-dimensional polytopes the affine hull appears as pairs of
     opposite inequalities.  `dim` is the affine dimension.
     """
 
@@ -654,17 +655,10 @@ def convex_hull(points) -> Polytope:
         w = tuple(
             sum(right[i][j] * a[j] for j in range(rank)) for i in range(ambient)
         )
-        bound = dot(a, t0) - c
-        g = 0
-        for x in w:
-            g = gcd(g, x)
-        if g > 1 and bound % g == 0:
-            w = tuple(x // g for x in w)
-            bound //= g
-        elif g > 1:
-            w = tuple(x // g for x in w)
-            bound = Fraction(bound, g)
-        facets.append((w, bound))
+        # the facet passes through a lattice vertex v with bound = <w, v>,
+        # so gcd(w) divides the bound
+        g = gcd(*w)
+        facets.append((tuple(x // g for x in w), (dot(a, t0) - c) // g))
 
     vertices = []
     for p, r in zip(pts, reduced):

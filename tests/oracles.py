@@ -213,3 +213,19 @@ def hodge_from_chi_y_lefschetz(m, degrees):
         rest = sum((-1) ** q * h[p][q] for q in range(n + 1) if q != n - p)
         h[p][n - p] = (-1) ** (n - p) * (chis[p] - rest)
     return h
+
+
+# --- residues of weighted integrands ------------------------------------------
+
+
+def laurent_residues(num, weights):
+    """(res_0, res_inf) of num(x) / prod_j (1 - x^{w_j}) from sympy's
+    Laurent series at 0 and at infinity; `num` maps exponents to coefficients.
+    """
+    x = sp.symbols("x")
+    expr = sum(c * x**e for e, c in num.items())
+    for w in weights:
+        expr /= 1 - x**w
+    at_zero = sp.series(expr, x, 0, 0).removeO()
+    at_inf = sp.series(expr, x, sp.oo, 2).removeO()
+    return int(at_zero.coeff(x, -1)), -int(at_inf.coeff(x, -1))

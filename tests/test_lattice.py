@@ -256,6 +256,8 @@ def test_hull_invariants(points):
     poly = convex_hull(points)
     for p in points:
         assert poly.contains(p)
+    for n, b in poly.facets:
+        assert primitive(n) == n and type(b) is int
     genuine = [(n, b) for n, b in poly.facets]
     for v in poly.vertices:
         tight = [n for n, b in genuine if dot(n, v) == b]

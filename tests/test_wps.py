@@ -1,18 +1,17 @@
 """Residues, weighted fans, weighted diamonds."""
 
 import random
-from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_hodge.fans import DegreeMatrix, is_complete, is_regular, is_simplicial, validate
 from toric_hodge.forms import chi_alt, chi_sym, chi_tensor
 from toric_hodge.hilbert import build_context, h_of_s
 from toric_hodge.lattice import RationalPolyhedron, lattice_points
 from toric_hodge.wps import (
-    RationalFunction,
     Weights,
-    poly_mul,
     residue_infinity,
     residue_zero,
     wps_chi,
@@ -23,50 +22,60 @@ from toric_hodge.wps import (
 )
 
 from helpers import fan_p1, fan_p2, fan_wps_1423
-from oracles import chi_y_projective_ci, hodge_from_chi_y_lefschetz
+from oracles import chi_y_projective_ci, hodge_from_chi_y_lefschetz, laurent_residues
 
 
-# --- rational functions and residues -----------------------------------------
-
-
-def test_rational_function_canonical_equality():
-    a = RationalFunction((2, 2), (0, 2))  # (2+2x)/2x = (1+x)/x
-    b = RationalFunction((1, 1), (0, 1))
-    assert a == b
-    c = a - b
-    assert c.is_zero()
+# --- residues over prod_j (1 - x^{w_j}) ---------------------------------------
+# an integrand is its numerator {exponent: coefficient} over that denominator
 
 
 def test_residue_simple_pole():
-    assert residue_zero(RationalFunction((1,), (0, 1))) == 1
+    assert residue_zero({-1: 1}, ()) == 1
 
 
 def test_residue_higher_pole_hand_series():
     # x^{-3} / (1-x)^2: the geometric-square series sum (a+1) x^a puts
     # coefficient 3 on x^2, which lands on 1/x after the shift
-    f = RationalFunction((1,), poly_mul((0, 0, 0, 1), (1, -2, 1)))
-    assert residue_zero(f) == 3
+    assert residue_zero({-3: 1}, (1, 1)) == 3
 
 
 def test_residue_of_polynomial_is_zero():
-    assert residue_zero(RationalFunction((5, 1, 7), (1,))) == 0
+    assert residue_zero({0: 5, 1: 1, 2: 7}, ()) == 0
 
 
 def test_residue_infinity_simple():
-    assert residue_infinity(RationalFunction((1,), (0, 1))) == -1
+    assert residue_infinity({-1: 1}, ()) == -1
 
 
 def test_residue_infinity_geometric():
-    assert residue_infinity(RationalFunction((1,), (1, -1))) == 1
+    assert residue_infinity({0: 1}, (1,)) == 1
 
 
 def test_residue_sum_vanishes_for_laurent_polynomials():
     rng = random.Random(17)
     for _ in range(40):
-        num = tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 6)))
+        coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 6))]
         shift = rng.randint(0, 4)
-        f = RationalFunction(num, tuple([0] * shift + [1]))
-        assert residue_zero(f) + residue_infinity(f) == 0
+        num = {i - shift: c for i, c in enumerate(coeffs)}
+        assert residue_zero(num, ()) + residue_infinity(num, ()) == 0
+
+
+def test_residues_reject_nonpositive_weights():
+    for weights in [(0,), (1, -2)]:
+        with pytest.raises(ValueError):
+            residue_zero({-1: 1}, weights)
+        with pytest.raises(ValueError):
+            residue_infinity({-1: 1}, weights)
+
+
+@given(
+    st.dictionaries(st.integers(-8, 8), st.integers(-5, 5), max_size=5),
+    st.lists(st.integers(1, 5), max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_residues_match_sympy_laurent_series(num, weights):
+    expected = laurent_residues(num, weights)
+    assert (residue_zero(num, weights), residue_infinity(num, weights)) == expected
 
 
 # --- fans ---------------------------------------------------------------------
@@ -119,7 +128,7 @@ def test_count_dilated_simplex():
 
 def test_count_matches_direct_enumeration():
     rng = random.Random(9)
-    for w in [(1, 1), (1, 1, 1), (1, 4, 2, 3)]:
+    for w in [(1, 1), (1, 1, 1), (1, 4, 2, 3), (2, 3, 5)]:
         fan = wps_fan(w)
         for _ in range(15):
             s = tuple(rng.randint(-3, 3) for _ in range(len(w)))
