@@ -41,13 +41,11 @@ from .lattice import (
     AffineReduction,
     Polytope,
     RationalPolyhedron,
-    SmithDecomposition,
     affine_lattice_reduction,
     convex_hull,
     lattice_points,
     minkowski_support,
     primitive,
-    smith_normal_form,
 )
 from .wps import (
     Weights,
@@ -73,7 +71,6 @@ __all__ = [
     "InputError",
     "Polytope",
     "RationalPolyhedron",
-    "SmithDecomposition",
     "TorusCIProblem",
     "Weights",
     "adapted_subfan",
@@ -106,7 +103,6 @@ __all__ = [
     "residue_infinity",
     "residue_zero",
     "restrict_supports",
-    "smith_normal_form",
     "stellar_subdivide_to_simplicial",
     "validate",
     "wps_chi",

@@ -21,7 +21,6 @@ from .lattice import (
     primitive,
     rank_of,
     row_lattice,
-    smith_normal_form,
     vec_sub,
 )
 
@@ -291,18 +290,19 @@ def is_simplicial(fan: Fan) -> bool:
 
 
 def is_regular(fan: Fan) -> bool:
-    """Simplicial with every cone's rays extendable to a lattice basis."""
+    """Simplicial with every cone's rays extendable to a lattice basis.
+
+    Independent rays extend to a basis of Z^dim exactly when they are a
+    basis of their saturation, i.e. when their saturation coordinates form
+    a unimodular matrix.
+    """
     if not is_simplicial(fan):
         return False
     for cone in fan.maximal_cones:
-        mat = fan.ray_matrix(cone)
-        if len(cone) == fan.dim:
-            if abs(det_int(mat)) != 1:
-                return False
-        else:
-            snf = smith_normal_form(mat)
-            if any(d != 1 for d in snf.diag):
-                return False
+        rays = fan.ray_matrix(cone)
+        span = row_lattice(rays, fan.dim)
+        if abs(det_int([span.coord(r) for r in rays])) != 1:
+            return False
     return True
 
 

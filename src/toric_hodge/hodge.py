@@ -193,13 +193,7 @@ def hodge_compact(fan: Fan, supports) -> EPQTable:
         raise ValueError("hodge_compact requires a complete fan")
     if not is_simplicial(fan):
         raise ValueError("hodge_compact requires a simplicial fan")
-    supports = tuple(tuple(sorted(set(tuple(q) for q in s))) for s in supports)
-    for s in supports:
-        if not s:
-            raise ValueError("empty support set")
-        for q in s:
-            if len(q) != fan.dim:
-                raise ValueError("support point of wrong dimension")
+    supports = TorusCIProblem(m=fan.dim, supports=supports).supports
     k = len(supports)
     n = fan.dim - k
     if n < 0:

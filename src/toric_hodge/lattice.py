@@ -1,22 +1,21 @@
-"""Exact integer and rational polyhedral geometry.
+"""Exact integer polyhedral geometry.
 
-Everything in this module is exact; there is no floating point anywhere.
-Lattice vectors are plain tuples of ints.  Elimination is integer and
-fraction-free: one Bareiss routine (`_eliminate`) gives ranks, independent
-rows, determinants and inverses, and one Smith decomposition per matrix
-(`row_lattice`) gives saturations and kernels.  `fractions.Fraction`
-appears only in rational bounds of half-spaces.  The polyhedral machinery
-(double description for extreme rays, Fourier-Motzkin elimination for
-coordinate projections) is written for desk-scale inputs: dimensions up to
-about 6 and a few dozen constraints, which is all the counting formulas
-downstream ever need.
+Everything in this module is integer; there is no floating point and no
+rational arithmetic anywhere.  Lattice vectors are plain tuples of ints.
+One fraction-free elimination (Bareiss, `_eliminate`) gives ranks,
+independent rows, determinants and inverses, and one unimodular column
+reduction that carries its own inverse (`row_lattice`) gives saturations
+and kernels.  Half-spaces have integer normals and integer bounds.  The
+polyhedral machinery (double description for extreme rays, Fourier-Motzkin
+elimination for coordinate projections) is written for desk-scale inputs:
+dimensions up to about 6 and a few dozen constraints, which is all the
+counting formulas downstream ever need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from operator import mul
@@ -65,16 +64,6 @@ def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    if not a:
-        return []
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(cols)]
-        for i in range(len(a))
-    ]
-
-
 def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
@@ -87,7 +76,7 @@ def vec_mat(v, a):
 
 
 def _eliminate(rows):
-    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
+    """Gauss-Jordan elimination of an integer matrix without fractions (Bareiss).
 
     Returns (a, pivots, d): the reduced rows, the pivot columns in order and
     the last pivot d.  Each entry of `a` is a minor of the input, so every
@@ -133,18 +122,6 @@ def independent_rows(rows, target_rank=None):
     return _eliminate([list(col) for col in zip(*rows)])[1][:target_rank]
 
 
-def invert_unimodular(mat):
-    """Exact inverse of a square integer matrix with determinant +-1."""
-    n = len(mat)
-    a, pivots, d = _eliminate([list(row) + [int(i == j) for j in range(n)]
-                               for i, row in enumerate(mat)])
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    if abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    return [[d * x for x in row[n:]] for row in a]
-
-
 def det_int(mat) -> int:
     """Determinant of a square integer matrix."""
     _, pivots, d = _eliminate(mat)
@@ -152,140 +129,26 @@ def det_int(mat) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """left * original * right = diag(diag), with unimodular left/right."""
-
-    left: tuple
-    diag: tuple
-    right: tuple
-
-    def check(self, original) -> bool:
-        prod = mat_mul(mat_mul([list(r) for r in self.left], [list(r) for r in original]),
-                       [list(r) for r in self.right])
-        rows = len(prod)
-        cols = len(prod[0]) if prod else 0
-        for i in range(rows):
-            for j in range(cols):
-                want = self.diag[i] if i == j and i < len(self.diag) else 0
-                if prod[i][j] != want:
-                    return False
-        return True
-
-
-def smith_normal_form(mat) -> SmithDecomposition:
-    """Smith normal form with transform matrices.
-
-    Deterministic elimination: the pivot is always the nonzero entry of
-    smallest absolute value in the remaining block, ties broken row-major.
-    Diagonal entries come out nonnegative with d_i dividing d_{i+1}.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    a = [list(row) for row in mat]
-    if any(len(row) != cols for row in a):
-        raise ValueError("ragged matrix")
-    left = mat_identity(rows)
-    right = mat_identity(cols)
-
-    def row_op(i, j, c):  # row_i -= c * row_j
-        a[i] = [x - c * y for x, y in zip(a[i], a[j])]
-        left[i] = [x - c * y for x, y in zip(left[i], left[j])]
-
-    def col_op(i, j, c):  # col_i -= c * col_j
-        for r in range(rows):
-            a[r][i] -= c * a[r][j]
-        for r in range(cols):
-            right[r][i] -= c * right[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            right[r][i], right[r][j] = right[r][j], right[r][i]
-
-    def pivot(t):  # nonzero entry of least absolute value, ties row-major
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    piv = (i, j)
-        return piv
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        piv = pivot(t)
-        if piv is None:
-            break
-        while True:
-            i, j = piv
-            if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-                left[t] = [-x for x in left[t]]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    row_op(i, t, a[i][t] // a[t][t])
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    col_op(j, t, a[t][j] // a[t][t])
-            if any(a[i][t] != 0 for i in range(t + 1, rows)) or any(
-                a[t][j] != 0 for j in range(t + 1, cols)
-            ):
-                dirty = True
-            # divisibility: pivot must divide every remaining entry
-            if not dirty:
-                fixed = False
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if a[i][j] % a[t][t] != 0:
-                            row_op(t, i, -1)  # add row i to row t
-                            fixed = True
-                            break
-                    if fixed:
-                        break
-                if not fixed:
-                    break
-            piv = pivot(t)
-        t += 1
-
-    diag = tuple(a[i][i] for i in range(limit))
-    return SmithDecomposition(
-        left=tuple(tuple(r) for r in left),
-        diag=diag,
-        right=tuple(tuple(r) for r in right),
-    )
+# saturations and kernels: one unimodular column reduction
 
 
 @dataclass(frozen=True)
 class RowLattice:
-    """One Smith decomposition of integer rows R (n x dim), read two ways.
+    """Integer rows R (n x dim) reduced by one unimodular U, read two ways.
 
-    With left * R * right = diag and `rank` nonzero diagonal entries, the
-    first `rank` columns of `right` send a vector of the rational row span
-    to its integer coordinates in a basis of the saturation, the largest
+    R * U = [L | 0] with L in column echelon form, of `rank` columns.
+    The first `rank` columns of U send a vector of the rational row span to
+    its integer coordinates in a basis of the saturation, the largest
     sublattice of Z^dim with the same span (`coord`).  The remaining
     columns are an integer basis of the kernel {q in Z^dim : R q = 0}
-    (`kernel`), with exact coordinates `kernel_coord`.
+    (`kernel`); the last rows of U^-1 give exact coordinates in that basis
+    (`kernel_coord`).
     """
 
     dim: int
     rank: int
     right: tuple
+    right_inverse: tuple
     kernel: tuple
 
     def coord(self, v):
@@ -294,23 +157,56 @@ class RowLattice:
             raise ValueError("vector outside the rational span")
         return tuple(full[: self.rank])
 
-    @cached_property
-    def _right_inverse(self):
-        return invert_unimodular(self.right)
-
     def kernel_coord(self, q):
-        full = mat_vec(self._right_inverse, q)
+        full = mat_vec(self.right_inverse, q)
         if any(full[i] != 0 for i in range(self.rank)):
             raise ValueError("vector not in the kernel lattice")
         return tuple(full[self.rank :])
 
 
 def row_lattice(rows, dim) -> RowLattice:
-    """Saturation and kernel of integer rows in Z^dim, from one Smith form."""
-    snf = smith_normal_form([list(v) for v in rows] or [[0] * dim])
-    rank = sum(1 for d in snf.diag if d != 0)
-    kernel = tuple(tuple(r[j] for r in snf.right) for j in range(rank, dim))
-    return RowLattice(dim=dim, rank=rank, right=snf.right, kernel=kernel)
+    """Saturation and kernel of integer rows in Z^dim, from one column reduction.
+
+    The rows are taken in order.  Column operations on columns t.. clear a
+    row except in column t: the pivot is the first column whose entry has
+    the least nonzero absolute value, it is swapped into column t and its
+    quotient multiples are subtracted from the other columns, until one
+    nonzero entry is left.  Every operation is applied to U (kept by
+    columns) and its inverse row operation to U^-1, so U^-1 comes for free.
+    """
+    a = [list(v) for v in rows]
+    cols = mat_identity(dim)  # cols[j] is column j of U
+    inverse = mat_identity(dim)
+    t = 0
+    for i, row in enumerate(a):
+        rest = a[i:]  # the rows before i are zero from column t on
+        while t < dim:
+            nonzero = [j for j in range(t, dim) if row[j]]
+            if not nonzero:
+                break
+            piv = min(nonzero, key=lambda j: abs(row[j]))
+            if piv != t:
+                for r in rest:
+                    r[t], r[piv] = r[piv], r[t]
+                cols[t], cols[piv] = cols[piv], cols[t]
+                inverse[t], inverse[piv] = inverse[piv], inverse[t]
+            for j in range(t + 1, dim):
+                if row[j]:
+                    c = row[j] // row[t]  # col_j -= c * col_t
+                    for r in rest:
+                        r[j] -= c * r[t]
+                    cols[j] = [x - c * y for x, y in zip(cols[j], cols[t])]
+                    inverse[t] = [x + c * y for x, y in zip(inverse[t], inverse[j])]
+            if not any(row[t + 1 :]):
+                t += 1
+                break
+    return RowLattice(
+        dim=dim,
+        rank=t,
+        right=tuple(zip(*cols)),
+        right_inverse=tuple(map(tuple, inverse)),
+        kernel=tuple(map(tuple, cols[t:])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,31 +290,26 @@ def cone_extreme_rays(normals, dim):
 
 @dataclass(frozen=True)
 class RationalPolyhedron:
-    """Intersection of half-spaces {x : <normal, x> >= bound}."""
+    """Intersection of half-spaces {x : <normal, x> >= bound}.
 
-    constraints: tuple  # tuple of (normal: int tuple, bound: int or Fraction)
+    Normals and bounds are integers; a rational bound b/d is the half-space
+    of the normal scaled by d with bound b.
+    """
+
+    constraints: tuple  # tuple of (normal: int tuple, bound: int)
     dim: int
 
     def __post_init__(self):
-        for n, _ in self.constraints:
+        cons = tuple((tuple(n), b) for n, b in self.constraints)
+        for n, b in cons:
             if len(n) != self.dim:
                 raise ValueError("constraint dimension mismatch")
+            if not isinstance(b, int):
+                raise ValueError("half-space bounds must be integers")
+        object.__setattr__(self, "constraints", cons)
 
     def contains(self, point) -> bool:
         return all(dot(n, point) >= b for n, b in self.constraints)
-
-
-def _int_constraints(constraints):
-    """Scale (normal, bound) pairs so every number is an integer."""
-    out = []
-    for n, b in constraints:
-        if isinstance(b, int):
-            out.append((tuple(int(x) for x in n), b))
-            continue
-        b = Fraction(b)
-        mult = b.denominator
-        out.append((tuple(int(x) * mult for x in n), int(b * mult)))
-    return out
 
 
 @lru_cache(maxsize=65536)
@@ -437,7 +328,7 @@ def recession_is_trivial(region: RationalPolyhedron) -> bool:
     counting the same combinatorial region for many different bounds pays
     for the cone computation once.
     """
-    normals = tuple(sorted(n for n, _ in _int_constraints(region.constraints)))
+    normals = tuple(sorted(n for n, _ in region.constraints))
     return _recession_trivial_cached(normals, region.dim)
 
 
@@ -487,7 +378,7 @@ def is_feasible(region: RationalPolyhedron) -> bool:
     Eliminates every coordinate by Fourier-Motzkin; the system is infeasible
     exactly when a contradictory constant constraint appears on the way.
     """
-    cur = _int_constraints(region.constraints)
+    cur = region.constraints
     for t in range(region.dim, 0, -1):
         cur = _fm_eliminate_last(cur, t)
         if cur is None:
@@ -561,7 +452,7 @@ def lattice_points(region: RationalPolyhedron):
     """
     if not recession_is_trivial(region):
         return False, []
-    cons = _int_constraints(region.constraints)
+    cons = region.constraints
     if region.dim == 0:
         return True, ([()] if all(b <= 0 for _, b in cons) else [])
     points = []
@@ -579,7 +470,7 @@ def count_lattice_points(region: RationalPolyhedron):
     """
     if not recession_is_trivial(region):
         return False, 0
-    cons = _int_constraints(region.constraints)
+    cons = region.constraints
     if region.dim == 0:
         return True, int(all(b <= 0 for _, b in cons))
     return True, sum(hi - lo + 1 for _, lo, hi in _integer_runs(cons, region.dim))

@@ -39,7 +39,7 @@ from math import gcd
 from .errors import ConsistencyError
 from .fans import Fan
 from .hodge_tables import EPQTable
-from .lattice import primitive, smith_normal_form, vec_mat
+from .lattice import primitive, row_lattice
 
 # --- Laurent numerators over prod_j (1 - x^{w_j}) ------------------------------
 
@@ -107,9 +107,10 @@ def _as_weights(w) -> Weights:
 def wps_fan(w) -> Fan:
     """The complete simplicial fan of a weighted projective space.
 
-    Rays come in the order p_0, p_1, ..., p_m.  For w_0 = 1 this is the
-    textbook picture p_0 = (-w_1, ..., -w_m), p_j = e_j; for general w_0 the
-    rays are the images of the unit vectors in Z^{m+1} / Z.w.  Weights whose
+    Rays come in the order p_0, p_1, ..., p_m: p_j is the image of the
+    unit vector e_j in Z^{m+1} / Z.w, read in the kernel basis of w that
+    `row_lattice` gives, so sum_j w_j p_j = 0.  For w_0 = 1 this is the
+    textbook picture p_0 = (-w_1, ..., -w_m), p_j = e_j.  Weights whose
     construction produces a non-primitive ray (non-well-formed weight
     vectors) are rejected: they describe the same space as a smaller weight
     system.
@@ -118,19 +119,7 @@ def wps_fan(w) -> Fan:
     m = w.m
     if m == 0:
         raise ValueError("need at least two weights")
-    if w.values[0] == 1:
-        p0 = tuple(-x for x in w.values[1:])
-        rays = [p0] + [
-            tuple(int(i == j) for i in range(m)) for j in range(m)
-        ]
-    else:
-        snf = smith_normal_form([list(w.values)])
-        right = [list(r) for r in snf.right]
-        rays = []
-        for i in range(m + 1):
-            e = [0] * (m + 1)
-            e[i] = 1
-            rays.append(tuple(vec_mat(tuple(e), right)[1:]))
+    rays = list(zip(*row_lattice([w.values], m + 1).kernel))
     for ray in rays:
         if primitive(ray) != ray:
             raise ValueError("weights are not well-formed; reduce them first")

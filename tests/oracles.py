@@ -174,6 +174,22 @@ def brute_extreme_rays(normals, dim):
     return sorted(rays)
 
 
+def maximal_minors_gcd(rows):
+    """gcd of the maximal minors of an integer matrix (0 when rank-deficient).
+
+    For independent rows v_1..v_k in Z^n (k <= n) the gcd is 1 exactly when
+    they extend to a basis of Z^n; for n + 1 rows of rank n it is 1 exactly
+    when they generate Z^n.
+    """
+    rows = [list(r) for r in rows]
+    k = min(len(rows), len(rows[0]))
+    g = 0
+    for rs in combinations(range(len(rows)), k):
+        for cs in combinations(range(len(rows[0])), k):
+            g = gcd(g, _det([[rows[i][j] for j in cs] for i in rs]))
+    return g
+
+
 # --- Hirzebruch-style chi_y for complete intersections in P^m ----------------
 
 

@@ -2,8 +2,11 @@
 
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from toric_hodge.fans import (
     Fan,
@@ -36,7 +39,9 @@ from helpers import (
     fan_wps_1423,
     polygon_fan,
     simplex_support,
+    unimodular_matrix,
 )
+from oracles import maximal_minors_gcd
 
 
 # --- validation --------------------------------------------------------------
@@ -140,6 +145,32 @@ def test_regular_implies_simplicial_on_corpus():
     for fan in (fan_p1(), fan_p2(), fan_p3(), fan_p1p1(), fan_wps_1423(), fan_octahedron()):
         if is_regular(fan):
             assert is_simplicial(fan)
+
+
+@st.composite
+def simplicial_cones(draw):
+    """k independent primitive rays in Z^dim, 1 <= k <= dim <= 4: rows of a
+    random unimodular matrix (regular) or small random vectors."""
+    dim = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=dim))
+    if draw(st.booleans()):
+        mat = unimodular_matrix(dim, random.Random(draw(st.integers(0, 10**6))), steps=10)
+        return [tuple(row) for row in mat[:k]]
+    entries = st.integers(min_value=-3, max_value=3)
+    rays = draw(st.lists(st.tuples(*[entries] * dim), min_size=k, max_size=k))
+    assume(maximal_minors_gcd(rays) != 0)
+    return [tuple(x // gcd(*r) for x in r) for r in rays]
+
+
+@given(simplicial_cones())
+@settings(max_examples=200, deadline=None)
+@example([(1, 0, 0), (1, 2, 0)])
+@example([(1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1)])
+@example([(2, 1, 0), (1, 1, 1)])
+def test_is_regular_matches_maximal_minors(rays):
+    fan = Fan(len(rays[0]), tuple(rays), (tuple(range(len(rays))),))
+    assert is_simplicial(fan)
+    assert is_regular(fan) == (maximal_minors_gcd(rays) == 1)
 
 
 # --- stellar subdivision -----------------------------------------------------

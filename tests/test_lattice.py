@@ -1,12 +1,16 @@
 """Exact linear algebra and polyhedral geometry."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_hodge.lattice import (
@@ -17,14 +21,12 @@ from toric_hodge.lattice import (
     det_int,
     dot,
     independent_rows,
-    invert_unimodular,
     is_feasible,
     lattice_points,
     minkowski_support,
     primitive,
     rank_of,
     row_lattice,
-    smith_normal_form,
 )
 
 from helpers import apply_matrix, unimodular_matrix
@@ -82,34 +84,23 @@ def test_det_int_sign_follows_row_swaps():
         assert det_int(mat) == sp.Matrix(mat).det()
 
 
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
-@settings(max_examples=80, deadline=None)
-def test_invert_unimodular_is_an_inverse(dim, seed):
-    mat = unimodular_matrix(dim, random.Random(seed), steps=12)
-    inv = invert_unimodular(mat)
-    prod = [[sum(inv[i][t] * mat[t][j] for t in range(dim)) for j in range(dim)]
-            for i in range(dim)]
-    assert prod == [[int(i == j) for j in range(dim)] for i in range(dim)]
-
-
-@pytest.mark.parametrize("mat, why", [
-    ([[0]], "singular"),
-    ([[1, 2], [2, 4]], "singular"),
-    ([[0, 0], [3, 1]], "singular"),
-    ([[2, 1], [0, 2]], "not unimodular"),
-])
-def test_invert_unimodular_rejects(mat, why):
-    with pytest.raises(ValueError, match=why):
-        invert_unimodular(mat)
-
-
 @given(integer_matrices(), st.lists(st.integers(min_value=-3, max_value=3), max_size=6))
 @settings(max_examples=100, deadline=None)
+@example(rows=[[2, 4, 0]], mix=[])
 def test_row_lattice_coordinates(rows, mix):
     dim = len(rows[0])
     span = row_lattice(rows, dim)
     assert span.rank == sp.Matrix(rows).rank()
     assert len(span.kernel) == dim - span.rank
+    assert abs(det_int(span.right)) == 1
+    assert [[dot(row, col) for col in zip(*span.right_inverse)] for row in span.right] == [
+        [int(i == j) for j in range(dim)] for i in range(dim)
+    ]
+    # coordinates in a basis of the saturation: a primitive vector of the
+    # span keeps coprime coordinates (for rows [[2, 4, 0]], (1, 2, 0) -> (+-1,))
+    for row in rows:
+        if any(row):
+            assert gcd(*span.coord(primitive(row))) == 1
     # coord inverts the first `rank` rows of right^-1, a basis of the saturation
     basis = sp.Matrix([list(r) for r in span.right]).inv().tolist()[: span.rank]
     for row in rows:
@@ -129,54 +120,6 @@ def test_row_lattice_of_no_rows_is_the_whole_lattice():
     assert span.rank == 0
     assert span.kernel == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert span.kernel_coord((4, -1, 2)) == (4, -1, 2)
-
-
-# --- smith normal form -------------------------------------------------------
-
-
-def test_smith_identity():
-    s = smith_normal_form([[1, 0], [0, 1]])
-    assert s.diag == (1, 1)
-    assert s.left == ((1, 0), (0, 1))
-    assert s.right == ((1, 0), (0, 1))
-
-
-def test_smith_hand_example():
-    mat = [[2, 4], [6, 8]]
-    s = smith_normal_form(mat)
-    assert s.diag == (2, 4)
-    assert s.check(mat)
-
-
-def test_smith_zero_matrix():
-    s = smith_normal_form([[0, 0], [0, 0]])
-    assert s.diag == (0, 0)
-    assert s.check([[0, 0], [0, 0]])
-
-
-small_matrices = st.integers(min_value=1, max_value=4).flatmap(
-    lambda rows: st.integers(min_value=1, max_value=4).flatmap(
-        lambda cols: st.lists(
-            st.lists(st.integers(min_value=-9, max_value=9), min_size=cols, max_size=cols),
-            min_size=rows,
-            max_size=rows,
-        )
-    )
-)
-
-
-@given(small_matrices)
-@settings(max_examples=150, deadline=None)
-def test_smith_properties(mat):
-    s = smith_normal_form(mat)
-    assert s.check(mat)
-    assert all(d >= 0 for d in s.diag)
-    nonzero = [d for d in s.diag if d != 0]
-    assert all(nonzero[i + 1] % nonzero[i] == 0 for i in range(len(nonzero) - 1))
-    # the diagonal is sorted with zeros trailing
-    assert list(s.diag) == nonzero + [0] * (len(s.diag) - len(nonzero))
-    assert abs(det_int([list(r) for r in s.left])) == 1
-    assert abs(det_int([list(r) for r in s.right])) == 1
 
 
 # --- primitive ---------------------------------------------------------------
@@ -299,10 +242,22 @@ def test_lattice_points_empty_region():
 
 
 def test_lattice_points_fractional_bounds():
-    region = RationalPolyhedron(
-        (((2,), Fraction(1)), ((-2,), Fraction(-7))), 1
-    )
+    # 1/2 <= x <= 7/2, written with integer bounds as 2x >= 1 and -2x >= -7
+    region = RationalPolyhedron((((2,), 1), ((-2,), -7)), 1)
     assert lattice_points(region) == (True, [(1,), (2,), (3,)])
+
+
+@pytest.mark.parametrize("bound", [0.5, Fraction(1, 2), "1"])
+def test_rational_polyhedron_rejects_non_integer_bounds(bound):
+    with pytest.raises(ValueError, match="integers"):
+        RationalPolyhedron((((2,), bound),), 1)
+
+
+def test_import_loads_no_fractions_module():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = "import sys, toric_hodge; sys.exit('fractions' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @given(

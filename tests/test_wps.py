@@ -22,7 +22,12 @@ from toric_hodge.wps import (
 )
 
 from helpers import fan_p1, fan_p2, fan_wps_1423
-from oracles import chi_y_projective_ci, hodge_from_chi_y_lefschetz, laurent_residues
+from oracles import (
+    chi_y_projective_ci,
+    hodge_from_chi_y_lefschetz,
+    laurent_residues,
+    maximal_minors_gcd,
+)
 
 
 # --- residues over prod_j (1 - x^{w_j}) ---------------------------------------
@@ -84,6 +89,8 @@ def test_residues_match_sympy_laurent_series(num, weights):
 def test_wps_fan_line_and_plane():
     assert sorted(wps_fan((1, 1)).rays) == [(-1,), (1,)]
     assert sorted(wps_fan((1, 1, 1)).rays) == [(-1, -1), (0, 1), (1, 0)]
+    # w_0 = 1 gives the textbook rays p_0 = (-w_1, ..., -w_m), p_j = e_j
+    assert wps_fan((1, 1, 2)).rays == ((-1, -2), (1, 0), (0, 1))
 
 
 def test_wps_fan_example_weights():
@@ -94,12 +101,17 @@ def test_wps_fan_example_weights():
 
 
 def test_wps_fan_general_leading_weight():
-    fan = wps_fan((2, 3, 5))
-    assert validate(fan).ok
-    assert is_complete(fan) and is_simplicial(fan)
-    ctx = build_context(fan)
-    for s in [(0, 0, 0), (1, 0, 0), (0, 2, 1), (-1, 3, 0)]:
-        assert wps_hilbert((2, 3, 5), s) == h_of_s(ctx, s)
+    for w in [(2, 3, 5), (3, 1, 1), (5, 2, 3), (2, 3, 7, 11)]:
+        fan = wps_fan(w)
+        assert validate(fan).ok
+        assert is_complete(fan) and is_simplicial(fan)
+        # the rays satisfy the one relation sum_j w_j p_j = 0 and generate Z^m
+        assert all(sum(wj * p[i] for wj, p in zip(w, fan.rays)) == 0 for i in range(fan.dim))
+        assert maximal_minors_gcd(fan.rays) == 1
+        ctx = build_context(fan)
+        for s in [(0, 0, 0), (1, 0, 0), (0, 2, 1), (-1, 3, 0)]:
+            s = (s + (0,) * len(w))[: len(w)]
+            assert wps_hilbert(w, s) == h_of_s(ctx, s)
 
 
 def test_weights_validation():
