@@ -28,6 +28,11 @@ decided.  A branch is cut when that table is empty (every chi below it is
 zero) or, where both children are still chi-live, when the constraints
 decided so far have no rational solution.  The regions of a fixed
 dimension m meet O(r^m) cells, far fewer than 2^r.
+
+H(s) depends only on the divisor class of s in Cl = Z^r / P Z^n, P the
+ray matrix: s + P u translates every region by u (Cox 1995).  The H memo
+of a context is therefore keyed by a canonical representative of the
+class, and every linearly equivalent s after the first is a memo hit.
 """
 
 from __future__ import annotations
@@ -36,7 +41,13 @@ from itertools import combinations
 
 from .errors import ConsistencyError
 from .fans import Fan, is_complete, validate, is_simplicial
-from .lattice import RationalPolyhedron, count_lattice_points, is_feasible
+from .lattice import (
+    RationalPolyhedron,
+    count_lattice_points,
+    is_feasible,
+    row_lattice,
+    vec_mat,
+)
 
 MAX_RAYS = 24
 MAX_CONES = 24
@@ -45,9 +56,10 @@ MAX_CONES = 24
 class HilbertContext:
     """Per-fan precomputation enabling fast evaluation of H(s).
 
-    Immutable after construction apart from internal memo dictionaries,
-    which only cache deterministic values (safe for concurrent reuse: a
-    duplicated computation always lands on the same result).
+    Immutable after construction apart from the H memo, which only caches
+    deterministic values (safe for concurrent reuse: a duplicated
+    computation always lands on the same result).  The memo is keyed by
+    the divisor class of s (`class_key`).
     """
 
     def __init__(self, fan: Fan, c_table):
@@ -55,10 +67,29 @@ class HilbertContext:
         self.r = len(fan.rays)
         self.c_table = c_table  # dict: ray bitmask -> nonzero integer coefficient
         self.simplicial = is_simplicial(fan)
-        self._h_memo = {}
+        self._h_memo = {}  # class_key(s) -> H(s)
+        rows = list(zip(*fan.rays))  # P^T
+        self._right = row_lattice(rows, self.r).right  # U
+        self._lower = [vec_mat(row, self._right)[: fan.dim] for row in rows]  # L
 
     def chi_of_mask(self, mask: int) -> int:
         return sum(c for s, c in self.c_table.items() if s & mask == s)
+
+    def class_key(self, s) -> tuple:
+        """Canonical representative of the class of s in Z^r / P Z^n.
+
+        With P^T U = [L | 0] (U unimodular, L lower triangular of rank n),
+        s + P u has the coordinates s U + u^T [L | 0]: the last r - n are
+        invariant, and the first n are reduced modulo the rows of L from
+        the last row up, which also tells torsion classes apart.
+        """
+        a = list(vec_mat(s, self._right))
+        for i in reversed(range(self.fan.dim)):
+            row = self._lower[i]
+            c = a[i] // row[i]
+            for j in range(i + 1):
+                a[j] -= c * row[j]
+        return tuple(a)
 
 
 def _intersection_coefficients(cone_masks):
@@ -131,16 +162,10 @@ def _halfspaces(ctx: HilbertContext, s):
     ]
 
 
-def _region(ctx: HilbertContext, mask: int, s) -> RationalPolyhedron:
-    cons = tuple(
-        pair[0] if mask >> j & 1 else pair[1]
-        for j, pair in enumerate(_halfspaces(ctx, s))
-    )
-    return RationalPolyhedron(cons, ctx.fan.dim)
-
-
 def _as_mask(ctx: HilbertContext, subset) -> int:
     if isinstance(subset, int):
+        if not 0 <= subset < 1 << ctx.r:
+            raise ValueError("ray index out of range")
         return subset
     m = 0
     for j in subset:
@@ -150,18 +175,14 @@ def _as_mask(ctx: HilbertContext, subset) -> int:
     return m
 
 
-def n_I_s(ctx: HilbertContext, subset, s) -> int:
-    """Number of q with <p_j, q> >= -s_j exactly for the rays in `subset`.
+def _count_region(ctx: HilbertContext, mask: int, cons) -> int:
+    """Lattice points of the region of `mask`, given its constraints in ray order.
 
-    The region is scanned exactly; an unbounded region has no finite count
-    and raises (a ConsistencyError when chi of the subset is nonzero, since
-    completeness of the fan is supposed to rule that out).
+    An unbounded region has no finite count and raises (a ConsistencyError
+    when chi of the ray set is nonzero, since completeness of the fan is
+    supposed to rule that out).
     """
-    mask = _as_mask(ctx, subset)
-    s = tuple(s)
-    if len(s) != ctx.r:
-        raise ValueError("s-vector length must match the number of rays")
-    bounded, count = count_lattice_points(_region(ctx, mask, s))
+    bounded, count = count_lattice_points(RationalPolyhedron(tuple(cons), ctx.fan.dim))
     if not bounded:
         if ctx.chi_of_mask(mask) != 0:
             raise ConsistencyError(
@@ -169,6 +190,23 @@ def n_I_s(ctx: HilbertContext, subset, s) -> int:
             )
         raise ValueError("region is unbounded; the count is not finite")
     return count
+
+
+def n_I_s(ctx: HilbertContext, subset, s) -> int:
+    """Number of q with <p_j, q> >= -s_j exactly for the rays in `subset`.
+
+    `subset` is a ray bitmask or an iterable of ray indices.  The region is
+    scanned exactly; see `_count_region` for unbounded regions.
+    """
+    mask = _as_mask(ctx, subset)
+    s = tuple(s)
+    if len(s) != ctx.r:
+        raise ValueError("s-vector length must match the number of rays")
+    cons = (
+        pair[0] if mask >> j & 1 else pair[1]
+        for j, pair in enumerate(_halfspaces(ctx, s))
+    )
+    return _count_region(ctx, mask, cons)
 
 
 def _split(table, bit):
@@ -196,14 +234,17 @@ def h_of_s(ctx: HilbertContext, s) -> int:
     decided for the rays before j whether they lie in I, and carries their
     constraints and the c_S reduced to the undecided rays (`_split`).  An
     empty table means chi is zero on the whole branch; at a leaf the table
-    is {0: chi_I} and the region is counted by `n_I_s`.  Rational
-    feasibility is only tested at a fork, where both children are live: a
-    lone live child is checked by the next fork or by the leaf's count.
+    is {0: chi_I} and the region is counted from the constraints the walk
+    carries.  Rational feasibility is only tested at a fork, where both
+    children are live: a lone live child is checked by the next fork or by
+    the leaf's count.  H is memoized per divisor class of s (`class_key`),
+    so linearly equivalent s are walked once.
     """
     s = tuple(s)
     if len(s) != ctx.r:
         raise ValueError("s-vector length must match the number of rays")
-    cached = ctx._h_memo.get(s)
+    key = ctx.class_key(s)
+    cached = ctx._h_memo.get(key)
     if cached is not None:
         return cached
     r, dim = ctx.r, ctx.fan.dim
@@ -212,7 +253,7 @@ def h_of_s(ctx: HilbertContext, s) -> int:
 
     def walk(j, table, mask):
         if j == r:
-            return table[0] * n_I_s(ctx, mask, s)
+            return table[0] * _count_region(ctx, mask, cons)
         bit = 1 << j
         inside, outside = _split(table, bit)
         if inside and outside and cons:
@@ -230,7 +271,7 @@ def h_of_s(ctx: HilbertContext, s) -> int:
         return total
 
     total = walk(0, ctx.c_table, 0)
-    ctx._h_memo[s] = total
+    ctx._h_memo[key] = total
     return total
 
 

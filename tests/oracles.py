@@ -130,6 +130,35 @@ def brute_h(fan, s):
     return total
 
 
+def in_ray_image(rays, v):
+    """Whether v = P u for an integer u, where P has the rays as its rows.
+
+    The rays must span Q^n, so that u is unique.  Picks n independent rows
+    greedily, solves P u = v on them by exact Gauss-Jordan over Fractions,
+    then checks that u is integral and that P u = v holds on every row.
+    """
+    dim = len(rays[0])
+    pivots = []  # (column, row [ray | v_i] reduced to 1 there and 0 at the others)
+    for ray, x in zip(rays, v):
+        row = [Fraction(a) for a in ray] + [Fraction(x)]
+        for col, prow in pivots:
+            row = [a - row[col] * b for a, b in zip(row, prow)]
+        col = next((j for j in range(dim) if row[j]), None)
+        if col is None:
+            continue
+        row = [a / row[col] for a in row]
+        pivots = [(c, [a - p[col] * b for a, b in zip(p, row)]) for c, p in pivots]
+        pivots.append((col, row))
+        if len(pivots) == dim:
+            break
+    u = [Fraction(0)] * dim
+    for col, row in pivots:
+        u[col] = row[dim]
+    if any(x.denominator != 1 for x in u):
+        return False
+    return all(sum(a * b for a, b in zip(ray, u)) == x for ray, x in zip(rays, v))
+
+
 def brute_box_points(cons, dim, radius):
     """All integer points of a box satisfying n.x >= b constraints."""
     pts = []

@@ -1,13 +1,15 @@
 """Inclusion-exclusion Hilbert function."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toric_hodge import forms
 from toric_hodge.errors import ConsistencyError
-from toric_hodge.fans import degrees_of
+from toric_hodge.fans import Fan, degrees_of
 from toric_hodge.hilbert import (
     build_context,
     chi_structure_sheaf,
@@ -16,15 +18,18 @@ from toric_hodge.hilbert import (
 )
 
 from helpers import (
+    fan_octahedron,
     fan_p1,
     fan_p1p1,
     fan_p2,
+    fan_p2p1,
     fan_p3,
+    fan_projective,
     fan_wps_1423,
     polygon_fan,
     simplex_support,
 )
-from oracles import brute_h, chi_table_by_definition
+from oracles import brute_h, chi_table_by_definition, in_ray_image
 
 
 def _chi_dict(ctx):
@@ -63,6 +68,14 @@ def test_n_I_s_examples():
     assert n_I_s(ctx, (), (-2, 0)) == 1
     ctx2 = build_context(fan_p2())
     assert n_I_s(ctx2, (0, 1, 2), (1, 1, 1)) == 10
+
+
+@pytest.mark.parametrize("mask", [-1, 15, 8])
+def test_n_I_s_rejects_out_of_range_masks(mask):
+    # 3 rays: an integer mask must lie in [0, 8), like a list of ray indices
+    ctx = build_context(fan_p2())
+    with pytest.raises(ValueError, match="out of range"):
+        n_I_s(ctx, mask, (2, 2, 2))
 
 
 def test_n_I_s_unbounded_region_with_zero_chi():
@@ -203,3 +216,65 @@ def test_build_context_ray_cap():
     assert validate(fan).ok and is_complete(fan)
     with pytest.raises(ValueError, match="maximum"):
         build_context(fan)
+
+
+# Fans for the divisor-class memo: the helper fans (the octahedron is not
+# simplicial), a fan whose rays span an index-3 sublattice of Z^2 (Cl =
+# Z + Z/3), and one with singular cones whose column reduction has a
+# negative pivot.
+CLASS_FANS = (
+    fan_p1(),
+    fan_p2(),
+    fan_p3(),
+    fan_p1p1(),
+    fan_p2p1(),
+    fan_wps_1423(),
+    fan_octahedron(),
+    polygon_fan(6),
+    Fan(2, ((2, -1), (-1, 2), (-1, -1)), ((0, 1), (0, 2), (1, 2))),
+    Fan(2, ((1, 0), (1, 2), (-1, -1), (-1, -3)), ((0, 1), (0, 3), (1, 2), (2, 3))),
+)
+
+
+@lru_cache(maxsize=None)
+def _shared_context(idx):
+    return build_context(CLASS_FANS[idx])
+
+
+@st.composite
+def class_case(draw):
+    idx = draw(st.integers(0, len(CLASS_FANS) - 1))
+    fan = CLASS_FANS[idx]
+    r, n = len(fan.rays), fan.dim
+    s = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    u = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    delta = draw(st.lists(st.integers(-1, 1), min_size=r, max_size=r))
+    return idx, tuple(s), tuple(u), tuple(delta)
+
+
+@given(class_case())
+@settings(max_examples=200, deadline=None)
+def test_h_memo_is_keyed_by_divisor_class(case):
+    idx, s, u, delta = case
+    fan = CLASS_FANS[idx]
+    ctx = _shared_context(idx)
+    shifted = tuple(
+        x + sum(a * b for a, b in zip(ray, u)) for x, ray in zip(s, fan.rays)
+    )
+    other = tuple(x + d for x, d in zip(shifted, delta))
+    # s + P u has the value of s, read from a memo shared across examples
+    assert h_of_s(ctx, shifted) == h_of_s(build_context(fan), s)
+    assert ctx.class_key(shifted) == ctx.class_key(s)
+    # keys agree exactly when the difference lies in P Z^n
+    assert (ctx.class_key(other) == ctx.class_key(s)) == in_ray_image(fan.rays, delta)
+
+
+def test_class_memo_walks_each_degree_once(monkeypatch):
+    # on P^4 the class of s is sum(s): one cell walk per degree
+    ctx = build_context(fan_projective(4))
+    seen = []
+    h = forms.h_of_s
+    monkeypatch.setattr(forms, "h_of_s", lambda c, s: seen.append(s) or h(c, s))
+    assert forms.chi_all(ctx, [(5, 0, 0, 0, 0)], "tensor", 3) == [0, 100, 600, 2700]
+    assert len(set(seen)) == 140
+    assert len(ctx._h_memo) == len({sum(s) for s in seen}) == 14
