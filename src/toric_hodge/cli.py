@@ -300,7 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("alt", "sym", "tensor"), default="alt")
     group = p.add_mutually_exclusive_group()
     group.add_argument("-p", type=int, default=None, help="single form degree")
-    group.add_argument("--all-p", action="store_true", help="all p from 0 to dim")
+    group.add_argument(
+        "--all-p", action="store_true",
+        help="p from 0 to dim - k for k supports (the default)",
+    )
     p.add_argument("file")
 
     p = add("hodge", cmd_hodge, help="Hodge diamond of a compact intersection")

@@ -196,7 +196,7 @@ def n_I_s(ctx: HilbertContext, subset, s) -> int:
     """Number of q with <p_j, q> >= -s_j exactly for the rays in `subset`.
 
     `subset` is a ray bitmask or an iterable of ray indices.  The region is
-    scanned exactly; see `_count_region` for unbounded regions.
+    counted exactly; see `_count_region` for unbounded regions.
     """
     mask = _as_mask(ctx, subset)
     s = tuple(s)

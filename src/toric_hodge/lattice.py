@@ -10,6 +10,13 @@ polyhedral machinery (double description for extreme rays, Fourier-Motzkin
 elimination for coordinate projections) is written for desk-scale inputs:
 dimensions up to about 6 and a few dozen constraints, which is all the
 counting formulas downstream ever need.
+
+Lattice points come from one cascade of exact Fourier-Motzkin projections.
+`lattice_points` sweeps it to the last coordinate.  `count_lattice_points`
+sweeps only its outer dim - 2 levels and counts the last two coordinates
+in closed form: each envelope piece of the bounds is one floor sum
+sum floor((a*i + b) / m), computed by a Euclid-like reduction (Beck and
+Robins, *Computing the Continuous Discretely*, ch. 1 and 8).
 """
 
 from __future__ import annotations
@@ -386,61 +393,153 @@ def is_feasible(region: RationalPolyhedron) -> bool:
     return all(b <= 0 for _, b in cur)
 
 
-def _integer_runs(cons, dim):
-    """Sweep the integer points of a bounded integer system, dim >= 1.
+def _cascade(cons, dim):
+    """Fourier-Motzkin projections of an integer system, dim >= 1.
 
-    The exact Fourier-Motzkin projections give the bounding interval at
-    every level of the bounding box, and at the innermost level the interval
-    over the original constraints is precisely the exact membership test.
-    Empty systems fall out of the cascade (a contradictory constant
-    constraint or an empty interval).  Yields runs (prefix, lo, hi): the
-    points prefix + (v,) for lo <= v <= hi, in lexicographic order.  The
-    prefix is a list that the sweep reuses; copy it to keep it.
+    Returns levels with levels[t-1] constraining (x_1 .. x_t): levels[dim-1]
+    is the original system and each level is the exact rational projection
+    of the next.  None when a contradictory constant constraint shows the
+    system empty.
     """
-    # cascade of projections onto the first t coordinates, t = dim .. 1;
-    # levels[t-1] constrains (x_1 .. x_t) and levels[dim-1] is the original
-    # system, so the innermost interval is an exact membership test.
     levels = [sorted(set(cons))]
     cur = cons
     for t in range(dim, 1, -1):
         cur = _fm_eliminate_last(cur, t)
         if cur is None:
-            return
+            return None
         levels.append(cur)
     levels.reverse()
+    return levels
 
+
+def _interval(level, prefix):
+    """Integer interval (lo, hi) of the next coordinate after `prefix`, or None.
+
+    `level` constrains the len(prefix) + 1 leading coordinates; None means
+    no integer value fits (a violated constant row or an empty interval).
+    """
+    t = len(prefix)
+    lo = hi = None
+    for n, b in level:
+        c = n[t]
+        rest = b - sum(map(mul, n, prefix))
+        if c > 0:
+            cand = -((-rest) // c)  # ceil(rest / c)
+            if lo is None or cand > lo:
+                lo = cand
+        elif c < 0:
+            cand = rest // c  # floor for negative divisor
+            if hi is None or cand < hi:
+                hi = cand
+        elif rest > 0:
+            return None
+    if lo is None or hi is None or lo > hi:
+        return None
+    return lo, hi
+
+
+def _prefixes(levels, depth):
+    """Integer points of the projection onto the first `depth` coordinates.
+
+    Sweeps levels[0 .. depth-1] in lexicographic order, each coordinate over
+    its interval given the ones before it; with depth = dim these are the
+    points of the system itself.  Every point is the same list, refilled;
+    copy it to keep it.
+    """
     prefix = []
 
-    def bounds_for(level_cons, t):
-        lo, hi = None, None
-        for n, b in level_cons:
-            c = n[t - 1]
-            rest = b - sum(map(mul, n, prefix))  # prefix holds t - 1 values
-            if c > 0:
-                cand = -((-rest) // c)  # ceil(rest / c)
-                if lo is None or cand > lo:
-                    lo = cand
-            elif c < 0:
-                cand = rest // c  # floor for negative divisor
-                if hi is None or cand < hi:
-                    hi = cand
-            elif rest > 0:
-                return None, None
-        return lo, hi
-
     def sweep(t):
-        lo, hi = bounds_for(levels[t - 1], t)
-        if lo is None or hi is None or lo > hi:
+        if t == depth:
+            yield prefix
             return
-        if t == dim:
-            yield prefix, lo, hi
+        bounds = _interval(levels[t], prefix)
+        if bounds is None:
             return
-        for v in range(lo, hi + 1):
+        for v in range(bounds[0], bounds[1] + 1):
             prefix.append(v)
             yield from sweep(t + 1)
             prefix.pop()
 
-    yield from sweep(1)
+    return sweep(0)
+
+
+def _floor_sum(n, m, a, b):
+    """Sum of floor((a*i + b) / m) for 0 <= i < n, with m > 0.
+
+    Euclid-like reduction: split off the integer parts of a/m and b/m, then
+    count the lattice points under the remaining line with the roles of
+    a and m swapped.  O(log m) steps; a and b may be negative.
+    """
+    total = 0
+    while n > 0:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
+def _envelope(lines, lo, hi):
+    """Pieces of the lower envelope of lines (a*u + b) / m, m > 0, on integers.
+
+    Yields (start, end, line) covering lo..hi in order, where `line` is
+    lowest at every integer u in [start, end].  At each start the lowest
+    line is chosen, ties going to the smaller slope, which stays lowest
+    longer; its piece ends before the first integer at which a less steep
+    line is strictly lower.  At most len(lines) pieces, each found in
+    O(len(lines)) integer comparisons.
+    """
+    u = lo
+    while u <= hi:
+        best = lines[0]
+        a, b, m = best
+        for line in lines[1:]:
+            a2, b2, m2 = line
+            d = (a2 * u + b2) * m - (a * u + b) * m2
+            if d < 0 or (d == 0 and a2 * m < a * m2):
+                best = line
+                a, b, m = line
+        end = hi
+        for a2, b2, m2 in lines:
+            drop = a * m2 - a2 * m  # > 0 when the other line is less steep
+            if drop > 0:
+                # the other line is strictly lower from u > (b2*m - b*m2) / drop
+                cross = (b2 * m - b * m2) // drop
+                if cross < end:
+                    end = cross
+        yield u, end, best
+        u = end + 1
+
+
+def _count_plane(outer, sides, prefix):
+    """Integer points (u, v) over `prefix`, counted in closed form.
+
+    `outer` gives the interval [lo, hi] of u.  It is the exact rational
+    projection of the rows in `sides`, so every integer u there has
+    v-count min_j floor(U_j(u)) - max_i ceil(L_i(u)) + 1 >= 0.  Writing
+    -ceil(x) = floor(-x), both terms are minima of floors of lines in u,
+    and the count is a sum of floor sums, one per envelope piece.
+
+    `sides` holds the upper and the lower v-bounds as rows (n, b, |c|) of
+    n.x >= b with v-coefficient c.  With B = n[:t].prefix - b a row reads
+    n_u*u + c*v >= -B: v <= (n_u*u + B) / |c| when c < 0, and
+    -ceil(lower bound) = floor((n_u*u + B) / c) when c > 0.
+    """
+    bounds = _interval(outer, prefix)
+    if bounds is None:
+        return 0
+    lo, hi = bounds
+    t = len(prefix)
+    total = hi - lo + 1
+    for rows in sides:
+        lines = [(n[t], sum(map(mul, n, prefix)) - b, m) for n, b, m in rows]
+        for start, end, (a, b, m) in _envelope(lines, lo, hi):
+            total += _floor_sum(end - start + 1, m, a, a * start + b)
+    return total
 
 
 def lattice_points(region: RationalPolyhedron):
@@ -448,32 +547,48 @@ def lattice_points(region: RationalPolyhedron):
 
     Boundedness is decided exactly from the recession cone of the constraint
     system (pointedness via double description, cached per normal set).
-    Returns (bounded, points); points are sorted lexicographically.
+    The exact Fourier-Motzkin projections give the interval of every
+    coordinate over the points before it, and at the innermost level that
+    interval is the exact membership test.  Returns (bounded, points);
+    points are sorted lexicographically.
     """
     if not recession_is_trivial(region):
         return False, []
-    cons = region.constraints
-    if region.dim == 0:
+    cons, dim = region.constraints, region.dim
+    if dim == 0:
         return True, ([()] if all(b <= 0 for _, b in cons) else [])
-    points = []
-    for prefix, lo, hi in _integer_runs(cons, region.dim):
-        base = tuple(prefix)
-        points.extend(base + (v,) for v in range(lo, hi + 1))
-    return True, points
+    levels = _cascade(cons, dim)
+    if levels is None:
+        return True, []
+    return True, [tuple(p) for p in _prefixes(levels, dim)]
 
 
 def count_lattice_points(region: RationalPolyhedron):
     """Number of integer points of a polyhedron, or an unbounded flag.
 
-    The same sweep as `lattice_points`, adding up the innermost intervals
-    instead of building the points.  Returns (bounded, count).
+    The cascade of `lattice_points`, swept over its outer dim - 2 levels
+    only; for each outer prefix the last two coordinates are counted in
+    closed form by floor sums (`_count_plane`), so a 2-D region costs the
+    same however large it is.  Returns (bounded, count).
     """
     if not recession_is_trivial(region):
         return False, 0
-    cons = region.constraints
-    if region.dim == 0:
+    cons, dim = region.constraints, region.dim
+    if dim == 0:
         return True, int(all(b <= 0 for _, b in cons))
-    return True, sum(hi - lo + 1 for _, lo, hi in _integer_runs(cons, region.dim))
+    levels = _cascade(cons, dim)
+    if levels is None:
+        return True, 0
+    if dim == 1:
+        bounds = _interval(levels[0], [])
+        return True, 0 if bounds is None else bounds[1] - bounds[0] + 1
+    # rows with no v-coefficient are already part of the outer level
+    sides = (
+        [(n, b, -n[-1]) for n, b in levels[-1] if n[-1] < 0],
+        [(n, b, n[-1]) for n, b in levels[-1] if n[-1] > 0],
+    )
+    outer = levels[-2]
+    return True, sum(_count_plane(outer, sides, p) for p in _prefixes(levels, dim - 2))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ function.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import ceil, floor, gcd
 
 import sympy as sp
 
@@ -166,6 +166,25 @@ def brute_box_points(cons, dim, radius):
         if all(sum(a * b2 for a, b2 in zip(n, q)) >= b for n, b in cons):
             pts.append(q)
     return sorted(pts)
+
+
+def brute_count(cons, dim):
+    """Number of integer points of {x : n.x >= b}, scanned on its bounding box.
+
+    The box comes from the standalone Fourier-Motzkin bounds above, so the
+    region must be bounded; every point of the box is tested against every
+    constraint.
+    """
+    bounds = _fm_coordinate_bounds(cons, dim)
+    if bounds == "empty":
+        return 0
+    if any(lo is None or hi is None for lo, hi in bounds):
+        raise AssertionError("brute_count needs a bounded region")
+    ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in bounds]
+    return sum(
+        all(sum(a * x for a, x in zip(n, q)) >= b for n, b in cons)
+        for q in product(*ranges)
+    )
 
 
 # --- extreme rays by enumeration ----------------------------------------------

@@ -76,6 +76,16 @@ def test_all_p_flag_matches_default(capsys):
     assert capsys.readouterr().out == explicit == golden("euler_alt_p2_cubic.txt")
 
 
+def test_all_p_flag_matches_default_with_supports(capsys):
+    # one support in dimension 3: p runs over 0 .. dim - 1, with or without --all-p
+    for extra in ([], ["--json"]):
+        assert cli.main(["euler", "--all-p", *extra, data("p3_quadric.json")]) == 0
+        explicit = capsys.readouterr().out
+        assert cli.main(["euler", *extra, data("p3_quadric.json")]) == 0
+        assert capsys.readouterr().out == explicit
+    assert explicit == golden("euler_alt_p3_quadric.json")
+
+
 def test_hodge_torus_overdetermined_renders_empty(capsys):
     import tempfile
 

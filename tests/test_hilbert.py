@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,14 @@ def test_h_line_bundle_degrees_on_p1():
 def test_h_p2_dilated_simplex():
     ctx = build_context(fan_p2())
     assert h_of_s(ctx, (1, 1, 1)) == 10
+
+
+def test_h_large_s_counts_in_closed_form():
+    # dilated simplices d*Delta: the last two coordinates of every region are
+    # counted by floor sums, so d = 10**9 on P^2 (about 5 * 10**17 points) and
+    # d = 10**4 on P^3 (one outer sweep of 10**4 values) stay cheap
+    assert h_of_s(build_context(fan_p2()), (10**9, 0, 0)) == comb(10**9 + 2, 2)
+    assert h_of_s(build_context(fan_p3()), (10**4, 0, 0, 0)) == comb(10**4 + 3, 3)
 
 
 def test_h_against_brute_oracle():

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from toric_hodge.lattice import (
     RationalPolyhedron,
+    _envelope,
+    _floor_sum,
     affine_lattice_reduction,
     convex_hull,
     count_lattice_points,
@@ -30,7 +32,7 @@ from toric_hodge.lattice import (
 )
 
 from helpers import apply_matrix, unimodular_matrix
-from oracles import brute_box_points, brute_extreme_rays
+from oracles import brute_box_points, brute_count, brute_extreme_rays
 
 
 # --- integer elimination ----------------------------------------------------
@@ -284,6 +286,108 @@ def test_count_lattice_points_unbounded_and_point():
     assert count_lattice_points(RationalPolyhedron((((1,), 0),), 1)) == (False, 0)
     assert count_lattice_points(RationalPolyhedron((), 0)) == (True, 1)
     assert count_lattice_points(RationalPolyhedron((((), 1),), 0)) == (True, 0)
+
+
+@st.composite
+def boxed_systems(draw):
+    """(dim, constraints): box rows -B <= x_i <= B and 1-5 drawn rows, dims 1-4.
+
+    A drawn row is one of: coefficients in [-4, 4] with a free bound; a
+    multiple k*n of an earlier row with a bound k*b + r, 0 < r < k, that
+    the row gcd does not divide; the opposite of an earlier row, closing a
+    slab b <= n.x <= b + w of width w in -1..2 (empty for w = -1, a
+    hyperplane for w = 0); or the corner x >= p, sum(x) <= sum(p) of a
+    simplex holding the single lattice point p.
+    """
+    dim = draw(st.integers(1, 4))
+    radius = draw(st.integers(0, 3 if dim == 4 else 5))
+    cons = []
+    for i in range(dim):
+        e = tuple(int(j == i) for j in range(dim))
+        cons += [(e, -radius), (tuple(-x for x in e), -radius)]
+    drawn = []
+    reach = dim * radius + 1  # most drawn hyperplanes cut the box
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("free", "free", "multiple", "opposite", "point")))
+        if kind == "point":
+            p = draw(st.tuples(*[st.integers(-radius, radius)] * dim))
+            for i in range(dim):
+                cons.append((tuple(int(j == i) for j in range(dim)), p[i]))
+            cons.append(((-1,) * dim, -sum(p)))
+        elif kind == "free" or not drawn:
+            n = draw(st.tuples(*[st.integers(-4, 4)] * dim).filter(any))
+            drawn.append((n, draw(st.integers(-reach, reach))))
+        elif kind == "multiple":
+            n, b = draw(st.sampled_from(drawn))
+            k = draw(st.integers(2, 4))
+            drawn.append((tuple(k * x for x in n), k * b + draw(st.integers(1, k - 1))))
+        else:
+            n, b = draw(st.sampled_from(drawn))
+            w = draw(st.integers(-1, 2))
+            drawn.append((tuple(-x for x in n), -(b + w)))
+    return dim, tuple(cons + drawn)
+
+
+@given(boxed_systems())
+@settings(max_examples=300, deadline=None)
+@example((2, (((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0), ((1, 1), 0))))
+@example((3, (((1, 0, 0), -2), ((-1, 0, 0), -2), ((0, 1, 0), -2), ((0, -1, 0), -2),
+              ((0, 0, 1), -2), ((0, 0, -1), -2), ((2, -4, 2), 1), ((-2, 4, -2), -1))))
+def test_count_lattice_points_matches_brute_count(system):
+    dim, cons = system
+    region = RationalPolyhedron(cons, dim)
+    bounded, pts = lattice_points(region)
+    assert bounded
+    assert count_lattice_points(region) == (True, brute_count(cons, dim)) == (True, len(pts))
+
+
+def test_floor_sum_matches_direct_summation():
+    for n in range(7):
+        for m in (1, 2, 3, 7):
+            for a in range(-9, 10):
+                for b in range(-9, 10):
+                    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+    n, m, a, b = 10**5, 97, -1234, 56789
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "lines,lo,hi,pieces",
+    [
+        # parallel rows: the lower one is lowest throughout, whatever its scale
+        ([(1, 0, 2), (1, -3, 2), (2, 1, 4)], 0, 9, [(0, 9, (1, -3, 2))]),
+        # u and 6 - u cross at u = 3, where both are lowest
+        ([(1, 0, 1), (-1, 6, 1)], 0, 6, [(0, 3, (1, 0, 1)), (4, 6, (-1, 6, 1))]),
+        # a piece starting on that crossing takes the less steep line
+        ([(1, 0, 1), (-1, 6, 1)], 3, 6, [(3, 6, (-1, 6, 1))]),
+        # u and 5 - u cross at u = 5/2
+        ([(1, 0, 1), (-1, 5, 1)], 0, 5, [(0, 2, (1, 0, 1)), (3, 5, (-1, 5, 1))]),
+        # u/2 and (7 - 3u)/4 cross at u = 7/5; a third line never lowest
+        ([(1, 0, 2), (-3, 7, 4), (0, 9, 1)], -2, 6,
+         [(-2, 1, (1, 0, 2)), (2, 6, (-3, 7, 4))]),
+    ],
+)
+def test_envelope_pieces(lines, lo, hi, pieces):
+    assert list(_envelope(lines, lo, hi)) == pieces
+    assert sum(
+        _floor_sum(end - start + 1, m, a, a * start + b) for start, end, (a, b, m) in pieces
+    ) == sum(min((a * u + b) // m for a, b, m in lines) for u in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize(
+    "cons,count",
+    [
+        # 0 <= v, u <= 10 and two parallel upper rows u - 2v >= 0, u - 2v >= 3
+        ((((0, 1), 0), ((-1, 0), -10), ((1, -2), 0), ((1, -2), 3)), 20),
+        # 0 <= v <= min(u, 6 - u): upper rows cross at the integer u = 3
+        ((((0, 1), 0), ((1, -1), 0), ((-1, -1), -6)), 16),
+        # 0 <= v <= min(u, 5 - u): upper rows cross at u = 5/2
+        ((((0, 1), 0), ((1, -1), 0), ((-1, -1), -5)), 12),
+    ],
+)
+def test_count_lattice_points_plane_envelopes(cons, count):
+    assert brute_count(cons, 2) == count
+    assert count_lattice_points(RationalPolyhedron(cons, 2)) == (True, count)
 
 
 def test_is_feasible_is_rational():
