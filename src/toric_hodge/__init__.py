@@ -31,7 +31,6 @@ from .forms import (
     chi_alt_hilbert,
     chi_sym,
     chi_tensor,
-    coeff_x0_yp,
     y_truncated_expand,
 )
 from .hilbert import HilbertContext, build_context, chi_structure_sheaf, h_of_s, n_I_s
@@ -84,7 +83,6 @@ __all__ = [
     "chi_sym",
     "chi_tensor",
     "clear_epq_memo",
-    "coeff_x0_yp",
     "convex_hull",
     "degrees_of",
     "epq_c_ci",

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import ConsistencyError, InputError
 from .fans import (
@@ -32,7 +33,7 @@ from .fans import (
     is_simplicial,
     validate,
 )
-from .forms import chi_all, chi_alt, chi_sym, chi_tensor
+from .forms import chi_all
 from .hilbert import build_context
 from .hodge import epq_c_ci, hodge_compact
 from .hodge_tables import EPQTable
@@ -213,9 +214,6 @@ def cmd_fan_check(args) -> int:
     return 0
 
 
-_KIND_FUNCS = {"alt": chi_alt, "sym": chi_sym, "tensor": chi_tensor}
-
-
 def cmd_euler(args) -> int:
     doc = load_document(args.file)
     _require(doc, "fan", "euler")
@@ -223,7 +221,7 @@ def cmd_euler(args) -> int:
     degrees = degrees_of(doc.fan, doc.supports) if doc.supports else []
     if args.p is not None:
         ps = [args.p]
-        values = [_KIND_FUNCS[args.kind](ctx, degrees, args.p)]
+        values = chi_all(ctx, degrees, args.kind, args.p)[args.p:]
     else:
         ps = list(range(max(doc.fan.dim - len(doc.supports), 0) + 1))
         values = chi_all(ctx, degrees, args.kind, ps[-1])
@@ -279,7 +277,9 @@ def cmd_wps(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="toric-hodge",
         description="Euler characteristics of form sheaves and Hodge numbers "

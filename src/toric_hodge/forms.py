@@ -13,69 +13,25 @@ series P(x) with an explicit rational factorization:
   tensor:       P(x) * prod_i (1 - x^{d_i})
                      / (1 - y (x_1 + .. + x_r + m - r - sum_i x^{d_i}))
 
-Every factor is expanded exactly modulo y^(p+1); the pairing against P(x)
-is H(-s) per x-monomial, evaluated through the Hilbert context.  `chi_all`
-expands once up to y^pmax and reads every p = 0 .. pmax from that one
-expansion; `chi_alt` / `chi_sym` / `chi_tensor` pair only the y^p terms of
-an expansion to y^p, for a single p.  A second, independently coded
-evaluation path (`chi_alt_hilbert`) writes the alternating case as a
-nested sum of Hilbert values with binomial weights and is used as a
-cross-check.
+Each factor is a term dict {(x-exponent, y-power): coeff}, written out
+exactly modulo y^(pmax+1), and `y_truncated_expand` multiplies them into
+one expansion.  `chi_all` pairs that expansion with P(x) once: each term
+q x^s y^j adds q * H(-s), evaluated through the Hilbert context, to the
+value at p = j.  So every p = 0 .. pmax comes from one expansion and one
+pairing, and `chi_alt` / `chi_sym` / `chi_tensor` read their p from it.
+A second, independently coded evaluation path (`chi_alt_hilbert`) writes
+the alternating case as a nested sum of Hilbert values with binomial
+weights and is used as a cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .hilbert import HilbertContext, h_of_s
 
-# --- series factors ---------------------------------------------------------
-# A factorization is a sequence of the factor objects below; each knows how
-# to expand itself exactly modulo y^(p+1) as {(x-exponent, y-power): coeff}.
-
-
-@dataclass(frozen=True)
-class YMonomialBinomial:
-    """(1 + sign * y * x^exponent)"""
-
-    exponent: tuple
-    sign: int = 1
-
-
-@dataclass(frozen=True)
-class XMonomialBinomial:
-    """(1 - x^exponent)"""
-
-    exponent: tuple
-
-
-@dataclass(frozen=True)
-class GeometricInverse:
-    """1 / (1 + sign * y * x^exponent), expanded as a geometric series in y."""
-
-    exponent: tuple
-    sign: int = 1
-
-
-@dataclass(frozen=True)
-class ScalarBinomialPower:
-    """(1 + sign * y)^exponent with exponent of either sign."""
-
-    exponent: int
-    sign: int = 1
-
-
-@dataclass(frozen=True)
-class LinearFormInverse:
-    """1 / (1 - y * L(x)) for a Laurent polynomial L given as {exp: coeff}."""
-
-    form: tuple  # tuple of (exponent tuple, integer coefficient)
-
-
-def _zero_exp(dim):
-    return tuple([0] * dim)
+# --- series expansion -------------------------------------------------------
 
 
 def _binomial_coeff(e: int, j: int) -> int:
@@ -85,85 +41,31 @@ def _binomial_coeff(e: int, j: int) -> int:
     return (-1) ** j * comb(-e + j - 1, j)
 
 
-def _factor_terms(factor, p: int, dim: int):
-    zero = _zero_exp(dim)
-    if isinstance(factor, YMonomialBinomial):
-        out = {(zero, 0): 1}
-        if p >= 1:
-            out[(tuple(factor.exponent), 1)] = factor.sign
-        return out
-    if isinstance(factor, XMonomialBinomial):
-        out = {(zero, 0): 1}
-        e = tuple(factor.exponent)
-        out[(e, 0)] = out.get((e, 0), 0) - 1
-        return {k: v for k, v in out.items() if v}
-    if isinstance(factor, GeometricInverse):
-        d = tuple(factor.exponent)
-        out = {}
-        for j in range(p + 1):
-            e = tuple(j * x for x in d)
-            out[(e, j)] = (-factor.sign) ** j
-        return out
-    if isinstance(factor, ScalarBinomialPower):
-        out = {}
-        for j in range(p + 1):
-            c = _binomial_coeff(factor.exponent, j) * factor.sign**j
-            if c:
-                out[(zero, j)] = c
-        return out
-    if isinstance(factor, LinearFormInverse):
-        form = {tuple(e): c for e, c in factor.form}
-        out = {(zero, 0): 1}
-        power = {zero: 1}
-        for j in range(1, p + 1):
-            nxt = {}
-            for e1, c1 in power.items():
-                for e2, c2 in form.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    nxt[e] = nxt.get(e, 0) + c1 * c2
-            power = {e: c for e, c in nxt.items() if c}
-            for e, c in power.items():
-                out[(e, j)] = c
-        return out
-    raise ValueError(f"unknown series factor {factor!r}")
+def _multiply(a, b, p: int):
+    """Product of two term dicts modulo y^(p+1), without zero terms."""
+    out = {}
+    for (e1, j1), c1 in a.items():
+        for (e2, j2), c2 in b.items():
+            j = j1 + j2
+            if j > p:
+                continue
+            key = (tuple(x + y for x, y in zip(e1, e2)), j)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
 
 
 def y_truncated_expand(factors, p: int, dim: int):
     """Exact product of all factors modulo y^(p+1).
 
-    Returns a sparse Laurent polynomial {(x-exponent tuple, y-power): int}.
+    Each factor and the result are sparse Laurent polynomials
+    {(x-exponent tuple, y-power): int}.
     """
     if p < 0:
         raise ValueError("negative truncation order")
-    result = {(_zero_exp(dim), 0): 1}
-    for factor in factors:
-        terms = _factor_terms(factor, p, dim)
-        nxt = {}
-        for (e1, j1), c1 in result.items():
-            for (e2, j2), c2 in terms.items():
-                j = j1 + j2
-                if j > p:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                key = (e, j)
-                nxt[key] = nxt.get(key, 0) + c1 * c2
-        result = {k: v for k, v in nxt.items() if v}
+    result = {((0,) * dim, 0): 1}
+    for terms in factors:
+        result = _multiply(result, terms, p)
     return result
-
-
-def coeff_x0_yp(ctx: HilbertContext, factors, p: int) -> int:
-    """Coefficient of x^0 y^p in P(x) times the given factorization.
-
-    The expansion contributes q_{s,p} x^s at y-degree p; pairing with P(x)
-    turns each into q_{s,p} * H(-s).
-    """
-    expanded = y_truncated_expand(factors, p, ctx.r)
-    total = 0
-    for (e, j), c in expanded.items():
-        if j != p:
-            continue
-        total += c * h_of_s(ctx, tuple(-x for x in e))
-    return total
 
 
 # --- the three form types ---------------------------------------------------
@@ -189,37 +91,54 @@ def _checked_rows(ctx, degrees, p):
 
 
 def _factors(ctx, degrees, kind: str, p: int):
-    """The series factorization of one form type ("alt", "sym" or "tensor")."""
+    """The series factors of one form type ("alt", "sym" or "tensor").
+
+    Each factor is a term dict written out modulo y^(p+1).
+    """
     rows = _checked_rows(ctx, degrees, p)
-    m = ctx.fan.dim
+    m, r = ctx.fan.dim, ctx.r
+    zero = (0,) * r
+    units = [_unit(ctx, j) for j in range(r)]
+
+    def binomial(c, j, e):
+        # 1 + c y^j x^e; with j = 0 and e = 0 the two terms share one key
+        out = {(zero, 0): 1}
+        out[(e, j)] = out.get((e, j), 0) + c
+        return out
+
+    def geometric(c, e):
+        # 1 / (1 - c y x^e)
+        return {(tuple(j * x for x in e), j): c**j for j in range(p + 1)}
+
+    def scalar_power(c, e):
+        # (1 + c y)^e for an integer e of either sign
+        return {(zero, j): _binomial_coeff(e, j) * c**j for j in range(p + 1)}
+
     if kind == "alt":
-        factors = [YMonomialBinomial(_unit(ctx, j), 1) for j in range(ctx.r)]
-        factors.append(ScalarBinomialPower(m - ctx.r, 1))
+        factors = [binomial(1, 1, u) for u in units]
+        factors.append(scalar_power(1, m - r))
         for d in rows:
-            factors.append(XMonomialBinomial(d))
-            factors.append(GeometricInverse(d, 1))
+            factors += [binomial(-1, 0, d), geometric(-1, d)]
         return factors
     if kind == "sym":
         factors = []
         for d in rows:
-            factors.append(XMonomialBinomial(d))
-            factors.append(YMonomialBinomial(d, -1))
-        factors.append(ScalarBinomialPower(ctx.r - m, -1))
-        for j in range(ctx.r):
-            factors.append(GeometricInverse(_unit(ctx, j), -1))
+            factors += [binomial(-1, 0, d), binomial(-1, 1, d)]
+        factors.append(scalar_power(-1, r - m))
+        factors += [geometric(1, u) for u in units]
         return factors
     if kind == "tensor":
-        form = {}
-        for j in range(ctx.r):
-            e = _unit(ctx, j)
-            form[e] = form.get(e, 0) + 1
-        zero = _zero_exp(ctx.r)
-        form[zero] = form.get(zero, 0) + (m - ctx.r)
-        for d in rows:
-            form[d] = form.get(d, 0) - 1
-        factors = [XMonomialBinomial(d) for d in rows]
-        factors.append(LinearFormInverse(tuple(sorted(form.items()))))
-        return factors
+        # 1 / (1 - y L(x)) = sum_j (y L(x))^j, with yL as a term dict
+        y_form = {}
+        terms = [(u, 1) for u in units] + [(zero, m - r)] + [(d, -1) for d in rows]
+        for e, c in terms:
+            y_form[(e, 1)] = y_form.get((e, 1), 0) + c
+        power = {(zero, 0): 1}
+        inverse = dict(power)
+        for _ in range(p):
+            power = _multiply(power, y_form, p)
+            inverse.update(power)
+        return [binomial(-1, 0, d) for d in rows] + [inverse]
     raise ValueError(f"unknown form kind {kind!r}")
 
 
@@ -238,17 +157,17 @@ def chi_all(ctx: HilbertContext, degrees, kind: str, pmax: int) -> list:
 
 def chi_alt(ctx: HilbertContext, degrees, p: int) -> int:
     """Euler characteristic of the sheaf of alternating p-forms."""
-    return coeff_x0_yp(ctx, _factors(ctx, degrees, "alt", p), p)
+    return chi_all(ctx, degrees, "alt", p)[p]
 
 
 def chi_sym(ctx: HilbertContext, degrees, p: int) -> int:
     """Euler characteristic of the sheaf of symmetric p-th powers."""
-    return coeff_x0_yp(ctx, _factors(ctx, degrees, "sym", p), p)
+    return chi_all(ctx, degrees, "sym", p)[p]
 
 
 def chi_tensor(ctx: HilbertContext, degrees, p: int) -> int:
     """Euler characteristic of the p-th unconstrained tensor power."""
-    return coeff_x0_yp(ctx, _factors(ctx, degrees, "tensor", p), p)
+    return chi_all(ctx, degrees, "tensor", p)[p]
 
 
 def chi_alt_hilbert(ctx: HilbertContext, degrees, p: int) -> int:

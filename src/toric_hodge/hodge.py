@@ -113,7 +113,7 @@ def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
     red = affine_lattice_reduction(problem.supports)
     if red.rank < m:
         inner = epq_c_ci(TorusCIProblem(m=red.rank, supports=red.supports))
-        return inner.convolve(epq_torus(m - red.rank, "compact"), "compact")
+        return inner.convolve(epq_torus(m - red.rank, "compact"))
 
     # 4. ordinary values below the middle
     torus = epq_torus(m, "ordinary")

@@ -47,17 +47,17 @@ class EPQTable:
     def total(self) -> int:
         return sum(x for row in self.entries for x in row)
 
-    def add(self, other: "EPQTable", kind=None) -> "EPQTable":
+    def add(self, other: "EPQTable") -> "EPQTable":
         n = max(self.size, other.size)
         ent = tuple(
             tuple(self.get(p, q) + other.get(p, q) for q in range(n)) for p in range(n)
         )
-        return EPQTable(ent, kind or self.kind)
+        return EPQTable(ent, self.kind)
 
-    def convolve(self, other: "EPQTable", kind=None) -> "EPQTable":
+    def convolve(self, other: "EPQTable") -> "EPQTable":
         """Kuenneth product: out[p][q] = sum over splits of products."""
         if self.size == 0 or other.size == 0:
-            return EPQTable((), kind or self.kind)
+            return EPQTable((), self.kind)
         n = self.size + other.size - 1
         ent = [[0] * n for _ in range(n)]
         for p1 in range(self.size):
@@ -70,14 +70,7 @@ class EPQTable:
                         w = other.entries[p2][q2]
                         if w:
                             ent[p1 + p2][q1 + q2] += v * w
-        return EPQTable(tuple(tuple(r) for r in ent), kind or self.kind)
-
-    def dual(self, n: int, kind=None) -> "EPQTable":
-        """(p, q) -> (n - p, n - q) reindexing into an (n+1)^2 table."""
-        ent = tuple(
-            tuple(self.get(n - p, n - q) for q in range(n + 1)) for p in range(n + 1)
-        )
-        return EPQTable(ent, kind or self.kind)
+        return EPQTable(tuple(tuple(r) for r in ent), self.kind)
 
     def is_symmetric(self) -> bool:
         return all(

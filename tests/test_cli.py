@@ -117,6 +117,19 @@ def test_exit_code_precondition(capsys):
     assert cli.main(["hodge-torus", data("quintic.json")]) == 3
 
 
+def test_exit_code_negative_form_degree(capsys):
+    for extra in ([], ["--json"]):
+        assert cli.main(["euler", "-p", "-1", *extra, data("p2_cubic.json")]) == 3
+        captured = capsys.readouterr()
+        assert "negative form degree" in captured.err
+        assert captured.out == ""
+
+
+def test_parser_is_built_once():
+    # the golden cases above dispatch every subcommand through this one parser
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_exit_code_internal_consistency(capsys, monkeypatch):
     import toric_hodge.hodge as hodge_mod
 

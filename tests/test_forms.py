@@ -4,20 +4,15 @@ import pytest
 
 from toric_hodge.fans import degrees_of, Fan
 from toric_hodge.forms import (
-    GeometricInverse,
-    ScalarBinomialPower,
-    XMonomialBinomial,
-    YMonomialBinomial,
     _factors,
     chi_all,
     chi_alt,
     chi_alt_hilbert,
     chi_sym,
     chi_tensor,
-    coeff_x0_yp,
     y_truncated_expand,
 )
-from toric_hodge.hilbert import build_context, chi_structure_sheaf
+from toric_hodge.hilbert import build_context, chi_structure_sheaf, h_of_s
 
 from helpers import (
     fan_octahedron,
@@ -30,43 +25,64 @@ from helpers import (
 )
 
 
+def _x0_yp_coefficient(ctx, expanded, p):
+    """x^0 y^p coefficient of P(x) times an expansion: its y^p terms against H."""
+    return sum(
+        c * h_of_s(ctx, tuple(-x for x in e)) for (e, j), c in expanded.items() if j == p
+    )
+
+
 def test_expand_single_binomial():
-    out = y_truncated_expand([YMonomialBinomial((1, 0))], 1, 2)
+    # 1 + y x_1
+    out = y_truncated_expand([{((0, 0), 0): 1, ((1, 0), 1): 1}], 1, 2)
     assert out == {((0, 0), 0): 1, ((1, 0), 1): 1}
+    assert y_truncated_expand([{((0, 0), 0): 1, ((1, 0), 1): 1}], 0, 2) == {
+        ((0, 0), 0): 1
+    }
 
 
 def test_expand_geometric_series():
-    out = y_truncated_expand([GeometricInverse((2,))], 2, 1)
+    # 1 / (1 + y x^2), written out to y^3 and truncated at y^2
+    geometric = {((2 * j,), j): (-1) ** j for j in range(4)}
+    out = y_truncated_expand([geometric], 2, 1)
     assert out == {((0,), 0): 1, ((2,), 1): -1, ((4,), 2): 1}
 
 
 def test_expand_cancellation():
-    out = y_truncated_expand(
-        [ScalarBinomialPower(-1, -1), ScalarBinomialPower(1, -1)], 5, 1
-    )
+    # (1 - y)^{-1} (1 - y) = 1
+    inverse = {((0,), j): 1 for j in range(6)}
+    out = y_truncated_expand([inverse, {((0,), 0): 1, ((0,), 1): -1}], 5, 1)
     assert out == {((0,), 0): 1}
 
 
 def test_coeff_empty_factorization():
     ctx = build_context(fan_p2())
-    assert coeff_x0_yp(ctx, [], 0) == 1
+    assert y_truncated_expand([], 0, ctx.r) == {((0, 0, 0), 0): 1}
+    assert _x0_yp_coefficient(ctx, y_truncated_expand([], 0, ctx.r), 0) == 1
 
 
 def test_coeff_cubic_structure_sheaf():
     fan = fan_p2()
     ctx = build_context(fan)
-    (row,) = degrees_of(fan, [simplex_support(2, 3)]).rows
-    assert coeff_x0_yp(ctx, [XMonomialBinomial(row)], 0) == 0
+    degs = degrees_of(fan, [simplex_support(2, 3)])
+    (row,) = degs.rows
+    expanded = y_truncated_expand([{((0, 0, 0), 0): 1, (row, 0): -1}], 0, ctx.r)
+    assert _x0_yp_coefficient(ctx, expanded, 0) == 0
+    assert chi_all(ctx, degs, "alt", 0) == [0]
 
 
 def test_coeff_cotangent_line():
     ctx = build_context(fan_p1())
     factors = [
-        YMonomialBinomial((1, 0)),
-        YMonomialBinomial((0, 1)),
-        ScalarBinomialPower(1 - 2, 1),
+        {((0, 0), 0): 1, ((1, 0), 1): 1},
+        {((0, 0), 0): 1, ((0, 1), 1): 1},
+        {((0, 0), j): (-1) ** j for j in range(2)},  # (1 + y)^(1 - 2)
     ]
-    assert coeff_x0_yp(ctx, factors, 1) == -1
+    assert _x0_yp_coefficient(ctx, y_truncated_expand(factors, 1, ctx.r), 1) == -1
+    assert y_truncated_expand(factors, 1, ctx.r) == y_truncated_expand(
+        _factors(ctx, [], "alt", 1), 1, ctx.r
+    )
+    assert chi_all(ctx, [], "alt", 1)[1] == -1
 
 
 # --- chi_alt -----------------------------------------------------------------
@@ -151,19 +167,10 @@ def test_chi_alt_vanishes_above_dimension():
 
 # --- chi_all: one expansion for every p ---------------------------------------
 
-KIND_FUNCS = {"alt": chi_alt, "sym": chi_sym, "tensor": chi_tensor}
+KINDS = ("alt", "sym", "tensor")
 
 
-@pytest.mark.parametrize("kind", sorted(KIND_FUNCS))
-def test_chi_all_matches_single_p(kind):
-    for name, fan, supports in forms_fixture_corpus():
-        ctx = build_context(fan)
-        degs = degrees_of(fan, supports) if supports else []
-        values = chi_all(ctx, degs, kind, fan.dim)
-        assert values == [KIND_FUNCS[kind](ctx, degs, p) for p in range(fan.dim + 1)], name
-
-
-@pytest.mark.parametrize("kind", sorted(KIND_FUNCS))
+@pytest.mark.parametrize("kind", KINDS)
 def test_expansion_truncates_consistently(kind):
     for name, fan, supports in forms_fixture_corpus():
         ctx = build_context(fan)
@@ -187,3 +194,15 @@ def test_chi_all_checks_its_input():
         chi_all(ctx, [(1, 2)], "tensor", 1)
     with pytest.raises(ValueError, match="unknown form kind"):
         chi_all(ctx, [], "wedge", 1)
+
+
+def test_zero_degree_row_cancels_everything():
+    # the support {0} has the zero degree row, so its factor 1 - x^0 is 0
+    fan = fan_p2()
+    ctx = build_context(fan)
+    degs = degrees_of(fan, [((0, 0),)])
+    assert [tuple(row) for row in degs.rows] == [(0, 0, 0)]
+    for kind in KINDS:
+        assert chi_all(ctx, degs, kind, 2) == [0, 0, 0], kind
+    for p in range(3):
+        assert chi_alt(ctx, degs, p) == chi_alt_hilbert(ctx, degs, p) == 0, p

@@ -232,11 +232,6 @@ def test_zero_table_negative_bound_is_empty():
     assert t.size == 0 and t.get(0, 0) == 0
 
 
-def test_table_dual():
-    t = EPQTable(((1, 2), (3, 4)), "ordinary")
-    assert t.dual(1).entries == ((4, 3), (2, 1))
-
-
 def test_torus_bezout_counts():
     line = ((0, 0), (1, 0), (0, 1))
     assert epq_c_ci(TorusCIProblem(2, [line, line])).entries == ((1,),)
