@@ -36,6 +36,7 @@ class Fan:
     maximal_cones: tuple  # tuple of sorted index tuples
 
     def __post_init__(self):
+        object.__setattr__(self, "rays", tuple(map(tuple, self.rays)))
         object.__setattr__(
             self, "maximal_cones", tuple(tuple(sorted(c)) for c in self.maximal_cones)
         )
@@ -104,8 +105,13 @@ def cone_hrep(fan: Fan, cone: Cone):
 
 
 @lru_cache(maxsize=65536)
+def _cone_lattice(dim, rays):
+    return row_lattice(rays, dim)
+
+
+@lru_cache(maxsize=65536)
 def _cone_hrep(dim, rays):
-    span = row_lattice(rays, dim)
+    span = _cone_lattice(dim, rays)
     rank, right = span.rank, span.right
     eqs = [primitive(u) for u in span.kernel]
     reduced = [span.coord(r) for r in rays]
@@ -425,18 +431,23 @@ def degrees_of(fan: Fan, supports) -> DegreeMatrix:
 
 
 def restrict_supports(fan: Fan, cone: Cone, supports, degrees: DegreeMatrix):
-    """Facial restriction: points attaining the minimum on every ray of the cone."""
+    """Facial restriction: points attaining the minimum on every ray of the cone.
+
+    Each support's minimizers on each ray are found once per fan.
+    """
     out = []
     for i, s in enumerate(supports):
-        pts = tuple(
-            sorted(
-                q
-                for q in s
-                if all(dot(fan.rays[j], q) == -degrees[i][j] for j in cone)
-            )
-        )
-        out.append(pts)
+        s = tuple(map(tuple, s))
+        tight = _tight_points(fan.rays, s, tuple(degrees[i]))
+        out.append(tuple(sorted(set(s).intersection(*(tight[j] for j in cone)))))
     return out
+
+
+@lru_cache(maxsize=4096)
+def _tight_points(rays, support, row):
+    return tuple(
+        frozenset(q for q in support if dot(ray, q) == -d) for ray, d in zip(rays, row)
+    )
 
 
 @dataclass(frozen=True)
@@ -476,7 +487,7 @@ def orbit_problem(fan: Fan, cone: Cone, supports, degrees: DegreeMatrix) -> Toru
     survivors = [s for s in restricted if s]
     if not cone:
         return TorusCIProblem(m=fan.dim, supports=tuple(survivors))
-    span = row_lattice([fan.rays[i] for i in cone], fan.dim)
+    span = _cone_lattice(fan.dim, tuple(tuple(fan.rays[i]) for i in cone))
     reduced = []
     for s in survivors:
         base = min(s)

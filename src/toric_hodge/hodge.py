@@ -17,11 +17,12 @@ induction on the torus dimension and the number of equations:
   6. the problem is compactified inside the simplicially refined normal fan
      of the Minkowski sum of the supports, and every boundary orbit is
      solved recursively;
-  7. the compact table of the closure is completed across the middle
-     anti-diagonal using the signed Euler characteristics of the p-form
-     sheaves;
-  8. subtracting the boundary recovers e_c of the open part everywhere,
-     which must reproduce step 5 above the middle (checked).
+  7. the row sums e^p_c = sum_q e_c^{pq} of the open part are read from
+     lattice-point counts of Minkowski combinations of the supports;
+  8. the symmetry of the quasi-smooth closure (open part plus boundary)
+     gives e_c below the middle, the row sums give the middle
+     anti-diagonal, and the closure's row sums must satisfy Serre duality
+     e^p = e^{n-p} (checked).
 
 `hodge_compact` sums e_c over all torus orbits of a complete simplicial
 fan, yielding the Hodge diamond h^{pq} = (-1)^{p+q} e^{pq} of a compact
@@ -32,7 +33,8 @@ system; orbits with no surviving equations contribute full subtori.
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 from math import comb
 
 from .errors import ConsistencyError
@@ -48,10 +50,17 @@ from .fans import (
     stellar_subdivide_to_simplicial,
     validate,
 )
-from .forms import chi_all
-from .hilbert import build_context
 from .hodge_tables import EPQTable, zero_table
-from .lattice import affine_lattice_reduction, minkowski_support
+from .lattice import (
+    RationalPolyhedron,
+    affine_lattice_reduction,
+    count_lattice_points,
+    minkowski_support,
+)
+
+# Refined normal fans with more maximal cones fail fast: random hypersurfaces
+# in (C*)^5 past it took minutes, in `validate` and in counting dilates.
+MAX_ORBIT_CONES = 128
 
 _epq_memo: dict = {}
 
@@ -132,13 +141,19 @@ def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
             acc -= (-1) ** (len(picks) - 1) * tab.get(n_sub - p, n_sub - q)
         return (-1) ** (k - 1) * acc
 
-    # 5. duality: e_c above the middle
-    def e_c_upper(p, q):  # p + q > n
-        return e_lower(n - p, n - q)
-
     # 6. compactify and solve the boundary
     delta = minkowski_support(problem.supports)
     fan = stellar_subdivide_to_simplicial(normal_fan(delta, m))
+    if len(fan.maximal_cones) > MAX_ORBIT_CONES:
+        raise ValueError(
+            f"refined normal fan has {len(fan.maximal_cones)} maximal cones; "
+            f"the supported maximum is {MAX_ORBIT_CONES}"
+        )
+    report = validate(fan)
+    if not (report.ok and is_complete(fan)):
+        raise ConsistencyError(
+            f"refined normal fan is invalid: {report.first_violation or 'not complete'}"
+        )
     degrees = degrees_of(fan, problem.supports)
     boundary = zero_table(n, "compact")
     for cone in all_cones(fan):
@@ -148,34 +163,61 @@ def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
         if piece.bound > n:
             raise ConsistencyError("boundary orbit exceeds the expected dimension")
         boundary = boundary.add(piece)
+    b = boundary.get
 
-    # 7. table of the compactified variety
-    ebar = [[0] * (n + 1) for _ in range(n + 1)]
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if p + q > n:
-                ebar[p][q] = e_c_upper(p, q) + boundary.get(p, q)
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if p + q < n:
-                ebar[p][q] = ebar[n - p][n - q]
-    chis = chi_all(build_context(fan), degrees, "alt", n)
-    for p in range(n + 1):
-        ep = (-1) ** p * chis[p]
-        ebar[p][n - p] = ep - sum(ebar[p][q] for q in range(n + 1) if q != n - p)
+    # 7. row sums of the open part; the facet normals of Delta lead the rays
+    facets = len(delta.facets)
+    sums = _open_row_sums(m, n, fan.rays[:facets], [row[:facets] for row in degrees])
 
-    # 8. recover the open part; re-derive the upper triangle as a check
-    e_c = [
-        [ebar[p][q] - boundary.get(p, q) for q in range(n + 1)] for p in range(n + 1)
-    ]
+    # 8. e_c: duality (step 5) above the middle, the closure's symmetry below
+    e_c = [[0] * (n + 1) for _ in range(n + 1)]
+    for p, q in product(range(n + 1), repeat=2):
+        if p + q > n:
+            e_c[p][q] = e_lower(n - p, n - q)
+        elif p + q < n:
+            e_c[p][q] = e_lower(p, q) + b(n - p, n - q) - b(p, q)
     for p in range(n + 1):
-        for q in range(n + 1):
-            if p + q > n and e_c[p][q] != e_c_upper(p, q):
-                raise ConsistencyError(
-                    f"duality mismatch at {(p, q)}: assembled {e_c[p][q]}, "
-                    f"dual of the open part {e_c_upper(p, q)}"
-                )
+        e_c[p][n - p] = sums[p] - sum(e_c[p])
+    closure = [sums[p] + sum(b(p, q) for q in range(n + 1)) for p in range(n + 1)]
+    for p in range(n + 1):
+        if closure[p] != closure[n - p]:
+            raise ConsistencyError(
+                f"duality mismatch in row {p}: the closure has e^{p} = {closure[p]} "
+                f"but e^{n - p} = {closure[n - p]}"
+            )
     return EPQTable(tuple(tuple(r) for r in e_c), "compact")
+
+
+def _open_row_sums(m: int, n: int, normals, rows) -> list:
+    """Row sums e^p_c, p = 0..n, of a generic system in (C*)^m (Khovanskii).
+
+    With L(c) the number of lattice points in sum_i c_i Delta_i, which is
+    {x : <normals[j], x> >= -sum_i c_i rows[i][j]},
+      e^p_c = (-1)^(p+m) sum_{|a| <= p} (-1)^|a| C(m, p - |a|)
+              sum_{S} (-1)^|S| L(a + 1_S).
+    """
+
+    @cache
+    def points(c):
+        bounds = [-sum(x * d for x, d in zip(c, col)) for col in zip(*rows)]
+        bounded, count = count_lattice_points(
+            RationalPolyhedron(tuple(zip(normals, bounds)), m)
+        )
+        if not bounded:
+            raise ConsistencyError(f"Minkowski combination {c} is unbounded")
+        return count
+
+    k = len(rows)
+    mixed = [0] * (n + 1)  # sum over |a| = j of (-1)^|a| sum_S (-1)^|S| L(a + 1_S)
+    for a in product(range(n + 1), repeat=k):
+        if sum(a) <= n:
+            for e in product((0, 1), repeat=k):
+                c = tuple(x + y for x, y in zip(a, e))
+                mixed[sum(a)] += (-1) ** (sum(a) + sum(e)) * points(c)
+    return [
+        (-1) ** (p + m) * sum(comb(m, p - j) * mixed[j] for j in range(p + 1))
+        for p in range(n + 1)
+    ]
 
 
 def hodge_compact(fan: Fan, supports) -> EPQTable:

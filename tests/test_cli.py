@@ -133,11 +133,60 @@ def test_parser_is_built_once():
 def test_exit_code_internal_consistency(capsys, monkeypatch):
     import toric_hodge.hodge as hodge_mod
 
-    monkeypatch.setattr(hodge_mod, "chi_all", lambda ctx, degs, kind, pmax: [999] * (pmax + 1))
+    row_sums = hodge_mod._open_row_sums
+
+    def off_by_one(m, n, normals, rows):
+        return [v + (p == 0) for p, v in enumerate(row_sums(m, n, normals, rows))]
+
+    monkeypatch.setattr(hodge_mod, "_open_row_sums", off_by_one)
     hodge_mod.clear_epq_memo()
     code = cli.main(["hodge-torus", data("torus_line.json")])
     hodge_mod.clear_epq_memo()
     assert code == 4
+    assert "duality mismatch" in capsys.readouterr().err
+
+
+# Torus hypersurfaces whose refined normal fans exceed the 24-ray / 24-cone
+# caps of a Hilbert context: 18 rays and 32 maximal cones in (C*)^3, 14 rays
+# and 42 maximal cones in (C*)^4.  The normalized volumes of their Newton
+# polytopes (34 and 24) come from a floating-point convex-hull volume.
+BEYOND_CONTEXT_CAPS = [
+    (
+        3,
+        [[0, 1, 1], [0, 1, 3], [0, 2, 3], [0, 3, 2], [1, 0, 2], [2, 2, 2], [3, 0, 2], [3, 0, 3]],
+        34,
+    ),
+    (
+        4,
+        [[0, 0, 3, 0], [1, 2, 2, 1], [1, 2, 3, 1], [2, 0, 3, 0], [2, 2, 0, 2], [2, 2, 1, 0]],
+        24,
+    ),
+]
+
+
+@pytest.mark.parametrize("m,support,volume", BEYOND_CONTEXT_CAPS, ids=["c3", "c4"])
+def test_hodge_torus_beyond_the_context_caps(tmp_path, capsys, m, support, volume):
+    doc = tmp_path / "torus.json"
+    doc.write_text(json.dumps({"dim": m, "supports": [support]}))
+    assert cli.main(["hodge-torus", "--json", str(doc)]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert table["n"] == m - 1
+    assert sum(map(sum, table["entries"])) == (-1) ** (m - 1) * volume
+
+
+def test_refined_fan_cap_fails_fast(capsys, monkeypatch):
+    import toric_hodge.hodge as hodge_mod
+
+    # the triangle's normal fan has three maximal cones
+    monkeypatch.setattr(hodge_mod, "MAX_ORBIT_CONES", 2)
+    hodge_mod.clear_epq_memo()
+    code = cli.main(["hodge-torus", data("torus_line.json")])
+    hodge_mod.clear_epq_memo()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "refined normal fan has 3 maximal cones" in captured.err
+    assert "the supported maximum is 2" in captured.err
+    assert captured.out == ""
 
 
 def _raise(exc):

@@ -3,18 +3,29 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toric_hodge.errors import ConsistencyError
-from toric_hodge.fans import Fan, TorusCIProblem, degrees_of
-from toric_hodge.forms import chi_alt
+from toric_hodge.fans import (
+    Fan,
+    TorusCIProblem,
+    degrees_of,
+    normal_fan,
+    stellar_subdivide_to_simplicial,
+)
+from toric_hodge.forms import chi_all, chi_alt
 from toric_hodge.hilbert import build_context
 from toric_hodge.hodge import clear_epq_memo, epq_c_ci, epq_torus, hodge_compact
 from toric_hodge.hodge_tables import EPQTable, zero_table
+from toric_hodge.lattice import convex_hull, minkowski_support
 
 from helpers import (
     apply_matrix,
     fan_octahedron,
     fan_p1,
+    fan_p1p1,
+    fan_p1p1p1,
     fan_p2,
     fan_p2p1,
     fan_p3,
@@ -328,3 +339,54 @@ def test_euler_equals_newton_volume_octahedron():
     # exercises stellar subdivision inside the recursion (14 rays, 24 cones)
     support = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (0, 0, 0))
     _normalized_volume_oracle([(3, support, 8)])
+
+
+# --- Ehrhart row sums against the fan path ----------------------------------------
+
+# helper fans with the projective-space blocks they are products of
+BLOCK_FANS = [
+    (fan_p1, (1,)),
+    (fan_p2, (2,)),
+    (fan_p3, (3,)),
+    (fan_p1p1, (1, 1)),
+    (fan_p2p1, (2, 1)),
+    (fan_p1p1p1, (1, 1, 1)),
+]
+
+
+@st.composite
+def compact_ci_cases(draw):
+    """A complete simplicial fan and 1-2 supports whose Newton polytopes it refines."""
+    if draw(st.booleans()):
+        make, blocks = draw(st.sampled_from(BLOCK_FANS))
+        fan = make()
+        supports = []
+        for _ in range(draw(st.integers(1, min(2, fan.dim)))):
+            full = product_support([(b, draw(st.integers(1, 2))) for b in blocks])
+            extra = draw(st.lists(st.sampled_from(full), max_size=3))
+            supports.append(tuple(set(convex_hull(full).vertices) | set(extra)))
+        return fan, supports
+    m = draw(st.integers(2, 3))
+    point = st.tuples(*[st.integers(0, 2)] * m)
+    supports = [
+        tuple(draw(st.lists(point, min_size=2, max_size=5, unique=True)))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    delta = minkowski_support(supports)
+    assume(delta.dim == m)
+    fan = stellar_subdivide_to_simplicial(normal_fan(delta, m))
+    # well inside the 24-ray / 24-cone context caps: H(s) on a 3-D fan of 20
+    # cones already takes seconds
+    assume(len(fan.maximal_cones) <= 12)
+    return fan, supports
+
+
+@given(compact_ci_cases())
+@settings(max_examples=60, deadline=None)
+def test_hodge_rows_match_the_form_sheaf_chi(case):
+    # sum_q (-1)^q h^{pq} = chi(Omega^p) of the closure, here from H(s) on the fan
+    fan, supports = case
+    n = fan.dim - len(supports)
+    h = hodge_compact(fan, supports)
+    chis = chi_all(build_context(fan), degrees_of(fan, supports), "alt", n)
+    assert [sum((-1) ** q * h.get(p, q) for q in range(n + 1)) for p in range(n + 1)] == chis
