@@ -22,7 +22,7 @@ from .fans import (
     normal_fan,
     orbit_problem,
     restrict_supports,
-    stellar_subdivide_to_simplicial,
+    simplicial_refinement,
     validate,
 )
 from .forms import (
@@ -101,7 +101,7 @@ __all__ = [
     "residue_infinity",
     "residue_zero",
     "restrict_supports",
-    "stellar_subdivide_to_simplicial",
+    "simplicial_refinement",
     "validate",
     "wps_chi",
     "wps_fan",

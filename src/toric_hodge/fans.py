@@ -10,7 +10,7 @@ reduction of a support system to a torus orbit all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from .lattice import (
@@ -365,55 +365,32 @@ def normal_fan(poly: Polytope, ambient_dim: int) -> Fan:
     return Fan(dim=ambient_dim, rays=rays, maximal_cones=tuple(sorted(set(cones))))
 
 
-def stellar_subdivide_to_simplicial(fan: Fan) -> Fan:
-    """Simplicial refinement by repeated star subdivision.
+def simplicial_refinement(fan: Fan) -> Fan:
+    """Pulling refinement along the ray order: same rays, same support.
 
-    Deterministic rule: pick the non-simplicial face of smallest dimension
-    (ties broken by lexicographically smallest ray-index tuple) and star
-    subdivide at the primitive sum of its rays.  Subdividing minimal
-    non-simplicial faces first guarantees termination; for fans whose
-    non-simplicial cones have simplicial facets this picks the maximal cones
-    themselves.  Rays of the input all survive and the support is unchanged.
+    A simplicial face stays as it is.  A non-simplicial face with lowest ray
+    index v becomes the cones v + s, where s runs over the pieces of each
+    facet of the face that misses v.  A face shared by two cones gets the
+    same pieces in both, so the result is a fan (De Loera-Rambau-Santos,
+    *Triangulations*, ch. 4).  A simplicial fan comes back as the same object.
     """
-    current = fan
-    for _ in range(10000):
-        bad = []
-        seen = set()
-        for cone in current.maximal_cones:
-            if rank_of([current.rays[i] for i in cone]) == len(cone):
-                continue
-            for face in cone_faces(current, cone):
-                if face in seen:
-                    continue
-                seen.add(face)
-                rays = [current.rays[i] for i in face]
-                rk = rank_of(rays)
-                if rk != len(face):
-                    bad.append((rk, face))
-        if not bad:
-            return current
-        _, face = min(bad)
-        rho = primitive(
-            tuple(
-                sum(current.rays[i][j] for i in face) for j in range(current.dim)
-            )
+    if is_simplicial(fan):
+        return fan
+
+    @cache
+    def pieces(face):
+        if rank_of([fan.rays[i] for i in face]) == len(face):
+            return (face,)
+        v = face[0]
+        return tuple(
+            (v,) + s
+            for facet in cone_facet_ray_sets(fan, face)
+            if v not in facet
+            for s in pieces(facet)
         )
-        if rho in current.rays:
-            raise RuntimeError("subdivision ray already present; fan is invalid")
-        new_rays = current.rays + (rho,)
-        rho_idx = len(current.rays)
-        new_max = []
-        for cone in current.maximal_cones:
-            if cone_contains(current, cone, rho):
-                for facet in cone_facet_ray_sets(current, cone):
-                    if not cone_contains(current, facet, rho):
-                        new_max.append(tuple(sorted(facet + (rho_idx,))))
-            else:
-                new_max.append(cone)
-        current = Fan(
-            dim=current.dim, rays=new_rays, maximal_cones=tuple(sorted(set(new_max)))
-        )
-    raise RuntimeError("stellar subdivision did not terminate")
+
+    cones = {s for cone in fan.maximal_cones for s in pieces(cone)}
+    return Fan(dim=fan.dim, rays=fan.rays, maximal_cones=tuple(sorted(cones)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ induction on the torus dimension and the number of equations:
      equations (a Lefschetz-type connectivity argument);
   5. duality transports those values to the compactly supported table above
      the middle;
-  6. the problem is compactified inside the simplicially refined normal fan
-     of the Minkowski sum of the supports, and every boundary orbit is
-     solved recursively;
+  6. the problem is compactified inside a pulling refinement of the normal
+     fan of the Minkowski sum of the supports (simplicial, on the same rays),
+     and every boundary orbit is solved recursively;
   7. the row sums e^p_c = sum_q e_c^{pq} of the open part are read from
      lattice-point counts of Minkowski combinations of the supports;
   8. the symmetry of the quasi-smooth closure (open part plus boundary)
@@ -47,7 +47,7 @@ from .fans import (
     is_simplicial,
     normal_fan,
     orbit_problem,
-    stellar_subdivide_to_simplicial,
+    simplicial_refinement,
     validate,
 )
 from .hodge_tables import EPQTable, zero_table
@@ -143,7 +143,7 @@ def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
 
     # 6. compactify and solve the boundary
     delta = minkowski_support(problem.supports)
-    fan = stellar_subdivide_to_simplicial(normal_fan(delta, m))
+    fan = simplicial_refinement(normal_fan(delta, m))
     if len(fan.maximal_cones) > MAX_ORBIT_CONES:
         raise ValueError(
             f"refined normal fan has {len(fan.maximal_cones)} maximal cones; "
@@ -165,9 +165,8 @@ def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
         boundary = boundary.add(piece)
     b = boundary.get
 
-    # 7. row sums of the open part; the facet normals of Delta lead the rays
-    facets = len(delta.facets)
-    sums = _open_row_sums(m, n, fan.rays[:facets], [row[:facets] for row in degrees])
+    # 7. row sums of the open part
+    sums = _open_row_sums(m, n, fan.rays, degrees)
 
     # 8. e_c: duality (step 5) above the middle, the closure's symmetry below
     e_c = [[0] * (n + 1) for _ in range(n + 1)]

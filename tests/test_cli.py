@@ -4,10 +4,15 @@ import json
 import os
 import shutil
 import subprocess
+from math import comb
 
 import pytest
 
 from toric_hodge import cli
+from toric_hodge.fans import normal_fan, simplicial_refinement
+from toric_hodge.lattice import minkowski_support
+
+from oracles import brute_count
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -146,26 +151,32 @@ def test_exit_code_internal_consistency(capsys, monkeypatch):
     assert "duality mismatch" in capsys.readouterr().err
 
 
-# Torus hypersurfaces whose refined normal fans exceed the 24-ray / 24-cone
-# caps of a Hilbert context: 18 rays and 32 maximal cones in (C*)^3, 14 rays
-# and 42 maximal cones in (C*)^4.  The normalized volumes of their Newton
-# polytopes (34 and 24) come from a floating-point convex-hull volume.
+# Torus hypersurfaces whose pulled normal fans exceed the 24-cone cap of a
+# Hilbert context: 16 rays and 28 maximal cones in (C*)^3, 14 rays and 40
+# maximal cones in (C*)^4.  The normalized volumes of their Newton polytopes
+# are the m-th finite differences of brute-force Ehrhart counts.
 BEYOND_CONTEXT_CAPS = [
     (
         3,
-        [[0, 1, 1], [0, 1, 3], [0, 2, 3], [0, 3, 2], [1, 0, 2], [2, 2, 2], [3, 0, 2], [3, 0, 3]],
-        34,
+        [[0, 0, 1], [0, 3, 1], [0, 3, 3], [1, 0, 3], [1, 1, 0],
+         [1, 3, 2], [2, 0, 1], [2, 2, 0], [3, 1, 3], [3, 2, 0]],
+        93,
     ),
     (
         4,
-        [[0, 0, 3, 0], [1, 2, 2, 1], [1, 2, 3, 1], [2, 0, 3, 0], [2, 2, 0, 2], [2, 2, 1, 0]],
-        24,
+        [[0, 2, 1, 2], [0, 2, 2, 0], [1, 0, 2, 1], [1, 1, 0, 2],
+         [1, 2, 1, 1], [2, 0, 1, 1], [2, 1, 0, 0]],
+        18,
     ),
 ]
 
 
 @pytest.mark.parametrize("m,support,volume", BEYOND_CONTEXT_CAPS, ids=["c3", "c4"])
 def test_hodge_torus_beyond_the_context_caps(tmp_path, capsys, m, support, volume):
+    delta = minkowski_support([support])
+    ehrhart = [brute_count([(n, t * b) for n, b in delta.facets], m) for t in range(m + 1)]
+    assert sum((-1) ** (m - t) * comb(m, t) * c for t, c in enumerate(ehrhart)) == volume
+    assert len(simplicial_refinement(normal_fan(delta, m)).maximal_cones) > 24
     doc = tmp_path / "torus.json"
     doc.write_text(json.dumps({"dim": m, "supports": [support]}))
     assert cli.main(["hodge-torus", "--json", str(doc)]) == 0
@@ -189,6 +200,25 @@ def test_refined_fan_cap_fails_fast(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_fourier_motzkin_cap_fails_fast(tmp_path, capsys):
+    import toric_hodge.hodge as hodge_mod
+
+    # the pulled normal fan (12 rays, 36 maximal cones) is under the orbit
+    # cap, but the projections that count the dilates of this 12-facet
+    # polytope grow to millions of rows
+    support = [[0, 0, 0, 3, 1], [0, 3, 0, 1, 3], [1, 0, 0, 3, 1], [1, 3, 2, 1, 2],
+               [2, 2, 3, 2, 0], [2, 2, 3, 3, 1], [3, 3, 3, 2, 0]]
+    doc = tmp_path / "torus.json"
+    doc.write_text(json.dumps({"dim": 5, "supports": [support]}))
+    hodge_mod.clear_epq_memo()
+    code = cli.main(["hodge-torus", str(doc)])
+    hodge_mod.clear_epq_memo()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "Fourier-Motzkin step" in captured.err
+    assert captured.out == ""
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc
@@ -199,7 +229,7 @@ def _raise(exc):
 @pytest.mark.parametrize(
     "exc,code,message",
     [
-        (RuntimeError("stellar subdivision did not terminate"), 4, "did not terminate"),
+        (RuntimeError("refinement failed"), 4, "refinement failed"),
         (RecursionError("maximum recursion depth exceeded"), 3, "recursion depth"),
         (MemoryError(), 3, "memory"),
     ],
@@ -208,7 +238,7 @@ def _raise(exc):
 def test_exit_code_uncaught_failures(capsys, monkeypatch, exc, code, message):
     import toric_hodge.hodge as hodge_mod
 
-    monkeypatch.setattr(hodge_mod, "stellar_subdivide_to_simplicial", _raise(exc))
+    monkeypatch.setattr(hodge_mod, "simplicial_refinement", _raise(exc))
     hodge_mod.clear_epq_memo()
     result = cli.main(["hodge-torus", data("torus_line.json")])
     hodge_mod.clear_epq_memo()

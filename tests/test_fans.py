@@ -21,7 +21,7 @@ from toric_hodge.fans import (
     normal_fan,
     orbit_problem,
     restrict_supports,
-    stellar_subdivide_to_simplicial,
+    simplicial_refinement,
     validate,
 )
 from toric_hodge.lattice import convex_hull, minkowski_support
@@ -103,7 +103,7 @@ def test_cone_hrep_cache_matches_fresh_computation():
     corpus = [
         fan_p1(), fan_p2(), fan_p3(), fan_p1p1(), fan_p2p1(), fan_p3p1(), fan_p1p1p1(),
         fan_wps_1423(), fan_octahedron(), polygon_fan(8),
-    ] + [stellar_subdivide_to_simplicial(normal_fan(p, 3)) for p in (pyramid, octahedron)]
+    ] + [simplicial_refinement(normal_fan(p, 3)) for p in (pyramid, octahedron)]
     cached = [(fan, cone, cone_hrep(fan, cone)) for fan in corpus for cone in all_cones(fan)]
     for fan, cone, hrep in cached:
         fans_mod._cone_hrep.cache_clear()
@@ -173,20 +173,30 @@ def test_is_regular_matches_maximal_minors(rays):
     assert is_regular(fan) == (maximal_minors_gcd(rays) == 1)
 
 
-# --- stellar subdivision -----------------------------------------------------
+# --- pulling refinement ------------------------------------------------------
 
 
-def test_stellar_fixpoint_on_simplicial():
+def test_refinement_fixpoint_on_simplicial():
     fan = fan_p2()
-    assert stellar_subdivide_to_simplicial(fan) is fan
+    assert simplicial_refinement(fan) is fan
 
 
-def test_stellar_cone_over_square():
+def test_refinement_cube_normal_fan():
+    # the octant fan (normal fan of a cube) is already simplicial
+    from itertools import product as iproduct
+
+    cube = convex_hull(list(iproduct([0, 1], repeat=3)))
+    fan = normal_fan(cube, 3)
+    sub = simplicial_refinement(fan)
+    assert sub is fan
+    assert is_simplicial(sub) and is_complete(sub)
+
+
+def test_refinement_cone_over_square():
     fan = Fan(3, ((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), ((0, 1, 2, 3),))
-    sub = stellar_subdivide_to_simplicial(fan)
-    assert sub.rays == fan.rays + ((0, 0, 1),)
-    assert len(sub.maximal_cones) == 4
-    assert is_simplicial(sub)
+    sub = simplicial_refinement(fan)
+    assert sub.rays == fan.rays
+    assert sub.maximal_cones == ((0, 1, 2), (0, 2, 3))
     assert validate(sub).ok
     # support unchanged: sample points inside and outside
     inside = [(1, 0, 2), (0, 0, 5), (-1, -1, 3)]
@@ -197,37 +207,66 @@ def test_stellar_cone_over_square():
         assert not any(cone_contains(sub, c, p) for c in sub.maximal_cones)
 
 
-def test_stellar_cube_normal_fan():
-    # the octant fan (normal fan of a cube) is already simplicial
-    from itertools import product as iproduct
-
-    cube = convex_hull(list(iproduct([0, 1], repeat=3)))
-    fan = normal_fan(cube, 3)
-    sub = stellar_subdivide_to_simplicial(fan)
-    assert sub is fan
-    assert is_simplicial(sub) and is_complete(sub)
+def test_refinement_octahedron_fan():
+    # each of the six square cones splits in two along a diagonal
+    sub = simplicial_refinement(fan_octahedron())
+    assert sub.rays == fan_octahedron().rays
+    assert len(sub.maximal_cones) == 12
+    assert validate(sub).ok and is_simplicial(sub) and is_complete(sub)
 
 
-def test_stellar_octahedron_fan():
-    sub = stellar_subdivide_to_simplicial(fan_octahedron())
-    assert validate(sub).ok
-    assert is_simplicial(sub)
-    assert is_complete(sub)
-    assert set(fan_octahedron().rays) <= set(sub.rays)
-
-
-def test_stellar_pyramid_over_square():
-    # one non-simplicial facet (the square base); subdividing the minimal
-    # non-simplicial face terminates where naive barycentric star would not
+def test_refinement_pyramid_over_square():
+    # the apex ray 4 is pulled last: the square base splits and the apex
+    # cones over both halves
     fan = Fan(
         4,
         ((1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0), (0, 0, 1, 1)),
         ((0, 1, 2, 3, 4),),
     )
     assert validate(fan).ok
-    sub = stellar_subdivide_to_simplicial(fan)
-    assert is_simplicial(sub)
+    sub = simplicial_refinement(fan)
+    assert sub.maximal_cones == ((0, 1, 2, 4), (0, 2, 3, 4))
     assert validate(sub).ok
+
+
+def test_refinement_adds_no_rays_in_dimension_5():
+    pts = [(0, 0, 0, 3, 1), (0, 3, 0, 1, 3), (1, 0, 0, 3, 1), (1, 3, 2, 1, 2),
+           (2, 2, 3, 2, 0), (2, 2, 3, 3, 1), (3, 3, 3, 2, 0)]
+    fan = normal_fan(minkowski_support([pts]), 5)
+    sub = simplicial_refinement(fan)
+    assert sub.rays == fan.rays and len(sub.rays) == 12
+    assert len(sub.maximal_cones) == 36
+    assert validate(sub).ok and is_complete(sub)
+
+
+@st.composite
+def full_dimensional_polytopes(draw):
+    # one support in dimension 4: the pulled fans of two such supports reach
+    # about 200 cones, where the pairwise `validate` takes seconds
+    m = draw(st.integers(2, 4))
+    point = st.tuples(*[st.integers(0, 2)] * m)
+    supports = draw(
+        st.lists(
+            st.lists(point, min_size=m + 1, max_size=m + 3, unique=True),
+            min_size=1,
+            max_size=2 if m < 4 else 1,
+        )
+    )
+    delta = minkowski_support(supports)
+    assume(delta.dim == m)
+    return delta
+
+
+@given(full_dimensional_polytopes())
+@settings(max_examples=80, deadline=None)
+def test_refinement_of_normal_fans(delta):
+    fan = normal_fan(delta, delta.dim)
+    sub = simplicial_refinement(fan)
+    assert sub.rays == fan.rays
+    assert is_simplicial(sub) and is_complete(sub)
+    assert validate(sub).ok
+    for cone in sub.maximal_cones:
+        assert any(set(cone) <= set(old) for old in fan.maximal_cones)
 
 
 # --- supports, degrees, adaptedness ------------------------------------------
@@ -315,7 +354,7 @@ def test_normal_fan_refinement_is_adapted():
         poly = minkowski_support(supports)
         if poly.dim != 2:
             continue
-        fan = stellar_subdivide_to_simplicial(normal_fan(poly, 2))
+        fan = simplicial_refinement(normal_fan(poly, 2))
         assert adapted_subfan(fan, supports).whole_fan
 
 

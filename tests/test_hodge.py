@@ -12,7 +12,7 @@ from toric_hodge.fans import (
     TorusCIProblem,
     degrees_of,
     normal_fan,
-    stellar_subdivide_to_simplicial,
+    simplicial_refinement,
 )
 from toric_hodge.forms import chi_all, chi_alt
 from toric_hodge.hilbert import build_context
@@ -336,9 +336,24 @@ def test_quartic_torus_curve_table():
 
 def test_euler_equals_newton_volume_octahedron():
     # the normal fan of the cross-polytope is non-simplicial, so this input
-    # exercises stellar subdivision inside the recursion (14 rays, 24 cones)
+    # exercises the pulling refinement inside the recursion (8 rays, 12 cones)
     support = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (0, 0, 0))
     _normalized_volume_oracle([(3, support, 8)])
+
+
+def test_pulled_fan_stays_under_the_orbit_cap():
+    # a stellar refinement of this normal fan has 159 maximal cones, past
+    # MAX_ORBIT_CONES; the pulled one stays under the cap and gives the table
+    # that the stellar one gives with the cap lifted
+    clear_epq_memo()
+    problem = TorusCIProblem(
+        4,
+        [
+            ((0, 0, 1, 1), (0, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)),
+            ((0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1), (1, 1, 1, 0)),
+        ],
+    )
+    assert epq_c_ci(problem).entries == ((13, 0, 1), (0, 0, 0), (1, 0, 1))
 
 
 # --- Ehrhart row sums against the fan path ----------------------------------------
@@ -374,7 +389,7 @@ def compact_ci_cases(draw):
     ]
     delta = minkowski_support(supports)
     assume(delta.dim == m)
-    fan = stellar_subdivide_to_simplicial(normal_fan(delta, m))
+    fan = simplicial_refinement(normal_fan(delta, m))
     # well inside the 24-ray / 24-cone context caps: H(s) on a 3-D fan of 20
     # cones already takes seconds
     assume(len(fan.maximal_cones) <= 12)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 import sympy as sp
@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_hodge.lattice import (
+    MAX_FM_PAIRS,
     RationalPolyhedron,
     _envelope,
     _floor_sum,
@@ -401,6 +402,15 @@ def test_is_feasible_is_rational():
     assert not is_feasible(RationalPolyhedron((((), 1),), 0))
 
 
+def test_fourier_motzkin_step_cap():
+    # k rows bound y from below and k from above: one step would combine k^2 pairs
+    k = isqrt(MAX_FM_PAIRS) + 1
+    rows = [((a, 1), -k) for a in range(k)] + [((a, -1), -k) for a in range(k)]
+    with pytest.raises(ValueError, match="the supported maximum is"):
+        is_feasible(RationalPolyhedron(tuple(rows), 2))
+    assert is_feasible(RationalPolyhedron(tuple(rows[1:k] + rows[k + 1:]), 2))
+
+
 cone_constraint_sets = st.lists(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),
     min_size=3,
@@ -517,6 +527,11 @@ def support_systems(draw):
 def test_minkowski_is_hull_of_all_sums(supports):
     sums = [tuple(map(sum, zip(*combo))) for combo in product(*supports)]
     assert minkowski_support(supports) == convex_hull(sums)
+
+
+def test_minkowski_single_support_given_as_lists():
+    poly = minkowski_support([[[0, 1], [1, 0], [0, 0]]])
+    assert poly == convex_hull([(0, 0), (0, 1), (1, 0)])
 
 
 def test_minkowski_empty_support():
