@@ -197,7 +197,12 @@ class ValidationReport:
 
 
 def validate(fan: Fan) -> ValidationReport:
-    """Check ray primitivity/distinctness and that cones meet in faces."""
+    """Check the rays, each cone, and that the cones meet in common faces.
+
+    A fan that passes the wall certificate of `is_complete` (every wall in
+    two cones on opposite sides, one generic vector in one cone; DLRS ch. 4)
+    is complete; only other fans have every pair of cones intersected.
+    """
     problems = []
     seen = set()
     for idx, ray in enumerate(fan.rays):
@@ -244,12 +249,13 @@ def validate(fan: Fan) -> ValidationReport:
         problems.append(f"rays {sorted(missing)} appear in no maximal cone")
         return ValidationReport(False, tuple(problems))
 
-    for a, b in combinations(range(len(fan.maximal_cones)), 2):
-        ca, cb = fan.maximal_cones[a], fan.maximal_cones[b]
+    if is_complete(fan):
+        return ValidationReport(True, ())
+    for ca, cb in combinations(fan.maximal_cones, 2):
         if not _intersection_is_common_face(fan, ca, cb):
-            problems.append(f"cones {ca} and {cb} do not meet in a common face")
-            return ValidationReport(False, tuple(problems))
-    return ValidationReport(not problems, tuple(problems))
+            problem = f"cones {ca} and {cb} do not meet in a common face"
+            return ValidationReport(False, (problem,))
+    return ValidationReport(True, ())
 
 
 def _intersection_is_common_face(fan: Fan, ca: Cone, cb: Cone) -> bool:
@@ -276,12 +282,9 @@ def _is_face_of(fan: Fan, cone: Cone, sub_rays) -> bool:
     for r in sub_rays:
         if not cone_contains(fan, cone, r):
             return False
-    z = tuple(sum(r[j] for r in sub_rays) for j in range(fan.dim)) if sub_rays else None
+    z = [sum(r[j] for r in sub_rays) for j in range(fan.dim)]  # 0 when there are none
     _, ineqs = cone_hrep(fan, cone)
-    if z is None:
-        tight = list(ineqs)
-    else:
-        tight = [n for n in ineqs if dot(n, z) == 0]
+    tight = [n for n in ineqs if dot(n, z) == 0]
     face_members = [
         i for i in cone if all(dot(n, fan.rays[i]) == 0 for n in tight)
     ]
@@ -313,32 +316,29 @@ def is_regular(fan: Fan) -> bool:
 
 
 def is_complete(fan: Fan) -> bool:
-    """Pure m-dimensional, every ridge shared by exactly two cones, connected."""
+    """Do the maximal cones form a complete fan?  The wall certificate.
+
+    Full-dimensional cones form a complete fan iff every wall (facet of a
+    maximal cone) lies in exactly two of them, on opposite sides, and one
+    generic vector lies in exactly one of them (De Loera-Rambau-Santos,
+    *Triangulations*, 2010, ch. 4).  A wall is keyed by its ray indices; the
+    vector is the sum of the first cone's rays, interior to that cone.
+    """
+    walls = {}
+    for cone in fan.maximal_cones:
+        eqs, ineqs = cone_hrep(fan, cone)
+        if eqs:
+            return False
+        for n in ineqs:
+            wall = tuple(i for i in cone if dot(n, fan.rays[i]) == 0)
+            walls.setdefault(wall, []).append(n)
+    if any(len(ns) != 2 or ns[0] != tuple(-x for x in ns[1]) for ns in walls.values()):
+        return False
     if not fan.maximal_cones:
         return fan.dim == 0
-    for cone in fan.maximal_cones:
-        if rank_of([fan.rays[i] for i in cone]) != fan.dim:
-            return False
-    ridge_owners = {}
-    for idx, cone in enumerate(fan.maximal_cones):
-        for facet in cone_facet_ray_sets(fan, cone):
-            ridge_owners.setdefault(frozenset(facet), []).append(idx)
-    for owners in ridge_owners.values():
-        if len(owners) != 2:
-            return False
-    adj = {i: set() for i in range(len(fan.maximal_cones))}
-    for owners in ridge_owners.values():
-        a, b = owners
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(fan.maximal_cones)
+    first, *others = fan.maximal_cones
+    v = tuple(map(sum, zip(*(fan.rays[i] for i in first))))
+    return not any(cone_contains(fan, cone, v) for cone in others)
 
 
 # ---------------------------------------------------------------------------

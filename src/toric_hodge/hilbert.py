@@ -124,16 +124,11 @@ def _intersection_coefficients(cone_masks):
 def build_context(fan: Fan) -> HilbertContext:
     """Aggregate the nerve combinatorics of a complete fan.
 
-    Raises on invalid or non-complete fans, and on fans beyond the
-    documented desk-scale caps (24 rays / 24 maximal cones).  Only the
+    Raises on fans beyond the desk-scale caps (24 rays / 24 maximal cones),
+    checked first, then on invalid or non-complete fans.  Only the
     intersection semilattice is built here; chi_I is never tabulated over
     all ray sets, since `h_of_s` reduces the c_S along its cell walk.
     """
-    report = validate(fan)
-    if not report.ok:
-        raise ValueError(f"invalid fan: {report.first_violation}")
-    if not is_complete(fan):
-        raise ValueError("Hilbert context requires a complete fan")
     r = len(fan.rays)
     if r > MAX_RAYS:
         raise ValueError(f"fan has {r} rays; the supported maximum is {MAX_RAYS}")
@@ -142,6 +137,11 @@ def build_context(fan: Fan) -> HilbertContext:
             f"fan has {len(fan.maximal_cones)} maximal cones; "
             f"the supported maximum is {MAX_CONES}"
         )
+    report = validate(fan)
+    if not report.ok:
+        raise ValueError(f"invalid fan: {report.first_violation}")
+    if not is_complete(fan):
+        raise ValueError("Hilbert context requires a complete fan")
     cone_masks = []
     for cone in fan.maximal_cones:
         m = 0

@@ -58,8 +58,8 @@ from .lattice import (
     minkowski_support,
 )
 
-# Refined normal fans with more maximal cones fail fast: random hypersurfaces
-# in (C*)^5 past it took minutes, in `validate` and in counting dilates.
+# Refined normal fans with more maximal cones fail fast: counting their dilates
+# in (C*)^5 took minutes; raising it waits on Fourier-Motzkin redundancy removal.
 MAX_ORBIT_CONES = 128
 
 _epq_memo: dict = {}

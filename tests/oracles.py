@@ -238,6 +238,88 @@ def maximal_minors_gcd(rows):
     return g
 
 
+# --- complete fans by pairs of cones and by ridges ----------------------------
+
+
+def _pairing(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _facet_normals(fan, cone):
+    """Inward facet normals of a full-dimensional pointed cone of the fan:
+    the extreme rays of its dual cone."""
+    return brute_extreme_rays([fan.rays[i] for i in cone], fan.dim)
+
+
+def first_bad_pair(fan):
+    """First pair of maximal cones, in index order, whose intersection is not
+    a face of both, or None when every pair meets in a common face.
+
+    Every maximal cone must be full-dimensional and generated by its extreme
+    rays.  The intersection's extreme rays I come from `brute_extreme_rays`
+    on the facet normals of both cones.  cone(I) is a face of a cone exactly
+    when the cone's rays that vanish on every normal vanishing on I are I.
+    A shortcut skips the enumeration: when a facet normal n of one cone is
+    nonpositive on the other cone and n = 0 holds the same rays of both,
+    the cones meet in the face that n = 0 cuts out of each.
+    """
+    normals = [_facet_normals(fan, cone) for cone in fan.maximal_cones]
+
+    def rays_on(tight, cone):
+        return {fan.rays[i] for i in cone if all(_pairing(n, fan.rays[i]) == 0 for n in tight)}
+
+    def split(cone_normals, cone, other):
+        return any(
+            all(_pairing(n, fan.rays[i]) <= 0 for i in other)
+            and rays_on([n], cone) == rays_on([n], other)
+            for n in cone_normals
+        )
+
+    def is_face(cone, cone_normals, inter):
+        tight = [n for n in cone_normals if all(_pairing(n, r) == 0 for r in inter)]
+        return rays_on(tight, cone) == set(inter)
+
+    for a, b in combinations(range(len(fan.maximal_cones)), 2):
+        ca, cb = fan.maximal_cones[a], fan.maximal_cones[b]
+        if split(normals[a], ca, cb) or split(normals[b], cb, ca):
+            continue
+        inter = brute_extreme_rays(normals[a] + normals[b], fan.dim)
+        if not (is_face(ca, normals[a], inter) and is_face(cb, normals[b], inter)):
+            return ca, cb
+    return None
+
+
+def complete_by_ridges(fan):
+    """Whether every maximal cone is full-dimensional, every ridge (facet of
+    a maximal cone, as a ray-index set) lies in exactly two maximal cones,
+    and the cones joined across ridges form one connected graph.
+
+    For a fan (see `first_bad_pair`) this says that it is complete.
+    """
+    cones = fan.maximal_cones
+    ranks_full = [len(c) >= fan.dim and maximal_minors_gcd([fan.rays[i] for i in c]) != 0
+                  for c in cones]
+    if not cones or not all(ranks_full):
+        return False
+    owners = {}
+    for idx, cone in enumerate(cones):
+        for n in _facet_normals(fan, cone):
+            ridge = frozenset(i for i in cone if _pairing(n, fan.rays[i]) == 0)
+            owners.setdefault(ridge, []).append(idx)
+    if any(len(pair) != 2 for pair in owners.values()):
+        return False
+    neighbours = {idx: set() for idx in range(len(cones))}
+    for a, b in owners.values():
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    seen, stack = {0}, [0]
+    while stack:
+        for nb in neighbours[stack.pop()] - seen:
+            seen.add(nb)
+            stack.append(nb)
+    return len(seen) == len(cones)
+
+
 # --- Hirzebruch-style chi_y for complete intersections in P^m ----------------
 
 

@@ -122,6 +122,24 @@ def test_exit_code_precondition(capsys):
     assert cli.main(["hodge-torus", data("quintic.json")]) == 3
 
 
+def test_fan_caps_come_before_validation(tmp_path, capsys, monkeypatch):
+    import toric_hodge.hilbert as hilbert_mod
+
+    # cones from (0, 2, 1) over a convex chain of 25 rays: a fan, but not a
+    # complete one, so validating it would compare all 276 pairs of cones
+    rays = [[0, 2, 1]] + [[i, i * i, 1] for i in range(-12, 13)]
+    cones = [[0, j, j + 1] for j in range(1, 25)]
+    doc = tmp_path / "chain.json"
+    doc.write_text(json.dumps({"fan": {"rays": rays, "max_cones": cones}, "supports": []}))
+
+    def no_validation(fan):
+        raise AssertionError("an oversized fan was validated")
+
+    monkeypatch.setattr(hilbert_mod, "validate", no_validation)
+    assert cli.main(["euler", str(doc)]) == 3
+    assert "fan has 26 rays; the supported maximum is 24" in capsys.readouterr().err
+
+
 def test_exit_code_negative_form_degree(capsys):
     for extra in ([], ["--json"]):
         assert cli.main(["euler", "-p", "-1", *extra, data("p2_cubic.json")]) == 3

@@ -1,5 +1,6 @@
 """Fan combinatorics: predicates, refinement, supports, orbits."""
 
+import math
 import random
 from itertools import combinations
 from math import gcd
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import toric_hodge.fans as fans_mod
 from toric_hodge.fans import (
     Fan,
     adapted_subfan,
@@ -24,9 +26,10 @@ from toric_hodge.fans import (
     simplicial_refinement,
     validate,
 )
-from toric_hodge.lattice import convex_hull, minkowski_support
+from toric_hodge.lattice import convex_hull, minkowski_support, primitive
 
 from helpers import (
+    apply_matrix,
     fan_octahedron,
     fan_p1,
     fan_p2,
@@ -41,7 +44,7 @@ from helpers import (
     simplex_support,
     unimodular_matrix,
 )
-from oracles import maximal_minors_gcd
+from oracles import complete_by_ridges, first_bad_pair, maximal_minors_gcd
 
 
 # --- validation --------------------------------------------------------------
@@ -242,7 +245,8 @@ def test_refinement_adds_no_rays_in_dimension_5():
 @st.composite
 def full_dimensional_polytopes(draw):
     # one support in dimension 4: the pulled fans of two such supports reach
-    # about 200 cones, where the pairwise `validate` takes seconds
+    # about 200 cones, where the pairwise oracles of the wall-certificate
+    # property below take seconds
     m = draw(st.integers(2, 4))
     point = st.tuples(*[st.integers(0, 2)] * m)
     supports = draw(
@@ -264,9 +268,156 @@ def test_refinement_of_normal_fans(delta):
     sub = simplicial_refinement(fan)
     assert sub.rays == fan.rays
     assert is_simplicial(sub) and is_complete(sub)
-    assert validate(sub).ok
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fans_mod, "_intersection_is_common_face", _no_pairwise_test)
+        assert validate(fan).ok and validate(sub).ok
     for cone in sub.maximal_cones:
         assert any(set(cone) <= set(old) for old in fan.maximal_cones)
+
+
+# --- the wall certificate of complete fans ------------------------------------
+
+
+def _no_pairwise_test(*args):
+    raise AssertionError("validate compared the cones of a complete fan in pairs")
+
+
+def test_complete_fans_skip_the_pairwise_test(monkeypatch):
+    monkeypatch.setattr(fans_mod, "_intersection_is_common_face", _no_pairwise_test)
+    complete = [fan_projective(m) for m in (1, 2, 3)] + [
+        fan_p1p1(), fan_p2p1(), fan_p3p1(), fan_p1p1p1(), fan_wps_1423(),
+        fan_octahedron(), polygon_fan(8), polygon_fan(14),
+    ]
+    for fan in complete:
+        assert validate(fan).ok and is_complete(fan)
+    # the patch is on the path that incomplete fans take
+    with pytest.raises(AssertionError, match="in pairs"):
+        validate(Fan(2, fan_p2().rays, fan_p2().maximal_cones[:2]))
+
+
+def _fan_of(dim, cones):
+    """Fan with the given maximal cones, each a list of ray vectors."""
+    rays = sorted({tuple(r) for cone in cones for r in cone})
+    index = {r: i for i, r in enumerate(rays)}
+    return Fan(dim, tuple(rays), tuple(tuple(index[tuple(r)] for r in c) for c in cones))
+
+
+def _cone_vectors(fan):
+    return [[fan.rays[i] for i in cone] for cone in fan.maximal_cones]
+
+
+# polytopes with vertices in more than dim facets, so that their normal fans
+# are not simplicial: octahedron, pyramid over a square, pyramid over an
+# octahedron
+_OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+_NON_SIMPLE = [
+    _OCTAHEDRON,
+    [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)],
+    [q + (0,) for q in _OCTAHEDRON] + [(0, 0, 0, 1)],
+]
+
+
+@st.composite
+def non_simple_polytopes(draw):
+    """A polytope of `_NON_SIMPLE` in random lattice coordinates."""
+    pts = draw(st.sampled_from(_NON_SIMPLE))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    mat = unimodular_matrix(len(pts[0]), rng, steps=3)
+    return convex_hull([apply_matrix(mat, q) for q in pts])
+
+
+@st.composite
+def altered_normal_fans(draw):
+    """A normal fan, pulled or not, as it is, without one maximal cone, with
+    that cone alone, or with a simplicial cone flipped across a wall (one
+    ray replaced by its negative)."""
+    delta = draw(st.one_of(full_dimensional_polytopes(), non_simple_polytopes()))
+    fan = normal_fan(delta, delta.dim)
+    if draw(st.booleans()):
+        fan = simplicial_refinement(fan)
+    cones = _cone_vectors(fan)
+    change = draw(st.sampled_from(["flip", "drop", "alone", "none"]))
+    simplicial = [i for i, cone in enumerate(cones) if len(cone) == fan.dim]
+    pool = simplicial if change == "flip" and simplicial else range(len(cones))
+    i = draw(st.sampled_from(pool))
+    if change == "drop":
+        del cones[i]
+    elif change == "alone":
+        cones = [cones[i]]
+    elif change == "flip" and simplicial:
+        j = draw(st.integers(0, fan.dim - 1))
+        cones[i][j] = tuple(-x for x in cones[i][j])
+    return _fan_of(fan.dim, cones)
+
+
+_DIRECTIONS = sorted(
+    {primitive((x, y)) for x in range(-3, 4) for y in range(-3, 4) if (x, y) != (0, 0)},
+    key=lambda r: math.atan2(r[1], r[0]),
+)
+
+
+@st.composite
+def polygon_coverings(draw):
+    """Cones over the pairs (r_i, r_{i+step}) of rays in angle order: step 1
+    gives a complete fan, step 2 covers the plane twice (one cycle for an odd
+    number of rays, two interleaved polygons for an even one)."""
+    rays = sorted(
+        draw(st.sets(st.sampled_from(_DIRECTIONS), min_size=4, max_size=10)),
+        key=_DIRECTIONS.index,
+    )
+    step = draw(st.sampled_from([1, 2]))
+    cones = [[a, rays[(i + step) % len(rays)]] for i, a in enumerate(rays)]
+    assume(all(a[0] * b[1] - a[1] * b[0] > 0 for a, b in cones))  # each under a half-turn
+    return _fan_of(2, cones)
+
+
+@st.composite
+def projective_fans_with_inner_cone(draw):
+    """P^2 or P^3 plus the cone over m - 1 unit rays and a positive ray,
+    which lies inside cone(e_1..e_m)."""
+    m = draw(st.integers(2, 3))
+    w = primitive(draw(st.tuples(*[st.integers(1, 3)] * m)))
+    units = draw(st.permutations(range(m)))[: m - 1]
+    inner = [tuple(int(i == j) for i in range(m)) for j in units] + [w]
+    return _fan_of(m, _cone_vectors(fan_projective(m)) + [inner])
+
+
+def _octagon_covering(step):
+    """Cones over (r_i, r_{i+step}) of the 8 rays of `polygon_fan(8)`, each
+    under a half-turn, covering the plane `step` times."""
+    rays = polygon_fan(8).rays  # in angle order
+    return _fan_of(2, [[rays[i], rays[(i + step) % 8]] for i in range(8)])
+
+
+def _check_wall_certificate(fan):
+    # validate keeps its verdict and message; is_complete is the certificate
+    bad = first_bad_pair(fan)
+    report = validate(fan)
+    if bad is None:
+        assert report.ok
+    else:
+        assert report.problems == (f"cones {bad[0]} and {bad[1]} do not meet in a common face",)
+    assert is_complete(fan) == (bad is None and complete_by_ridges(fan))
+
+
+@given(altered_normal_fans())
+@settings(max_examples=80, deadline=None)
+@example(fan_octahedron())
+@example(_fan_of(3, _cone_vectors(fan_octahedron())[1:]))
+def test_wall_certificate_on_normal_fans(fan):
+    _check_wall_certificate(fan)
+
+
+@given(st.one_of(polygon_coverings(), projective_fans_with_inner_cone()))
+@settings(max_examples=60, deadline=None)
+@example(_octagon_covering(2))
+@example(_octagon_covering(3))
+@example(Fan(2, ((1, 0), (0, 1)), ((0, 1),)))
+# every ray in two cones, (1, 1) in the first cone only, but the rays (1, 2)
+# and (0, 1) each bound two cones on the same side
+@example(_fan_of(2, [[(1, 0), (0, 1)], [(1, 2), (0, 1)], [(1, 2), (-2, -1)], [(-2, -1), (1, 0)]]))
+def test_wall_certificate_on_overlapping_fans(fan):
+    _check_wall_certificate(fan)
 
 
 # --- supports, degrees, adaptedness ------------------------------------------
