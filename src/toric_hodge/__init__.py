@@ -33,7 +33,7 @@ from .forms import (
     chi_tensor,
     y_truncated_expand,
 )
-from .hilbert import HilbertContext, build_context, chi_structure_sheaf, h_of_s, n_I_s
+from .hilbert import HilbertContext, build_context, chi_structure_sheaf, h_of_s
 from .hodge import clear_epq_memo, epq_c_ci, epq_torus, hodge_compact
 from .hodge_tables import EPQTable, zero_table
 from .lattice import (
@@ -42,7 +42,6 @@ from .lattice import (
     RationalPolyhedron,
     affine_lattice_reduction,
     convex_hull,
-    lattice_points,
     minkowski_support,
     primitive,
 )
@@ -92,9 +91,7 @@ __all__ = [
     "is_complete",
     "is_regular",
     "is_simplicial",
-    "lattice_points",
     "minkowski_support",
-    "n_I_s",
     "normal_fan",
     "orbit_problem",
     "primitive",

@@ -28,7 +28,6 @@ from .fans import (
     TorusCIProblem,
     adapted_subfan,
     degrees_of,
-    is_complete,
     is_regular,
     is_simplicial,
     validate,
@@ -68,7 +67,8 @@ def _load_json(path):
 
 
 def _int_vector(obj, what):
-    if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+    # type, not isinstance: JSON true and false are bools, a subclass of int
+    if not isinstance(obj, list) or not all(type(x) is int for x in obj):
         raise InputError(f"{what} must be an array of integers")
     return tuple(obj)
 
@@ -134,7 +134,7 @@ def load_document(path) -> ProblemDocument:
         supports = _parse_supports(doc.get("supports", []), fan.dim)
         return ProblemDocument(kind="fan", fan=fan, supports=supports)
     if shape == "dim":
-        if not isinstance(doc["dim"], int) or doc["dim"] < 0:
+        if type(doc["dim"]) is not int or doc["dim"] < 0:
             raise InputError("dim must be a nonnegative integer")
         supports = _parse_supports(doc.get("supports", []), doc["dim"])
         return ProblemDocument(kind="torus", dim=doc["dim"], supports=supports)
@@ -190,14 +190,15 @@ def cmd_fan_check(args) -> int:
     _require(doc, "fan", "fan-check")
     fan = doc.fan
     report = validate(fan)
-    flags = {"valid": report.ok, "complete": False, "simplicial": False, "regular": False}
+    flags = {
+        "valid": report.ok,
+        "complete": report.complete,
+        "simplicial": report.ok and is_simplicial(fan),
+        "regular": report.ok and is_regular(fan),
+    }
     adapted = None
-    if report.ok:
-        flags["complete"] = is_complete(fan)
-        flags["simplicial"] = is_simplicial(fan)
-        flags["regular"] = is_regular(fan)
-        if doc.supports:
-            adapted = adapted_subfan(fan, doc.supports).whole_fan
+    if report.ok and doc.supports:
+        adapted = adapted_subfan(fan, doc.supports).whole_fan
     if args.json:
         payload = dict(flags)
         payload["adapted"] = adapted

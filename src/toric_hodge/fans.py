@@ -190,6 +190,7 @@ def all_cones(fan: Fan):
 class ValidationReport:
     ok: bool
     problems: tuple
+    complete: bool = False  # ok, and the wall certificate of `is_complete` held
 
     @property
     def first_violation(self):
@@ -201,7 +202,10 @@ def validate(fan: Fan) -> ValidationReport:
 
     A fan that passes the wall certificate of `is_complete` (every wall in
     two cones on opposite sides, one generic vector in one cone; DLRS ch. 4)
-    is complete; only other fans have every pair of cones intersected.
+    is complete, and its report says so; only other fans have every pair of
+    cones intersected.  A ray of a cone with dependent rays is redundant
+    when the constraints tight at it (equalities included) have rank below
+    dim - 1, i.e. it spans no edge (Ziegler, *Lectures on Polytopes*, sec. 2).
     """
     problems = []
     seen = set()
@@ -231,16 +235,15 @@ def validate(fan: Fan) -> ValidationReport:
         used.update(cone)
         if cone:
             eqs, ineqs = cone_hrep(fan, cone)
-            hrep_rank = rank_of([list(e) for e in eqs] + [list(n) for n in ineqs])
-            if hrep_rank < fan.dim:
+            if rank_of(eqs + ineqs) < fan.dim:
                 problems.append(f"cone {cone} is not strongly convex")
                 continue
-            for i in cone:
-                others = tuple(j for j in cone if j != i)
-                if others and cone_contains(fan, others, fan.rays[i]):
-                    problems.append(
-                        f"ray {i} is redundant in cone {cone}"
-                    )
+            rays = tuple(fan.rays[i] for i in cone)
+            if _cone_lattice(fan.dim, rays).rank == len(cone):
+                continue
+            for i, ray in zip(cone, rays):
+                if rank_of([n for n in eqs + ineqs if dot(n, ray) == 0]) < fan.dim - 1:
+                    problems.append(f"ray {i} is redundant in cone {cone}")
     if problems:
         return ValidationReport(False, tuple(problems))
 
@@ -250,7 +253,7 @@ def validate(fan: Fan) -> ValidationReport:
         return ValidationReport(False, tuple(problems))
 
     if is_complete(fan):
-        return ValidationReport(True, ())
+        return ValidationReport(True, (), complete=True)
     for ca, cb in combinations(fan.maximal_cones, 2):
         if not _intersection_is_common_face(fan, ca, cb):
             problem = f"cones {ca} and {cb} do not meet in a common face"

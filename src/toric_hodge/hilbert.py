@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import ConsistencyError
-from .fans import Fan, is_complete, validate, is_simplicial
+from .fans import Fan, validate, is_simplicial
 from .lattice import (
     RationalPolyhedron,
     count_lattice_points,
@@ -71,9 +71,6 @@ class HilbertContext:
         rows = list(zip(*fan.rays))  # P^T
         self._right = row_lattice(rows, self.r).right  # U
         self._lower = [vec_mat(row, self._right)[: fan.dim] for row in rows]  # L
-
-    def chi_of_mask(self, mask: int) -> int:
-        return sum(c for s, c in self.c_table.items() if s & mask == s)
 
     def class_key(self, s) -> tuple:
         """Canonical representative of the class of s in Z^r / P Z^n.
@@ -140,7 +137,7 @@ def build_context(fan: Fan) -> HilbertContext:
     report = validate(fan)
     if not report.ok:
         raise ValueError(f"invalid fan: {report.first_violation}")
-    if not is_complete(fan):
+    if not report.complete:
         raise ValueError("Hilbert context requires a complete fan")
     cone_masks = []
     for cone in fan.maximal_cones:
@@ -160,53 +157,6 @@ def _halfspaces(ctx: HilbertContext, s):
         ((tuple(ray), -s[j]), (tuple(-x for x in ray), s[j] + 1))
         for j, ray in enumerate(ctx.fan.rays)
     ]
-
-
-def _as_mask(ctx: HilbertContext, subset) -> int:
-    if isinstance(subset, int):
-        if not 0 <= subset < 1 << ctx.r:
-            raise ValueError("ray index out of range")
-        return subset
-    m = 0
-    for j in subset:
-        if j < 0 or j >= ctx.r:
-            raise ValueError("ray index out of range")
-        m |= 1 << j
-    return m
-
-
-def _count_region(ctx: HilbertContext, mask: int, cons) -> int:
-    """Lattice points of the region of `mask`, given its constraints in ray order.
-
-    An unbounded region has no finite count and raises (a ConsistencyError
-    when chi of the ray set is nonzero, since completeness of the fan is
-    supposed to rule that out).
-    """
-    bounded, count = count_lattice_points(RationalPolyhedron(tuple(cons), ctx.fan.dim))
-    if not bounded:
-        if ctx.chi_of_mask(mask) != 0:
-            raise ConsistencyError(
-                f"unbounded region with nonzero chi for ray set {bin(mask)}"
-            )
-        raise ValueError("region is unbounded; the count is not finite")
-    return count
-
-
-def n_I_s(ctx: HilbertContext, subset, s) -> int:
-    """Number of q with <p_j, q> >= -s_j exactly for the rays in `subset`.
-
-    `subset` is a ray bitmask or an iterable of ray indices.  The region is
-    counted exactly; see `_count_region` for unbounded regions.
-    """
-    mask = _as_mask(ctx, subset)
-    s = tuple(s)
-    if len(s) != ctx.r:
-        raise ValueError("s-vector length must match the number of rays")
-    cons = (
-        pair[0] if mask >> j & 1 else pair[1]
-        for j, pair in enumerate(_halfspaces(ctx, s))
-    )
-    return _count_region(ctx, mask, cons)
 
 
 def _split(table, bit):
@@ -253,7 +203,12 @@ def h_of_s(ctx: HilbertContext, s) -> int:
 
     def walk(j, table, mask):
         if j == r:
-            return table[0] * _count_region(ctx, mask, cons)
+            bounded, count = count_lattice_points(RationalPolyhedron(tuple(cons), dim))
+            if not bounded:  # completeness bounds every region with nonzero chi
+                raise ConsistencyError(
+                    f"unbounded region with nonzero chi for ray set {bin(mask)}"
+                )
+            return table[0] * count
         bit = 1 << j
         inside, outside = _split(table, bit)
         if inside and outside and cons:

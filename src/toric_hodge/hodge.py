@@ -43,7 +43,6 @@ from .fans import (
     TorusCIProblem,
     all_cones,
     degrees_of,
-    is_complete,
     is_simplicial,
     normal_fan,
     orbit_problem,
@@ -150,7 +149,7 @@ def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
             f"the supported maximum is {MAX_ORBIT_CONES}"
         )
     report = validate(fan)
-    if not (report.ok and is_complete(fan)):
+    if not report.complete:
         raise ConsistencyError(
             f"refined normal fan is invalid: {report.first_violation or 'not complete'}"
         )
@@ -230,7 +229,7 @@ def hodge_compact(fan: Fan, supports) -> EPQTable:
     report = validate(fan)
     if not report.ok:
         raise ValueError(f"invalid fan: {report.first_violation}")
-    if not is_complete(fan):
+    if not report.complete:
         raise ValueError("hodge_compact requires a complete fan")
     if not is_simplicial(fan):
         raise ValueError("hodge_compact requires a simplicial fan")

@@ -11,12 +11,12 @@ elimination for coordinate projections) is written for desk-scale inputs:
 dimensions up to about 6 and a few dozen constraints, which is all the
 counting formulas downstream ever need.
 
-Lattice points come from one cascade of exact Fourier-Motzkin projections.
-`lattice_points` sweeps it to the last coordinate.  `count_lattice_points`
-sweeps only its outer dim - 2 levels and counts the last two coordinates
-in closed form: each envelope piece of the bounds is one floor sum
-sum floor((a*i + b) / m), computed by a Euclid-like reduction (Beck and
-Robins, *Computing the Continuous Discretely*, ch. 1 and 8).
+Lattice points are counted from one cascade of exact Fourier-Motzkin
+projections.  `count_lattice_points` sweeps its outer dim - 2 levels and
+counts the last two coordinates in closed form: each envelope piece of
+the bounds is one floor sum sum floor((a*i + b) / m), computed by a
+Euclid-like reduction (Beck and Robins, *Computing the Continuous
+Discretely*, ch. 1 and 8).
 """
 
 from __future__ import annotations
@@ -452,9 +452,8 @@ def _prefixes(levels, depth):
     """Integer points of the projection onto the first `depth` coordinates.
 
     Sweeps levels[0 .. depth-1] in lexicographic order, each coordinate over
-    its interval given the ones before it; with depth = dim these are the
-    points of the system itself.  Every point is the same list, refilled;
-    copy it to keep it.
+    its interval given the ones before it.  Every point is the same list,
+    refilled; copy it to keep it.
     """
     prefix = []
 
@@ -552,34 +551,15 @@ def _count_plane(outer, sides, prefix):
     return total
 
 
-def lattice_points(region: RationalPolyhedron):
-    """All integer points of a polyhedron, or an unbounded flag.
-
-    Boundedness is decided exactly from the recession cone of the constraint
-    system (pointedness via double description, cached per normal set).
-    The exact Fourier-Motzkin projections give the interval of every
-    coordinate over the points before it, and at the innermost level that
-    interval is the exact membership test.  Returns (bounded, points);
-    points are sorted lexicographically.
-    """
-    if not recession_is_trivial(region):
-        return False, []
-    cons, dim = region.constraints, region.dim
-    if dim == 0:
-        return True, ([()] if all(b <= 0 for _, b in cons) else [])
-    levels = _cascade(cons, dim)
-    if levels is None:
-        return True, []
-    return True, [tuple(p) for p in _prefixes(levels, dim)]
-
-
 def count_lattice_points(region: RationalPolyhedron):
     """Number of integer points of a polyhedron, or an unbounded flag.
 
-    The cascade of `lattice_points`, swept over its outer dim - 2 levels
-    only; for each outer prefix the last two coordinates are counted in
-    closed form by floor sums (`_count_plane`), so a 2-D region costs the
-    same however large it is.  Returns (bounded, count).
+    Boundedness is decided exactly from the recession cone (pointedness via
+    double description, cached per normal set).  The Fourier-Motzkin
+    cascade is swept over its outer dim - 2 levels only; for each outer
+    prefix the last two coordinates are counted in closed form by floor
+    sums (`_count_plane`), so a 2-D region costs the same however large it
+    is.  Returns (bounded, count).
     """
     if not recession_is_trivial(region):
         return False, 0

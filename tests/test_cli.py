@@ -114,6 +114,28 @@ def test_exit_code_float_rejected(capsys):
     assert cli.main(["wps", "hodge", data("float_degrees.json")]) == 2
 
 
+_P2 = {"rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}
+BOOLEAN_CASES = {
+    "rays": (["fan-check"], {"fan": dict(_P2, rays=[[1, 0], [0, True], [-1, -1]])}),
+    "max_cones": (["fan-check"], {"fan": dict(_P2, max_cones=[[0, 1], [1, 2], [0, True]])}),
+    "supports": (["hodge"], {"fan": _P2, "supports": [[[0, 0], [True, 0]]]}),
+    "dim": (["hodge-torus"], {"dim": True, "supports": [[[0], [1]]]}),
+    "weights": (["wps", "hodge"], {"weights": [1, 1, True], "degrees": [3]}),
+    "degrees": (["wps", "hodge"], {"weights": [1, 1, 1], "degrees": [True]}),
+}
+
+
+@pytest.mark.parametrize("field", BOOLEAN_CASES)
+def test_exit_code_boolean_rejected(field, tmp_path, capsys):
+    # JSON true is a Python bool, which isinstance counts as an int
+    command, doc = BOOLEAN_CASES[field]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "integer" in captured.err and captured.out == ""
+
+
 def test_exit_code_precondition(capsys):
     # a fan that is not complete cannot feed the Euler machinery
     assert cli.main(["euler", data("open_cone.json")]) == 3

@@ -1,7 +1,9 @@
 """Fan combinatorics: predicates, refinement, supports, orbits."""
 
+import json
 import math
 import random
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -10,8 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import toric_hodge.fans as fans_mod
+from toric_hodge import cli
 from toric_hodge.fans import (
     Fan,
+    TorusCIProblem,
     adapted_subfan,
     all_cones,
     cone_contains,
@@ -26,6 +30,8 @@ from toric_hodge.fans import (
     simplicial_refinement,
     validate,
 )
+from toric_hodge.hilbert import build_context
+from toric_hodge.hodge import clear_epq_memo, epq_c_ci, hodge_compact
 from toric_hodge.lattice import convex_hull, minkowski_support, primitive
 
 from helpers import (
@@ -44,7 +50,12 @@ from helpers import (
     simplex_support,
     unimodular_matrix,
 )
-from oracles import complete_by_ridges, first_bad_pair, maximal_minors_gcd
+from oracles import (
+    brute_extreme_rays,
+    complete_by_ridges,
+    first_bad_pair,
+    maximal_minors_gcd,
+)
 
 
 # --- validation --------------------------------------------------------------
@@ -83,6 +94,109 @@ def test_validate_redundant_generator():
     report = validate(fan)
     assert not report.ok
     assert "redundant" in report.first_violation
+
+
+@st.composite
+def pointed_cones(draw):
+    """3-7 distinct primitive rays spanning a pointed full-dimensional cone in
+    Z^2..Z^4: drawn above the hyperplane x_dim = 0, some as sums of two
+    earlier rays (redundant by construction), then moved by a unimodular map."""
+    dim = draw(st.integers(2, 4))
+    coord = st.integers(-3, 3)
+    rays = []
+    for _ in range(draw(st.integers(3, 7))):
+        if len(rays) >= 2 and draw(st.booleans()):
+            a, b = draw(st.sampled_from(list(combinations(rays, 2))))
+            ray = tuple(x + y for x, y in zip(a, b))
+        else:
+            ray = draw(st.tuples(*[coord] * (dim - 1), st.integers(1, 3)))
+        rays.append(primitive(ray))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    mat = unimodular_matrix(dim, rng, steps=2)
+    rays = list(dict.fromkeys(apply_matrix(mat, r) for r in rays))
+    assume(len(rays) >= max(3, dim) and maximal_minors_gcd(rays) != 0)  # full-dimensional
+    return dim, rays
+
+
+@given(pointed_cones())
+@settings(max_examples=200, deadline=None)
+@example((2, [(1, 0), (0, 1), (1, 1)]))
+@example((3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)]))
+@example((3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]))  # dependent, none redundant
+@example((4, [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1),
+             (0, 0, -1, 1)]))  # over an octahedron: none redundant
+def test_redundant_rays_match_the_extreme_rays(case):
+    # facet normals are the extreme rays of the dual cone, and the extreme
+    # rays of the cone those normals cut out are the irredundant rays; the
+    # same rays in the hyperplane x_{dim+1} = 0 of Z^{dim+1} give a cone with
+    # an equality and the same redundant rays
+    dim, rays = case
+    facets = brute_extreme_rays(rays, dim)
+    extreme = set(brute_extreme_rays(facets, dim))
+    cone = tuple(range(len(rays)))
+    expected = [f"ray {i} is redundant in cone {cone}" for i in cone if rays[i] not in extreme]
+    for fan in (Fan(dim, rays, (cone,)), Fan(dim + 1, [r + (0,) for r in rays], (cone,))):
+        report = validate(fan)
+        assert [p for p in report.problems if "redundant" in p] == expected
+        assert report.ok == (not expected) and not report.complete
+
+
+def test_simplicial_fans_build_maximal_cone_hreps_only():
+    # a (C*)^4 hypersurface: 7 cones, not all simplicial, pulled into 26
+    support = [(0, 1, 2, 2), (0, 2, 0, 2), (0, 2, 2, 1), (1, 0, 1, 0), (1, 0, 1, 1),
+               (2, 1, 1, 0), (2, 2, 0, 1)]
+    fan = simplicial_refinement(normal_fan(minkowski_support([support]), 4))
+    assert is_simplicial(fan) and len(fan.maximal_cones) == 26
+    fans_mod._cone_hrep.cache_clear()
+    assert validate(fan).complete
+    assert fans_mod._cone_hrep.cache_info().misses == len(fan.maximal_cones)
+
+
+def _count_certificates(monkeypatch):
+    """Record every fan the wall certificate runs on, wherever it is imported."""
+    import toric_hodge.hilbert as hilbert_mod
+    import toric_hodge.hodge as hodge_mod
+
+    calls = []
+    certificate = fans_mod.is_complete
+
+    def counted(fan):
+        calls.append(fan)
+        return certificate(fan)
+
+    for mod in (fans_mod, hilbert_mod, hodge_mod, cli):
+        if hasattr(mod, "is_complete"):
+            monkeypatch.setattr(mod, "is_complete", counted)
+    return calls
+
+
+def _once_each(calls):
+    # the recorded fans stay alive, so distinct fans have distinct ids
+    return bool(calls) and set(Counter(map(id, calls)).values()) == {1}
+
+
+def test_the_wall_certificate_runs_once_per_checked_fan(monkeypatch, tmp_path, capsys):
+    calls = _count_certificates(monkeypatch)
+    fan = fan_p2()
+    build_context(fan)
+    assert calls == [fan]
+
+    calls.clear()
+    clear_epq_memo()
+    hodge_compact(fan, [simplex_support(2, 3)])
+    assert calls[0] is fan and _once_each(calls)
+
+    calls.clear()
+    clear_epq_memo()
+    epq_c_ci(TorusCIProblem(m=3, supports=(simplex_support(3, 2),)))
+    assert _once_each(calls)
+
+    calls.clear()
+    doc = tmp_path / "p2.json"
+    doc.write_text(json.dumps({"fan": {"rays": fan.rays, "max_cones": fan.maximal_cones}}))
+    assert cli.main(["fan-check", str(doc)]) == 0
+    assert capsys.readouterr().out == "complete simplicial regular\n"
+    assert calls == [fan]
 
 
 def test_validate_rejects_overlap_among_known_cones():
@@ -390,7 +504,7 @@ def _octagon_covering(step):
 
 
 def _check_wall_certificate(fan):
-    # validate keeps its verdict and message; is_complete is the certificate
+    # validate keeps its verdict and message, and its `complete` is the certificate
     bad = first_bad_pair(fan)
     report = validate(fan)
     if bad is None:
@@ -398,6 +512,7 @@ def _check_wall_certificate(fan):
     else:
         assert report.problems == (f"cones {bad[0]} and {bad[1]} do not meet in a common face",)
     assert is_complete(fan) == (bad is None and complete_by_ridges(fan))
+    assert report.complete == (bad is None and complete_by_ridges(fan))
 
 
 @given(altered_normal_fans())
