@@ -41,8 +41,25 @@ def _binomial_coeff(e: int, j: int) -> int:
     return (-1) ** j * comb(-e + j - 1, j)
 
 
+# Expansions with more terms fail fast: the tensor series of a plane cubic at
+# p = 40 has about 400,000 terms and takes seconds, at p = 300 it would run
+# for many minutes.
+MAX_SERIES_TERMS = 500_000
+
+
+def _check_terms(terms):
+    if len(terms) > MAX_SERIES_TERMS:
+        raise ValueError(
+            f"series expansion has {len(terms)} terms so far; "
+            f"the supported maximum is {MAX_SERIES_TERMS}"
+        )
+
+
 def _multiply(a, b, p: int):
-    """Product of two term dicts modulo y^(p+1), without zero terms."""
+    """Product of two term dicts modulo y^(p+1), without zero terms.
+
+    Raises ValueError as soon as the product passes MAX_SERIES_TERMS terms.
+    """
     out = {}
     for (e1, j1), c1 in a.items():
         for (e2, j2), c2 in b.items():
@@ -51,6 +68,7 @@ def _multiply(a, b, p: int):
                 continue
             key = (tuple(x + y for x, y in zip(e1, e2)), j)
             out[key] = out.get(key, 0) + c1 * c2
+        _check_terms(out)
     return {k: v for k, v in out.items() if v}
 
 
@@ -138,6 +156,7 @@ def _factors(ctx, degrees, kind: str, p: int):
         for _ in range(p):
             power = _multiply(power, y_form, p)
             inverse.update(power)
+            _check_terms(inverse)
         return [binomial(-1, 0, d) for d in rows] + [inverse]
     raise ValueError(f"unknown form kind {kind!r}")
 

@@ -24,9 +24,12 @@ degree rows d_1..d_k is the alternating sum of H over subset sums of the
 The sum is not taken over all 2^r ray sets.  `h_of_s` walks the cells of
 the arrangement of the hyperplanes <p_j, q> = -s_j depth first, deciding
 the rays in index order, and carries the c_S reduced to the rays not yet
-decided.  A branch is cut when that table is empty (every chi below it is
-zero) or, where both children are still chi-live, when the constraints
-decided so far have no rational solution.  The regions of a fixed
+decided together with the Fourier-Motzkin cascade of the constraints
+decided so far.  A child extends its parent's cascade by the one row it
+adds (`extend_cascade`), so no node eliminates from scratch (the reverse
+search cell enumeration of Avis and Fukuda, 1996).  A branch is cut when
+its table is empty (every chi below it is zero) or when its cascade shows
+the constraints without a rational solution.  The regions of a fixed
 dimension m meet O(r^m) cells, far fewer than 2^r.
 
 H(s) depends only on the divisor class of s in Cl = Z^r / P Z^n, P the
@@ -42,9 +45,9 @@ from itertools import combinations
 from .errors import ConsistencyError
 from .fans import Fan, validate, is_simplicial
 from .lattice import (
-    RationalPolyhedron,
-    count_lattice_points,
-    is_feasible,
+    _count_levels,
+    extend_cascade,
+    recession_is_trivial,
     row_lattice,
     vec_mat,
 )
@@ -181,14 +184,15 @@ def h_of_s(ctx: HilbertContext, s) -> int:
     """H(s) = sum over I with chi_I != 0 of chi_I * n_{I,s}.
 
     Depth-first walk over the rays in index order.  A node at depth j has
-    decided for the rays before j whether they lie in I, and carries their
-    constraints and the c_S reduced to the undecided rays (`_split`).  An
-    empty table means chi is zero on the whole branch; at a leaf the table
-    is {0: chi_I} and the region is counted from the constraints the walk
-    carries.  Rational feasibility is only tested at a fork, where both
-    children are live: a lone live child is checked by the next fork or by
-    the leaf's count.  H is memoized per divisor class of s (`class_key`),
-    so linearly equivalent s are walked once.
+    decided for the rays before j whether they lie in I, and carries the
+    Fourier-Motzkin cascade of their constraints and the c_S reduced to
+    the undecided rays (`_split`).  An empty table means chi is zero on the
+    whole branch.  Every live child extends its parent's cascade by its
+    one row and is dropped when the extension shows it empty.  At a leaf
+    the table is {0: chi_I}, the region is checked bounded from its
+    normals and counted from the carried cascade.  H is memoized per
+    divisor class of s (`class_key`), so linearly equivalent s are walked
+    once.
     """
     s = tuple(s)
     if len(s) != ctx.r:
@@ -199,33 +203,27 @@ def h_of_s(ctx: HilbertContext, s) -> int:
         return cached
     r, dim = ctx.r, ctx.fan.dim
     halfspaces = _halfspaces(ctx, s)
-    cons = []
 
-    def walk(j, table, mask):
+    def walk(j, table, mask, levels):
         if j == r:
-            bounded, count = count_lattice_points(RationalPolyhedron(tuple(cons), dim))
-            if not bounded:  # completeness bounds every region with nonzero chi
+            if not recession_is_trivial(levels[-1] if dim else (), dim):
+                # completeness bounds every region with nonzero chi
                 raise ConsistencyError(
                     f"unbounded region with nonzero chi for ray set {bin(mask)}"
                 )
-            return table[0] * count
+            return table[0] * _count_levels([level.items() for level in levels], dim)
         bit = 1 << j
-        inside, outside = _split(table, bit)
-        if inside and outside and cons:
-            if not is_feasible(RationalPolyhedron(tuple(cons), dim)):
-                return 0
         total = 0
-        for child, con, child_mask in (
-            (inside, halfspaces[j][0], mask | bit),
-            (outside, halfspaces[j][1], mask),
+        for child, (normal, bound), child_mask in zip(
+            _split(table, bit), halfspaces[j], (mask | bit, mask)
         ):
             if child:
-                cons.append(con)
-                total += walk(j + 1, child, child_mask)
-                cons.pop()
+                child_levels = extend_cascade(levels, normal, bound)
+                if child_levels is not None:
+                    total += walk(j + 1, child, child_mask, child_levels)
         return total
 
-    total = walk(0, ctx.c_table, 0)
+    total = walk(0, ctx.c_table, 0, [{}] * dim)
     ctx._h_memo[key] = total
     return total
 

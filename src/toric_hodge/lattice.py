@@ -12,8 +12,13 @@ dimensions up to about 6 and a few dozen constraints, which is all the
 counting formulas downstream ever need.
 
 Lattice points are counted from one cascade of exact Fourier-Motzkin
-projections.  `count_lattice_points` sweeps its outer dim - 2 levels and
-counts the last two coordinates in closed form: each envelope piece of
+projections.  `count_lattice_points` builds the cascade of a whole system
+(`_cascade`); `extend_cascade` grows a carried cascade by one row,
+combining at each level only the rows that are new or tighter, so a walk
+that adds one constraint per step never eliminates from scratch
+(Schrijver, *Theory of Linear and Integer Programming*, section 12.2).
+Either way one sweep (`_count_levels`) runs over the outer dim - 2 levels
+and counts the last two coordinates in closed form: each envelope piece of
 the bounds is one floor sum sum floor((a*i + b) / m), computed by a
 Euclid-like reduction (Beck and Robins, *Computing the Continuous
 Discretely*, ch. 1 and 8).
@@ -328,20 +333,72 @@ def _recession_trivial_cached(normals, dim) -> bool:
     return not cone_extreme_rays(normals, dim)
 
 
-def recession_is_trivial(region: RationalPolyhedron) -> bool:
-    """Exact test that {x : <normal,x> >= 0 for all constraints} = {0}.
+def recession_is_trivial(normals, dim) -> bool:
+    """Exact test that {x : <normal,x> >= 0 for all normals} = {0}.
 
-    The answer depends only on the constraint normals, so it is cached;
+    The answer depends only on the set of normals, so it is cached;
     counting the same combinatorial region for many different bounds pays
     for the cone computation once.
     """
-    normals = tuple(sorted(n for n, _ in region.constraints))
-    return _recession_trivial_cached(normals, region.dim)
+    return _recession_trivial_cached(tuple(sorted(normals)), dim)
 
 
 # Fourier-Motzkin steps that combine more row pairs fail fast: one step of
 # 6.9 million pairs (a 4-D Minkowski sum with 31 facets) took 38 s and 1.4 GB.
 MAX_FM_PAIRS = 200_000
+
+
+def _check_pairs(pairs):
+    if pairs > MAX_FM_PAIRS:
+        raise ValueError(
+            f"Fourier-Motzkin step combines {pairs} pairs of rows; "
+            f"the supported maximum is {MAX_FM_PAIRS}"
+        )
+
+
+def _combine(lower, upper, k):
+    """Rows free of coordinate k, one per (lower, upper) pair of rows.
+
+    A lower row has n[k] > 0 and an upper row n[k] < 0; their positive
+    combination |c_upper| * lower + c_lower * upper cancels coordinate k.
+    """
+    out = []
+    for nl, bl in lower:
+        cl, head = nl[k], nl[:k]
+        for nu, bu in upper:
+            cu = -nu[k]
+            n = tuple([cu * x + cl * y for x, y in zip(head, nu)])
+            out.append((n, cu * bl + cl * bu))
+    return out
+
+
+def _merge(rows, level):
+    """Merge integer rows into a level {normal: bound}, keeping the tightest bound.
+
+    A zero row that holds is dropped; one that fails makes the system
+    empty, and the result is None.  A normal is divided by its gcd only
+    when the gcd divides the bound, so bounds stay exact.  `level` itself
+    is left as it is: it is copied when it first gains a row.  Returns
+    (merged, fresh), where `fresh` is the set of normals that are new or
+    tighter; `merged` is `level` when `fresh` is empty.
+    """
+    merged, fresh = level, set()
+    for n, b in rows:
+        if not any(n):
+            if b > 0:
+                return None
+            continue
+        g = gcd(*n)
+        if g > 1 and b % g == 0:
+            n = tuple(x // g for x in n)
+            b //= g
+        cur = merged.get(n)
+        if cur is None or b > cur:
+            if merged is level:
+                merged = dict(level)
+            merged[n] = b
+            fresh.add(n)
+    return merged, fresh
 
 
 def _fm_eliminate_last(constraints, dim):
@@ -361,46 +418,9 @@ def _fm_eliminate_last(constraints, dim):
             upper.append((n, b))
         else:
             out.append((n[:k], b))
-    if len(lower) * len(upper) > MAX_FM_PAIRS:
-        raise ValueError(
-            f"Fourier-Motzkin step combines {len(lower) * len(upper)} pairs of rows; "
-            f"the supported maximum is {MAX_FM_PAIRS}"
-        )
-    for nl, bl in lower:
-        cl = nl[k]
-        for nu, bu in upper:
-            cu = -nu[k]
-            n = tuple(cu * x + cl * y for x, y in zip(nl[:k], nu[:k]))
-            out.append((n, cu * bl + cl * bu))
-    norm = {}
-    for n, b in out:
-        if not any(n):
-            if b > 0:
-                return None
-            continue
-        g = gcd(*n)
-        # keep bounds exact: divide only when the gcd divides the bound
-        if g > 1 and b % g == 0:
-            n = tuple(x // g for x in n)
-            b //= g
-        cur = norm.get(n)
-        if cur is None or b > cur:
-            norm[n] = b
-    return sorted(norm.items())
-
-
-def is_feasible(region: RationalPolyhedron) -> bool:
-    """Exact test that a polyhedron has a rational point.
-
-    Eliminates every coordinate by Fourier-Motzkin; the system is infeasible
-    exactly when a contradictory constant constraint appears on the way.
-    """
-    cur = region.constraints
-    for t in range(region.dim, 0, -1):
-        cur = _fm_eliminate_last(cur, t)
-        if cur is None:
-            return False
-    return all(b <= 0 for _, b in cur)
+    _check_pairs(len(lower) * len(upper))
+    merged = _merge(out + _combine(lower, upper, k), {})
+    return None if merged is None else sorted(merged[0].items())
 
 
 def _cascade(cons, dim):
@@ -420,6 +440,75 @@ def _cascade(cons, dim):
         levels.append(cur)
     levels.reverse()
     return levels
+
+
+def extend_cascade(levels, normal, bound):
+    """The carried cascade of a system with one more row normal.x >= bound.
+
+    `levels[t-1]` is a dict {normal: bound} constraining (x_1 .. x_t), the
+    exact rational projection of the level above it; `[{}] * dim` is the
+    cascade of no rows.  The new row goes into the top level, and at each
+    level only the fresh rows (new, or tighter than the level had) are
+    combined with the level's rows of the opposite sign, fresh ones
+    included: the combinations of the other pairs are already below.  A
+    level is copied only when it gains a fresh row, so the parent's
+    cascade stays as it was.  The one-coordinate level keeps only its
+    tightest lower and its tightest upper row, and its emptiness test is
+    one comparison.  Returns None as soon as the system is shown empty.
+    """
+    dim = len(levels)
+    rows = [(normal, bound)]
+    out = list(levels)
+    for t in range(dim, 1, -1):
+        merged = _merge(rows, levels[t - 1])
+        if merged is None:
+            return None
+        level, fresh = merged
+        if not fresh:
+            return out
+        out[t - 1] = level
+        k = t - 1
+        rows, old_lower, old_upper, fresh_lower, fresh_upper = [], [], [], [], []
+        for row in level.items():
+            n = row[0]
+            c = n[k]
+            if c > 0:
+                (fresh_lower if n in fresh else old_lower).append(row)
+            elif c < 0:
+                (fresh_upper if n in fresh else old_upper).append(row)
+            elif n in fresh:
+                rows.append((n[:k], row[1]))
+        upper = old_upper + fresh_upper
+        _check_pairs(len(fresh_lower) * len(upper) + len(old_lower) * len(fresh_upper))
+        rows += _combine(fresh_lower, upper, k)
+        rows += _combine(old_lower, fresh_upper, k)
+    if dim == 0:
+        return None if any(b > 0 for _, b in rows) else out
+    # the tightest lower (c > 0) and upper (c < 0) rows c*x >= b, whose
+    # bounds b/c are compared by cross-multiplication
+    lo = hi = None
+    for row in levels[0].items():
+        if row[0][0] > 0:
+            lo = row
+        else:
+            hi = row
+    changed = False
+    for row in rows:
+        (c,), b = row
+        if c > 0:
+            if lo is None or b * lo[0][0] > lo[1] * c:
+                lo, changed = row, True
+        elif c < 0:
+            if hi is None or b * hi[0][0] < hi[1] * c:
+                hi, changed = row, True
+        elif b > 0:
+            return None
+    if not changed:
+        return out
+    if lo is not None and hi is not None and _combine([lo], [hi], 0)[0][1] > 0:
+        return None
+    out[0] = dict(row for row in (lo, hi) if row is not None)
+    return out
 
 
 def _interval(level, prefix):
@@ -551,34 +640,47 @@ def _count_plane(outer, sides, prefix):
     return total
 
 
-def count_lattice_points(region: RationalPolyhedron):
-    """Number of integer points of a polyhedron, or an unbounded flag.
+def _count_levels(levels, dim):
+    """Number of integer points of a non-empty, bounded cascade.
 
-    Boundedness is decided exactly from the recession cone (pointedness via
-    double description, cached per normal set).  The Fourier-Motzkin
-    cascade is swept over its outer dim - 2 levels only; for each outer
-    prefix the last two coordinates are counted in closed form by floor
-    sums (`_count_plane`), so a 2-D region costs the same however large it
-    is.  Returns (bounded, count).
+    `levels[t-1]` is an iterable of the (normal, bound) rows constraining
+    (x_1 .. x_t), each level the exact rational projection of the next
+    (`_cascade`, `extend_cascade`).  The outer dim - 2 levels are swept;
+    for each outer prefix the last two coordinates are counted in closed
+    form by floor sums (`_count_plane`), so a 2-D region costs the same
+    however large it is.
     """
-    if not recession_is_trivial(region):
-        return False, 0
-    cons, dim = region.constraints, region.dim
     if dim == 0:
-        return True, int(all(b <= 0 for _, b in cons))
-    levels = _cascade(cons, dim)
-    if levels is None:
-        return True, 0
+        return 1
     if dim == 1:
         bounds = _interval(levels[0], [])
-        return True, 0 if bounds is None else bounds[1] - bounds[0] + 1
+        return 0 if bounds is None else bounds[1] - bounds[0] + 1
     # rows with no v-coefficient are already part of the outer level
     sides = (
         [(n, b, -n[-1]) for n, b in levels[-1] if n[-1] < 0],
         [(n, b, n[-1]) for n, b in levels[-1] if n[-1] > 0],
     )
     outer = levels[-2]
-    return True, sum(_count_plane(outer, sides, p) for p in _prefixes(levels, dim - 2))
+    return sum(_count_plane(outer, sides, p) for p in _prefixes(levels, dim - 2))
+
+
+def count_lattice_points(region: RationalPolyhedron):
+    """Number of integer points of a polyhedron, or an unbounded flag.
+
+    Boundedness is decided exactly from the recession cone (pointedness via
+    double description, cached per normal set).  The points are counted
+    from the Fourier-Motzkin cascade of the whole system (`_count_levels`).
+    Returns (bounded, count).
+    """
+    cons, dim = region.constraints, region.dim
+    if not recession_is_trivial([n for n, _ in cons], dim):
+        return False, 0
+    if dim == 0:
+        return True, int(all(b <= 0 for _, b in cons))
+    levels = _cascade(cons, dim)
+    if levels is None:
+        return True, 0
+    return True, _count_levels(levels, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import subprocess
+import time
 from math import comb
 
 import pytest
@@ -256,6 +257,21 @@ def test_fourier_motzkin_cap_fails_fast(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "Fourier-Motzkin step" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["tensor", "sym"])
+def test_series_term_cap_fails_fast(kind, capsys):
+    from toric_hodge.forms import MAX_SERIES_TERMS
+
+    start = time.perf_counter()
+    code = cli.main(["euler", "--kind", kind, "-p", "300", data("p2_cubic.json")])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert elapsed < 10
+    assert f"the supported maximum is {MAX_SERIES_TERMS}" in captured.err
+    assert "series expansion" in captured.err
     assert captured.out == ""
 
 

@@ -2,25 +2,27 @@
 
 import random
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_hodge import forms
+from toric_hodge import forms, lattice
 from toric_hodge.errors import ConsistencyError
-from toric_hodge.fans import Fan, degrees_of
+from toric_hodge.fans import Fan, degrees_of, normal_fan, simplicial_refinement
 from toric_hodge.hilbert import (
     build_context,
     chi_structure_sheaf,
     h_of_s,
 )
+from toric_hodge.lattice import det_int, minkowski_support
 
 from helpers import (
     fan_octahedron,
     fan_p1,
     fan_p1p1,
+    fan_p1p1p1,
     fan_p2,
     fan_p2p1,
     fan_p3,
@@ -118,6 +120,78 @@ def test_cell_walk_matches_brute(case):
     r, s = case
     fan = polygon_fan(r)
     assert h_of_s(build_context(fan), s) == brute_h(fan, s)
+
+
+# On a simplicial fan H(s) is a quasi-polynomial of degree <= n in s whose
+# period divides L, the lcm of |det| over the maximal cones: along s + i L e_j
+# it is a polynomial in i, and its (n+1)-th difference vanishes.
+QUASI_FANS = (
+    (fan_p2(), 1),
+    (fan_p2p1(), 1),
+    (fan_p1p1p1(), 1),
+    (polygon_fan(8), 3),
+    (polygon_fan(12), 5),
+    (fan_wps_1423(), 12),
+)
+
+
+@lru_cache(maxsize=None)
+def _quasi_context(idx):
+    return build_context(QUASI_FANS[idx][0])
+
+
+@st.composite
+def quasi_case(draw):
+    idx = draw(st.integers(0, len(QUASI_FANS) - 1))
+    r = len(QUASI_FANS[idx][0].rays)
+    s = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    return idx, tuple(s), draw(st.integers(0, r - 1))
+
+
+@given(quasi_case())
+@settings(max_examples=60, deadline=None)
+def test_h_is_a_quasi_polynomial_on_simplicial_fans(case):
+    idx, s, j = case
+    fan, period = QUASI_FANS[idx]
+    dets = [abs(det_int([fan.rays[i] for i in cone])) for cone in fan.maximal_cones]
+    assert lcm(*dets) == period
+    ctx = _quasi_context(idx)
+    n = fan.dim
+    values = []
+    for i in range(n + 2):
+        shifted = list(s)
+        shifted[j] += i * period
+        values.append(h_of_s(ctx, tuple(shifted)))
+    assert sum((-1) ** (n + 1 - i) * comb(n + 1, i) * v for i, v in enumerate(values)) == 0
+
+
+# a 14-ray, 24-cone 3-D fan: the pulled normal fan of an 11-point support
+REFINED_14 = simplicial_refinement(normal_fan(minkowski_support([[
+    (0, 2, 3), (0, 4, 2), (1, 2, 1), (2, 0, 0), (2, 3, 2), (2, 3, 4), (2, 4, 1),
+    (3, 0, 2), (4, 1, 4), (4, 3, 3), (4, 4, 1),
+]]), 3))
+
+
+def test_cell_walk_never_re_eliminates(monkeypatch):
+    # every node extends its parent's cascade by one row; nothing re-runs a
+    # whole-system Fourier-Motzkin elimination
+    polygon = polygon_fan(12)
+    assert (len(REFINED_14.rays), len(REFINED_14.maximal_cones)) == (14, 24)
+    contexts = [build_context(polygon), build_context(REFINED_14)]
+    calls = []
+    for name in ("_fm_eliminate_last", "_cascade"):
+        original = getattr(lattice, name)
+        monkeypatch.setattr(
+            lattice, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    rng = random.Random(12)
+    for ctx in contexts:
+        for _ in range(3):
+            s = tuple(rng.randint(-3, 3) for _ in range(ctx.r))
+            value = h_of_s(ctx, s)
+            if ctx.fan is polygon:
+                assert value == brute_h(polygon, s)
+    assert calls == []
 
 
 def test_serre_duality_at_the_ray_cap():

@@ -16,15 +16,18 @@ from hypothesis import strategies as st
 from toric_hodge.lattice import (
     MAX_FM_PAIRS,
     RationalPolyhedron,
+    _cascade,
+    _count_levels,
     _envelope,
+    _fm_eliminate_last,
     _floor_sum,
     affine_lattice_reduction,
     convex_hull,
     count_lattice_points,
     det_int,
     dot,
+    extend_cascade,
     independent_rows,
-    is_feasible,
     minkowski_support,
     primitive,
     rank_of,
@@ -275,7 +278,7 @@ def test_count_lattice_points_matches_the_point_list(rows):
     pts = brute_box_points(cons, 2, 4)
     assert count_lattice_points(region) == (True, len(pts))
     if pts:
-        assert is_feasible(region)
+        assert _fold(cons, 2) is not None
 
 
 def test_count_lattice_points_unbounded_and_point():
@@ -384,24 +387,84 @@ def test_count_lattice_points_plane_envelopes(cons, count):
     assert count_lattice_points(RationalPolyhedron(cons, 2)) == (True, count)
 
 
-def test_is_feasible_is_rational():
-    # x = 1/2 is the only solution: feasible over Q with no lattice point
-    half = RationalPolyhedron((((2,), 1), ((-2,), -1)), 1)
-    assert is_feasible(half)
-    assert count_lattice_points(half) == (True, 0)
-    assert not is_feasible(RationalPolyhedron((((1, 1), 3), ((-1, 0), 0), ((0, -1), 0)), 2))
-    assert is_feasible(RationalPolyhedron((((1, 0), 0),), 2))  # unbounded is fine
-    assert is_feasible(RationalPolyhedron((), 0))
-    assert not is_feasible(RationalPolyhedron((((), 1),), 0))
+def _fold(cons, dim):
+    """The carried cascade of a system, built one row at a time; None when empty."""
+    levels = [{}] * dim
+    for n, b in cons:
+        levels = extend_cascade(levels, n, b)
+        if levels is None:
+            return None
+    return levels
+
+
+@given(boxed_systems())
+@settings(max_examples=300, deadline=None)
+# empty only through a pair of rows that are both fresh on the middle level
+@example((3, (((1, 0, 0), -3), ((-1, 0, 0), -3), ((0, 1, 0), -3), ((0, -1, 0), -3),
+              ((0, 0, 1), -3), ((0, 0, -1), -3), ((3, 1, 2), -2), ((0, -3, 3), -2),
+              ((3, -3, 2), 1), ((-3, 1, -2), 3))))
+def test_extend_cascade_matches_whole_system_elimination(system):
+    dim, cons = system
+    folded = _fold(cons, dim)
+    # the whole-system cascade stops at x_1; eliminating x_1 as well decides
+    # rational emptiness
+    levels = _cascade(cons, dim)
+    assert (folded is None) == (levels is None or _fm_eliminate_last(levels[0], 1) is None)
+    count = brute_count(cons, dim)
+    assert count_lattice_points(RationalPolyhedron(cons, dim)) == (True, count)
+    if folded is None:
+        assert count == 0
+    else:
+        assert len(folded[0]) <= 2  # the tightest lower and upper row of x_1
+        assert _count_levels([level.items() for level in folded], dim) == count
+
+
+def test_extend_cascade_is_rational():
+    # x = 1/2 is the only solution: non-empty over Q with no lattice point
+    half = (((2,), 1), ((-2,), -1))
+    assert _count_levels([level.items() for level in _fold(half, 1)], 1) == 0
+    assert count_lattice_points(RationalPolyhedron(half, 1)) == (True, 0)
+    assert _fold((((1, 1), 3), ((-1, 0), 0), ((0, -1), 0)), 2) is None
+    assert _fold((((1, 0), 0),), 2) is not None  # unbounded is fine
+    assert _fold((), 0) == []
+    assert _fold(((((), 0),)), 0) == []
+    assert _fold(((((), 1),)), 0) is None
+
+
+def test_extend_cascade_leaves_the_parent_unchanged():
+    square = (((1, 0), 0), ((-1, 0), -3), ((0, 1), 0), ((0, -1), -3))
+    parent = _fold(square, 2)
+    snapshot = [dict(level) for level in parent]
+    child = extend_cascade(parent, (-1, -1), -2)  # x + y <= 2
+    assert parent == snapshot
+    assert _count_levels([level.items() for level in parent], 2) == 16
+    assert _count_levels([level.items() for level in child], 2) == 6
+    # a row that is not tighter than the level's own leaves every level shared
+    same = extend_cascade(parent, (2, 0), -2)  # x >= -1
+    assert all(a is b for a, b in zip(same, parent))
 
 
 def test_fourier_motzkin_step_cap():
     # k rows bound y from below and k from above: one step would combine k^2 pairs
     k = isqrt(MAX_FM_PAIRS) + 1
     rows = [((a, 1), -k) for a in range(k)] + [((a, -1), -k) for a in range(k)]
+    box = [((1, 0), 0), ((-1, 0), -k)]  # 0 <= x <= k
     with pytest.raises(ValueError, match="the supported maximum is"):
-        is_feasible(RationalPolyhedron(tuple(rows), 2))
-    assert is_feasible(RationalPolyhedron(tuple(rows[1:k] + rows[k + 1:]), 2))
+        count_lattice_points(RationalPolyhedron(tuple(rows + box), 2))
+    # without a = 0 on either side, -k - x <= y <= k + x on 0 <= x <= k
+    fewer = tuple(rows[1:k] + rows[k + 1:] + box)
+    assert count_lattice_points(RationalPolyhedron(fewer, 2)) == (
+        True, sum(2 * k + 2 * x + 1 for x in range(k + 1))
+    )
+
+
+def test_extend_cascade_step_cap():
+    # one fresh lower row of y meets every upper row of its level
+    uppers = {(a, -1): 0 for a in range(MAX_FM_PAIRS + 1)}
+    with pytest.raises(ValueError, match="the supported maximum is"):
+        extend_cascade([{}, uppers], (0, 1), 0)
+    del uppers[(MAX_FM_PAIRS, -1)]
+    assert extend_cascade([{}, uppers], (0, 1), 0) is not None
 
 
 cone_constraint_sets = st.lists(
