@@ -114,6 +114,8 @@ def _factors(ctx, degrees, kind: str, p: int):
     Each factor is a term dict written out modulo y^(p+1).
     """
     rows = _checked_rows(ctx, degrees, p)
+    # with p + 1 past the cap, `_multiply` fails anyway: fail before building
+    _check_terms(range(p + 1))
     m, r = ctx.fan.dim, ctx.r
     zero = (0,) * r
     units = [_unit(ctx, j) for j in range(r)]

@@ -46,8 +46,8 @@ from .errors import ConsistencyError
 from .fans import Fan, validate, is_simplicial
 from .lattice import (
     _count_levels,
+    cascade_is_bounded,
     extend_cascade,
-    recession_is_trivial,
     row_lattice,
     vec_mat,
 )
@@ -189,10 +189,9 @@ def h_of_s(ctx: HilbertContext, s) -> int:
     the undecided rays (`_split`).  An empty table means chi is zero on the
     whole branch.  Every live child extends its parent's cascade by its
     one row and is dropped when the extension shows it empty.  At a leaf
-    the table is {0: chi_I}, the region is checked bounded from its
-    normals and counted from the carried cascade.  H is memoized per
-    divisor class of s (`class_key`), so linearly equivalent s are walked
-    once.
+    the table is {0: chi_I}, and the region is checked bounded and counted,
+    both from the carried cascade.  H is memoized per divisor class of s
+    (`class_key`), so linearly equivalent s are walked once.
     """
     s = tuple(s)
     if len(s) != ctx.r:
@@ -206,7 +205,7 @@ def h_of_s(ctx: HilbertContext, s) -> int:
 
     def walk(j, table, mask, levels):
         if j == r:
-            if not recession_is_trivial(levels[-1] if dim else (), dim):
+            if not cascade_is_bounded(levels):
                 # completeness bounds every region with nonzero chi
                 raise ConsistencyError(
                     f"unbounded region with nonzero chi for ray set {bin(mask)}"

@@ -8,7 +8,10 @@ induction on the torus dimension and the number of equations:
   1. a singleton support or an overdetermined system gives the empty variety;
   2. no equations gives the torus itself;
   3. supports spanning a lower-dimensional lattice split off a torus factor
-     (Kuenneth convolution after rewriting in the saturated lattice);
+     (Kuenneth convolution after rewriting in the saturated lattice); then
+     the problem is solved, and memoized, on the vertices of its supports, as
+     the table depends only on the polytopes conv(S_i) (Khovanskii); faces and
+     unimodular images of vertex sets are vertex sets, so deeper calls skip it;
   4. below the middle weight the ordinary table agrees with the torus,
      corrected by inclusion-exclusion over proper sub-collections of the
      equations (a Lefschetz-type connectivity argument);
@@ -16,7 +19,9 @@ induction on the torus dimension and the number of equations:
      the middle;
   6. the problem is compactified inside a pulling refinement of the normal
      fan of the Minkowski sum of the supports (simplicial, on the same rays),
-     and every boundary orbit is solved recursively;
+     and every boundary orbit is solved recursively, except those whose
+     restricted supports hold a single point or outnumber m - dim(sigma):
+     their table is zero by step 1;
   7. the row sums e^p_c = sum_q e_c^{pq} of the open part are read from
      lattice-point counts of Minkowski combinations of the supports;
   8. the symmetry of the quasi-smooth closure (open part plus boundary)
@@ -46,6 +51,7 @@ from .fans import (
     is_simplicial,
     normal_fan,
     orbit_problem,
+    restrict_supports,
     simplicial_refinement,
     validate,
 )
@@ -53,6 +59,7 @@ from .hodge_tables import EPQTable, zero_table
 from .lattice import (
     RationalPolyhedron,
     affine_lattice_reduction,
+    convex_hull,
     count_lattice_points,
     minkowski_support,
 )
@@ -92,20 +99,23 @@ def _memo_key(problem: TorusCIProblem):
     return (problem.m, tuple(sorted(problem.supports)))
 
 
-def epq_c_ci(problem: TorusCIProblem) -> EPQTable:
-    """Compactly supported e^{pq} of a generic toric complete intersection."""
+def epq_c_ci(problem: TorusCIProblem, *, vertices: bool = False) -> EPQTable:
+    """Compactly supported e^{pq} of a generic toric complete intersection.
+
+    `vertices` says that each support is the vertex set of its hull.
+    """
     key = _memo_key(problem)
     cached = _epq_memo.get(key)
     if cached is not None:
         return cached
-    table = _epq_c_ci_compute(problem)
+    table = _epq_c_ci_compute(problem, vertices)
     if not table.is_symmetric():
         raise ConsistencyError("compactly supported table lost (p,q)-symmetry")
     _epq_memo[key] = table
     return table
 
 
-def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
+def _epq_c_ci_compute(problem: TorusCIProblem, vertices: bool) -> EPQTable:
     m = problem.m
     k = problem.k
     n = m - k
@@ -120,18 +130,23 @@ def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
     # 3. split off the torus factor complementary to the affine span
     red = affine_lattice_reduction(problem.supports)
     if red.rank < m:
-        inner = epq_c_ci(TorusCIProblem(m=red.rank, supports=red.supports))
+        inner = epq_c_ci(TorusCIProblem(red.rank, red.supports), vertices=vertices)
         return inner.convolve(epq_torus(m - red.rank, "compact"))
+    # only the hulls matter: other points are solved, and memoized, as vertices
+    supports = problem.supports
+    if not vertices:
+        supports = tuple(convex_hull(s).vertices for s in supports)
+        if supports != problem.supports:
+            return epq_c_ci(TorusCIProblem(m=m, supports=supports), vertices=True)
+    delta = minkowski_support(supports)
 
     # 4. ordinary values below the middle
     torus = epq_torus(m, "ordinary")
     sub_tables = {}
     for size in range(1, k):
         for picks in combinations(range(k), size):
-            sub = TorusCIProblem(
-                m=m, supports=tuple(problem.supports[i] for i in picks)
-            )
-            sub_tables[picks] = epq_c_ci(sub)
+            sub = TorusCIProblem(m=m, supports=tuple(supports[i] for i in picks))
+            sub_tables[picks] = epq_c_ci(sub, vertices=True)
 
     def e_lower(p, q):  # e^{pq}(Y*) for p + q < n
         acc = torus.get(p, q)
@@ -141,7 +156,6 @@ def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
         return (-1) ** (k - 1) * acc
 
     # 6. compactify and solve the boundary
-    delta = minkowski_support(problem.supports)
     fan = simplicial_refinement(normal_fan(delta, m))
     if len(fan.maximal_cones) > MAX_ORBIT_CONES:
         raise ValueError(
@@ -153,16 +167,9 @@ def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
         raise ConsistencyError(
             f"refined normal fan is invalid: {report.first_violation or 'not complete'}"
         )
-    degrees = degrees_of(fan, problem.supports)
-    boundary = zero_table(n, "compact")
-    for cone in all_cones(fan):
-        if not cone:
-            continue
-        piece = epq_c_ci(orbit_problem(fan, cone, problem.supports, degrees))
-        if piece.bound > n:
-            raise ConsistencyError("boundary orbit exceeds the expected dimension")
-        boundary = boundary.add(piece)
-    b = boundary.get
+    degrees = degrees_of(fan, supports)
+    # all_cones lists the zero cone, the open orbit, first
+    b = _orbit_sum(fan, all_cones(fan)[1:], supports, degrees, n + 1)
 
     # 7. row sums of the open part
     sums = _open_row_sums(m, n, fan.rays, degrees)
@@ -173,10 +180,10 @@ def _epq_c_ci_compute(problem: TorusCIProblem) -> EPQTable:
         if p + q > n:
             e_c[p][q] = e_lower(n - p, n - q)
         elif p + q < n:
-            e_c[p][q] = e_lower(p, q) + b(n - p, n - q) - b(p, q)
+            e_c[p][q] = e_lower(p, q) + b[n - p][n - q] - b[p][q]
     for p in range(n + 1):
         e_c[p][n - p] = sums[p] - sum(e_c[p])
-    closure = [sums[p] + sum(b(p, q) for q in range(n + 1)) for p in range(n + 1)]
+    closure = [sums[p] + sum(b[p]) for p in range(n + 1)]
     for p in range(n + 1):
         if closure[p] != closure[n - p]:
             raise ConsistencyError(
@@ -218,6 +225,27 @@ def _open_row_sums(m: int, n: int, normals, rows) -> list:
     ]
 
 
+def _orbit_sum(fan: Fan, cones, supports, degrees, size: int) -> list:
+    """Sum of the orbit tables e_c of simplicial cones, as a size x size matrix.
+
+    Zero tables (step 1) are told from the restricted supports in ambient
+    coordinates, before any orbit coordinates are computed.
+    """
+    acc = [[0] * size for _ in range(size)]
+    for cone in cones:
+        survivors = [s for s in restrict_supports(fan, cone, supports, degrees) if s]
+        dim = fan.dim - len(cone)
+        if dim - len(survivors) >= size:
+            raise ConsistencyError("boundary orbit exceeds the expected dimension")
+        if len(survivors) > dim or any(len(s) == 1 for s in survivors):
+            continue
+        piece = epq_c_ci(orbit_problem(fan, cone, supports, degrees), vertices=True)
+        for row, piece_row in zip(acc, piece.entries):
+            for q, x in enumerate(piece_row):
+                row[q] += x
+    return acc
+
+
 def hodge_compact(fan: Fan, supports) -> EPQTable:
     """Hodge diamond of a compact quasi-smooth toric complete intersection.
 
@@ -234,26 +262,20 @@ def hodge_compact(fan: Fan, supports) -> EPQTable:
     if not is_simplicial(fan):
         raise ValueError("hodge_compact requires a simplicial fan")
     supports = TorusCIProblem(m=fan.dim, supports=supports).supports
-    k = len(supports)
-    n = fan.dim - k
+    n = fan.dim - len(supports)
     if n < 0:
         raise ValueError("more equations than the ambient dimension")
+    supports = tuple(convex_hull(s).vertices for s in supports)
     degrees = degrees_of(fan, supports)
-    acc = zero_table(n, "compact")
-    for cone in all_cones(fan):
-        piece = epq_c_ci(orbit_problem(fan, cone, supports, degrees))
-        acc = acc.add(piece)
-    if acc.bound > n:
-        for p in range(acc.size):
-            for q in range(acc.size):
-                if (p > n or q > n) and acc.get(p, q) != 0:
-                    raise ConsistencyError(
-                        "orbit decomposition carries mass above the expected dimension"
-                    )
+    acc = _orbit_sum(fan, all_cones(fan), supports, degrees, fan.dim + 1)
+    if any(map(any, acc[n + 1 :])):  # acc is symmetric
+        raise ConsistencyError(
+            "orbit decomposition carries mass above the expected dimension"
+        )
     h = [[0] * (n + 1) for _ in range(n + 1)]
     for p in range(n + 1):
         for q in range(n + 1):
-            val = (-1) ** (p + q) * acc.get(p, q)
+            val = (-1) ** (p + q) * acc[p][q]
             if val < 0:
                 raise ConsistencyError(f"negative Hodge number at {(p, q)}")
             h[p][q] = val

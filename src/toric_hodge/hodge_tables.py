@@ -2,8 +2,7 @@
 
 One table type serves three roles, distinguished by a tag: Hodge-Deligne
 Euler tables e^{pq} ("ordinary"), their compactly supported variants
-("compact"), and honest Hodge diamonds h^{pq} ("hodge").  Tables of
-different sizes combine by zero padding.
+("compact"), and honest Hodge diamonds h^{pq} ("hodge").
 """
 
 from __future__ import annotations
@@ -46,13 +45,6 @@ class EPQTable:
 
     def total(self) -> int:
         return sum(x for row in self.entries for x in row)
-
-    def add(self, other: "EPQTable") -> "EPQTable":
-        n = max(self.size, other.size)
-        ent = tuple(
-            tuple(self.get(p, q) + other.get(p, q) for q in range(n)) for p in range(n)
-        )
-        return EPQTable(ent, self.kind)
 
     def convolve(self, other: "EPQTable") -> "EPQTable":
         """Kuenneth product: out[p][q] = sum over splits of products."""

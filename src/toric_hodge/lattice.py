@@ -511,6 +511,19 @@ def extend_cascade(levels, normal, bound):
     return out
 
 
+def cascade_is_bounded(levels) -> bool:
+    """Is the nonempty system of a carried cascade bounded?
+
+    Fourier-Motzkin is linear in the bounds, so the levels' rows with zero
+    bounds project the recession cone: it is {0} exactly when every level has
+    rows of both signs on its last coordinate.
+    """
+    return all(
+        any(n[t] > 0 for n in level) and any(n[t] < 0 for n in level)
+        for t, level in enumerate(levels)
+    )
+
+
 def _interval(level, prefix):
     """Integer interval (lo, hi) of the next coordinate after `prefix`, or None.
 

@@ -275,6 +275,22 @@ def test_series_term_cap_fails_fast(kind, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("kind", ["alt", "sym"])
+def test_huge_form_degree_fails_before_building_factors(kind, capsys):
+    # p + 1 terms per factor already pass the cap; building them first took
+    # 30 to 56 s and 2 to 3 GB
+    from toric_hodge.forms import MAX_SERIES_TERMS
+
+    start = time.perf_counter()
+    code = cli.main(["euler", "--kind", kind, "-p", "3000000", data("p2_cubic.json")])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert elapsed < 5
+    assert f"the supported maximum is {MAX_SERIES_TERMS}" in captured.err
+    assert captured.out == ""
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc

@@ -194,6 +194,29 @@ def test_cell_walk_never_re_eliminates(monkeypatch):
     assert calls == []
 
 
+@st.composite
+def folded_systems(draw):
+    dim = draw(st.integers(1, 4))
+    normal = st.tuples(*[st.integers(-2, 2)] * dim)
+    rows = draw(st.lists(st.tuples(normal, st.integers(-3, 3)), min_size=1, max_size=10))
+    return dim, rows
+
+
+@given(folded_systems())
+@settings(max_examples=200, deadline=None)
+def test_cascade_boundedness_matches_the_recession_cone(case):
+    # the leaf test of the cell walk reads boundedness off the carried
+    # cascade; on every nonempty system it agrees with double description
+    dim, rows = case
+    levels = [{}] * dim
+    for normal, bound in rows:
+        levels = lattice.extend_cascade(levels, normal, bound)
+        if levels is None:
+            return
+    normals = [n for n, _ in rows]
+    assert lattice.cascade_is_bounded(levels) == lattice.recession_is_trivial(normals, dim)
+
+
 def test_serre_duality_at_the_ray_cap():
     fan = polygon_fan(24)
     ctx = build_context(fan)

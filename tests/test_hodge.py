@@ -1,6 +1,7 @@
 """Hodge-Deligne tables: torus recursion and orbit sums."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +18,7 @@ from toric_hodge.fans import (
 from toric_hodge.forms import chi_all, chi_alt
 from toric_hodge.hilbert import build_context
 from toric_hodge.hodge import clear_epq_memo, epq_c_ci, epq_torus, hodge_compact
-from toric_hodge.hodge_tables import EPQTable, zero_table
+from toric_hodge.hodge_tables import zero_table
 from toric_hodge.lattice import convex_hull, minkowski_support
 
 from helpers import (
@@ -30,6 +31,7 @@ from helpers import (
     fan_p2p1,
     fan_p3,
     fan_p3p1,
+    fan_projective,
     fan_wps_1423,
     product_support,
     simplex_support,
@@ -136,6 +138,36 @@ def test_epq_invariance_translation_unimodular_permutation():
             assert got == want
 
 
+@st.composite
+def torus_systems_with_hull_points(draw):
+    """Supports in (C*)^2-(C*)^3, and the same supports with hull points added."""
+    m = draw(st.integers(2, 3))
+    point = st.tuples(*[st.integers(0, 2)] * m)
+    supports, dense = [], []
+    for _ in range(draw(st.integers(1, 2))):
+        s = draw(st.lists(point, min_size=2, max_size=5, unique=True))
+        hull = convex_hull(s)
+        inside = [q for q in product(range(3), repeat=m) if hull.contains(q)]
+        supports.append(s)
+        dense.append(s + draw(st.lists(st.sampled_from(inside), min_size=1)))
+    return m, supports, dense
+
+
+def _table_or_error(m, supports):
+    clear_epq_memo()
+    try:
+        return epq_c_ci(TorusCIProblem(m, supports)).entries
+    except ValueError as exc:
+        return type(exc)
+
+
+@given(torus_systems_with_hull_points())
+@settings(max_examples=40, deadline=None)
+def test_tables_depend_only_on_the_newton_polytopes(case):
+    m, supports, dense = case
+    assert _table_or_error(m, dense) == _table_or_error(m, supports)
+
+
 def test_memo_clearing_is_sound():
     prob = TorusCIProblem(2, [simplex_support(2, 3)])
     first = epq_c_ci(prob)
@@ -213,6 +245,41 @@ def test_hodge_compact_matches_lefschetz_oracle():
     assert [list(r) for r in t.entries] == hodge_from_chi_y_lefschetz(3, [3])
 
 
+def test_quintic_diamond_from_dense_or_vertex_supports():
+    dense = simplex_support(4, 5)
+    vertices = convex_hull(dense).vertices
+    assert (len(dense), len(vertices)) == (126, 5)
+    clear_epq_memo()
+    from_dense = hodge_compact(fan_projective(4), [dense])
+    clear_epq_memo()
+    assert hodge_compact(fan_projective(4), [vertices]) == from_dense
+    assert from_dense.get(1, 1) == 1 and from_dense.get(2, 1) == 101
+
+
+def test_recursion_carries_vertices_and_skips_empty_orbits(monkeypatch):
+    # every call below the quintic's 126-point support sees vertex sets only,
+    # and no orbit whose table is zero by step 1 reaches the recursion
+    import toric_hodge.hodge as hodge_mod
+
+    seen = []
+    original = hodge_mod.epq_c_ci
+
+    def recording(problem, **kwargs):
+        seen.append(problem)
+        return original(problem, **kwargs)
+
+    monkeypatch.setattr(hodge_mod, "epq_c_ci", recording)
+    clear_epq_memo()
+    hodge_compact(fan_projective(4), [simplex_support(4, 5)])
+    clear_epq_memo()
+    assert seen
+    for problem in seen:
+        assert problem.k <= problem.m
+        for s in problem.supports:
+            assert len(s) > 1
+            assert s == convex_hull(s).vertices
+
+
 def test_hodge_compact_rejects_non_complete():
     fan = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
     with pytest.raises(ValueError, match="complete"):
@@ -230,12 +297,6 @@ def test_hodge_compact_rejects_overdetermined():
 
 
 # --- table plumbing ------------------------------------------------------------
-
-
-def test_table_addition_pads():
-    a = EPQTable(((1,),), "compact")
-    b = EPQTable(((0, 0), (0, 2)), "compact")
-    assert a.add(b).entries == ((1, 0), (0, 2))
 
 
 def test_zero_table_negative_bound_is_empty():
