@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
+from operator import mul
 
 from .lattice import (
     Polytope,
@@ -406,7 +407,9 @@ def degrees_of(fan: Fan, supports) -> DegreeMatrix:
     for s in supports:
         if not s:
             raise ValueError("empty support set")
-        rows.append(tuple(-min(dot(ray, q) for q in s) for ray in fan.rays))
+        if any(len(q) != fan.dim for q in s):
+            raise ValueError("support point length must match the fan dimension")
+        rows.append(tuple(-min(sum(map(mul, ray, q)) for q in s) for ray in fan.rays))
     return DegreeMatrix(tuple(rows))
 
 

@@ -15,10 +15,12 @@ series P(x) with an explicit rational factorization:
 
 Each factor is a term dict {(x-exponent, y-power): coeff}, written out
 exactly modulo y^(pmax+1), and `y_truncated_expand` multiplies them into
-one expansion.  `chi_all` pairs that expansion with P(x) once: each term
-q x^s y^j adds q * H(-s), evaluated through the Hilbert context, to the
-value at p = j.  So every p = 0 .. pmax comes from one expansion and one
-pairing, and `chi_alt` / `chi_sym` / `chi_tensor` read their p from it.
+one expansion.  H(s) depends only on the divisor class of s, so exponents
+are class keys (`HilbertContext.class_key`), reduced after each sum.
+`chi_all` pairs the expansion with P(x) once: each term q x^a y^j adds
+q * H(-s), s of class a, to the value at p = j, with H taken once per class.
+So every p = 0 .. pmax comes from one expansion and one pairing, and
+`chi_alt` / `chi_sym` / `chi_tensor` read their p from it.
 A second, independently coded evaluation path (`chi_alt_hilbert`) writes
 the alternating case as a nested sum of Hilbert values with binomial
 weights and is used as a cross-check.
@@ -41,10 +43,12 @@ def _binomial_coeff(e: int, j: int) -> int:
     return (-1) ** j * comb(-e + j - 1, j)
 
 
-# Expansions with more terms fail fast: the tensor series of a plane cubic at
-# p = 40 has about 400,000 terms and takes seconds, at p = 300 it would run
-# for many minutes.
+# Expansions with more class terms, and products that combine more pairs of
+# terms, fail fast: the tensor series of (P^1)^3 passes the first cap at
+# p = 80 after 3.6 s, and one product of its symmetric series at p = 80
+# combines 28 million pairs, which took 33 s.
 MAX_SERIES_TERMS = 500_000
+MAX_SERIES_PAIRS = 5_000_000
 
 
 def _check_terms(terms):
@@ -55,44 +59,43 @@ def _check_terms(terms):
         )
 
 
-def _multiply(a, b, p: int):
+def _multiply(a, b, p: int, reduce=tuple):
     """Product of two term dicts modulo y^(p+1), without zero terms.
 
-    Raises ValueError as soon as the product passes MAX_SERIES_TERMS terms.
+    Exponent sums go through `reduce`.  Raises ValueError past
+    MAX_SERIES_PAIRS pairs, checked first, or MAX_SERIES_TERMS terms.
     """
+    if len(a) * len(b) > MAX_SERIES_PAIRS:
+        pairs = f"series product combines {len(a) * len(b)} pairs of terms"
+        raise ValueError(f"{pairs}; the supported maximum is {MAX_SERIES_PAIRS}")
     out = {}
     for (e1, j1), c1 in a.items():
         for (e2, j2), c2 in b.items():
             j = j1 + j2
             if j > p:
                 continue
-            key = (tuple(x + y for x, y in zip(e1, e2)), j)
+            key = (reduce([x + y for x, y in zip(e1, e2)]), j)
             out[key] = out.get(key, 0) + c1 * c2
         _check_terms(out)
     return {k: v for k, v in out.items() if v}
 
 
-def y_truncated_expand(factors, p: int, dim: int):
+def y_truncated_expand(factors, p: int, dim: int, reduce=tuple):
     """Exact product of all factors modulo y^(p+1).
 
     Each factor and the result are sparse Laurent polynomials
-    {(x-exponent tuple, y-power): int}.
+    {(x-exponent tuple, y-power): int}, in Z^dim with `reduce` = tuple, or
+    in class keys with a Hilbert context's `reduce_class`.
     """
     if p < 0:
         raise ValueError("negative truncation order")
     result = {((0,) * dim, 0): 1}
     for terms in factors:
-        result = _multiply(result, terms, p)
+        result = _multiply(result, terms, p, reduce)
     return result
 
 
 # --- the three form types ---------------------------------------------------
-
-
-def _unit(ctx, j):
-    e = [0] * ctx.r
-    e[j] = 1
-    return tuple(e)
 
 
 def _checked_rows(ctx, degrees, p):
@@ -108,17 +111,19 @@ def _checked_rows(ctx, degrees, p):
     return rows
 
 
-def _factors(ctx, degrees, kind: str, p: int):
+def _factors(ctx, degrees, kind: str, p: int, key=tuple, reduce=tuple):
     """The series factors of one form type ("alt", "sym" or "tensor").
 
-    Each factor is a term dict written out modulo y^(p+1).
+    Each factor is a term dict written out modulo y^(p+1), its exponents
+    mapped by `key` (Z^r by default, class keys with `ctx.class_key`); the
+    powers inside the tensor factor are multiplied with `reduce`.
     """
-    rows = _checked_rows(ctx, degrees, p)
+    rows = [key(d) for d in _checked_rows(ctx, degrees, p)]
     # with p + 1 past the cap, `_multiply` fails anyway: fail before building
     _check_terms(range(p + 1))
     m, r = ctx.fan.dim, ctx.r
-    zero = (0,) * r
-    units = [_unit(ctx, j) for j in range(r)]
+    zero = key((0,) * r)
+    units = [key(tuple(int(i == j) for i in range(r))) for j in range(r)]
 
     def binomial(c, j, e):
         # 1 + c y^j x^e; with j = 0 and e = 0 the two terms share one key
@@ -156,7 +161,7 @@ def _factors(ctx, degrees, kind: str, p: int):
         power = {(zero, 0): 1}
         inverse = dict(power)
         for _ in range(p):
-            power = _multiply(power, y_form, p)
+            power = _multiply(power, y_form, p, reduce)
             inverse.update(power)
             _check_terms(inverse)
         return [binomial(-1, 0, d) for d in rows] + [inverse]
@@ -166,13 +171,18 @@ def _factors(ctx, degrees, kind: str, p: int):
 def chi_all(ctx: HilbertContext, degrees, kind: str, pmax: int) -> list:
     """Euler characteristics of the p-forms of `kind` for p = 0 .. pmax.
 
-    One expansion modulo y^(pmax+1) serves every p: each term q_{s,j} x^s y^j
-    adds q_{s,j} * H(-s) to the value at p = j.
+    One expansion modulo y^(pmax+1) in class keys serves every p: each term
+    q_{a,j} x^a y^j adds q_{a,j} * H(-ctx.class_divisor(a)) to the value at
+    p = j, and H is evaluated once per class.
     """
-    expanded = y_truncated_expand(_factors(ctx, degrees, kind, pmax), pmax, ctx.r)
-    values = [0] * (pmax + 1)
-    for (e, j), c in expanded.items():
-        values[j] += c * h_of_s(ctx, tuple(-x for x in e))
+    factors = _factors(ctx, degrees, kind, pmax, ctx.class_key, ctx.reduce_class)
+    dim = len(ctx.class_key((0,) * ctx.r))
+    expanded = y_truncated_expand(factors, pmax, dim, ctx.reduce_class)
+    values, h = [0] * (pmax + 1), {}
+    for (a, j), c in expanded.items():
+        if a not in h:
+            h[a] = h_of_s(ctx, tuple(-x for x in ctx.class_divisor(a)))
+        values[j] += c * h[a]
     return values
 
 

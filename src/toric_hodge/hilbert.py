@@ -72,8 +72,12 @@ class HilbertContext:
         self.simplicial = is_simplicial(fan)
         self._h_memo = {}  # class_key(s) -> H(s)
         rows = list(zip(*fan.rays))  # P^T
-        self._right = row_lattice(rows, self.r).right  # U
+        reduction = row_lattice(rows, self.r)
+        self._right = reduction.right  # U
         self._lower = [vec_mat(row, self._right)[: fan.dim] for row in rows]  # L
+        # with L unimodular Cl is free: keys are the last r - n coordinates
+        self._free = all(abs(row[i]) == 1 for i, row in enumerate(self._lower))
+        self._key_rows = reduction.right_inverse[fan.dim if self._free else 0 :]
 
     def class_key(self, s) -> tuple:
         """Canonical representative of the class of s in Z^r / P Z^n.
@@ -81,15 +85,27 @@ class HilbertContext:
         With P^T U = [L | 0] (U unimodular, L lower triangular of rank n),
         s + P u has the coordinates s U + u^T [L | 0]: the last r - n are
         invariant, and the first n are reduced modulo the rows of L from
-        the last row up, which also tells torsion classes apart.
+        the last row up, which also tells torsion classes apart.  When Cl
+        is free the first n reduce to 0 and the key drops them.
         """
-        a = list(vec_mat(s, self._right))
+        a = vec_mat(s, self._right)
+        return tuple(a[self.fan.dim :]) if self._free else self.reduce_class(a)
+
+    def reduce_class(self, a) -> tuple:
+        """The key of a sum of keys: the reduction step of `class_key`."""
+        if self._free:
+            return tuple(a)
+        a = list(a)
         for i in reversed(range(self.fan.dim)):
             row = self._lower[i]
             c = a[i] // row[i]
             for j in range(i + 1):
                 a[j] -= c * row[j]
         return tuple(a)
+
+    def class_divisor(self, key) -> tuple:
+        """A divisor s whose class has this key."""
+        return vec_mat(key, self._key_rows)
 
 
 def _intersection_coefficients(cone_masks):

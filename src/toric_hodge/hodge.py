@@ -138,7 +138,7 @@ def _epq_c_ci_compute(problem: TorusCIProblem, vertices: bool) -> EPQTable:
         supports = tuple(convex_hull(s).vertices for s in supports)
         if supports != problem.supports:
             return epq_c_ci(TorusCIProblem(m=m, supports=supports), vertices=True)
-    delta = minkowski_support(supports)
+    delta = minkowski_support(supports, vertices=True)
 
     # 4. ordinary values below the middle
     torus = epq_torus(m, "ordinary")

@@ -17,11 +17,12 @@ projections.  `count_lattice_points` builds the cascade of a whole system
 combining at each level only the rows that are new or tighter, so a walk
 that adds one constraint per step never eliminates from scratch
 (Schrijver, *Theory of Linear and Integer Programming*, section 12.2).
-Either way one sweep (`_count_levels`) runs over the outer dim - 2 levels
-and counts the last two coordinates in closed form: each envelope piece of
-the bounds is one floor sum sum floor((a*i + b) / m), computed by a
-Euclid-like reduction (Beck and Robins, *Computing the Continuous
-Discretely*, ch. 1 and 8).
+Either way one sweep (`_count_levels`) runs over the outer dim - 3 levels,
+then over the next coordinate as a plain loop that steps every row's
+partial sum, and counts the last two coordinates in closed form: each
+envelope piece of the bounds is one floor sum sum floor((a*i + b) / m),
+computed by a Euclid-like reduction (Beck and Robins, *Computing the
+Continuous Discretely*, ch. 1 and 8).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
-from operator import mul
+from operator import add, floordiv, mul
 
 Vector = tuple  # tuple of ints
 
@@ -658,10 +659,11 @@ def _count_levels(levels, dim):
 
     `levels[t-1]` is an iterable of the (normal, bound) rows constraining
     (x_1 .. x_t), each level the exact rational projection of the next
-    (`_cascade`, `extend_cascade`).  The outer dim - 2 levels are swept;
-    for each outer prefix the last two coordinates are counted in closed
-    form by floor sums (`_count_plane`), so a 2-D region costs the same
-    however large it is.
+    (`_cascade`, `extend_cascade`).  The last two coordinates (u, v) are
+    counted in closed form by floor sums (`_count_plane`), so a 2-D region
+    costs the same however large it is.  Above them the outer dim - 3 levels
+    are swept (`_prefixes`), and w = x[dim-3] is a plain loop in which each
+    u- and v-row steps its partial sum by its w-coefficient.
     """
     if dim == 0:
         return 1
@@ -673,8 +675,40 @@ def _count_levels(levels, dim):
         [(n, b, -n[-1]) for n, b in levels[-1] if n[-1] < 0],
         [(n, b, n[-1]) for n, b in levels[-1] if n[-1] > 0],
     )
-    outer = levels[-2]
-    return sum(_count_plane(outer, sides, p) for p in _prefixes(levels, dim - 2))
+    if dim == 2:
+        return _count_plane(levels[0], sides, [])
+    t = dim - 3  # w = x[t], u = x[t+1], v = x[t+2]
+    # u-bounds c*u >= -B; rows with no u-coefficient are in the level of w
+    lower = [(n, b) for n, b in levels[-2] if n[-1] > 0]
+    upper = [(n, b) for n, b in levels[-2] if n[-1] < 0]
+    rows = lower + upper + [(n, b) for side in sides for n, b, _ in side]
+    steps = [n[t] for n, _ in rows]
+    lower_c, upper_m = [n[-1] for n, _ in lower], [-n[-1] for n, _ in upper]
+    first = len(lower)
+    cuts = (first + len(upper), len(rows) - len(sides[1]))  # where the sides start
+    lines = [(k, [(n[t + 1], m) for n, _, m in side]) for k, side in zip(cuts, sides)]
+    total = 0
+    for prefix in _prefixes(levels, t):
+        bounds = _interval(levels[t], prefix)
+        if bounds is None:
+            continue
+        # B = n[:t+1].(prefix, w) - b
+        parts = [sum(map(mul, n, prefix)) - b + n[t] * bounds[0] for n, b in rows]
+        for _ in range(bounds[0], bounds[1] + 1):
+            lo = -min(map(floordiv, parts, lower_c))
+            hi = min(map(floordiv, parts[first:], upper_m))
+            if lo <= hi:
+                total += hi - lo + 1
+                for k, side in lines:
+                    if len(side) == 1:  # no envelope
+                        a, m = side[0]
+                        total += _floor_sum(hi - lo + 1, m, a, a * lo + parts[k])
+                        continue
+                    side = [(a, b, m) for (a, m), b in zip(side, parts[k:])]
+                    for start, end, (a, b, m) in _envelope(side, lo, hi):
+                        total += _floor_sum(end - start + 1, m, a, a * start + b)
+            parts = list(map(add, parts, steps))
+    return total
 
 
 def count_lattice_points(region: RationalPolyhedron):
@@ -785,18 +819,19 @@ def convex_hull(points) -> Polytope:
     )
 
 
-def minkowski_support(supports) -> Polytope:
+def minkowski_support(supports, *, vertices: bool = False) -> Polytope:
     """Convex hull of the pointwise Minkowski sum of finite point sets.
 
     The hull of a Minkowski sum is the hull of the sums of vertices, so with
     more than one support only the vertices of each support's hull are added.
+    `vertices` says that each support is already the vertex set of its hull.
     """
     if not supports:
         raise ValueError("no supports given")
     for s in supports:
         if not s:
             raise ValueError("empty support set")
-    if len(supports) > 1:
+    if len(supports) > 1 and not vertices:
         supports = [convex_hull(s).vertices for s in supports]
     sums = set()
     for combo in product(*supports):

@@ -320,6 +320,73 @@ def complete_by_ridges(fan):
     return len(seen) == len(cones)
 
 
+# --- form-sheaf series with exponents in Z^r -----------------------------------
+
+
+def _series_product(a, b, p):
+    out = {}
+    for (e1, j1), c1 in a.items():
+        for (e2, j2), c2 in b.items():
+            if j1 + j2 <= p:
+                key = (tuple(x + y for x, y in zip(e1, e2)), j1 + j2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def chi_forms_by_exponents(r, m, degrees, kind, pmax, h):
+    """chi of the p-forms of `kind` for p = 0..pmax, from the series in Z^r.
+
+    The factorizations of the `forms` module docstring, each written out
+    with x-exponents in Z^r modulo y^(pmax+1) and multiplied term by term;
+    every term q x^s y^j of the product adds q * h(-s) to the value at p = j.
+    `h` is the Hilbert function of the fan, m its dimension and r its ray
+    count.
+    """
+    zero = (0,) * r
+    units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+    rows = [tuple(d) for d in degrees]
+    js = range(pmax + 1)
+
+    def poly(terms):  # {(e, j): c} from (e, j, c) triples
+        out = {}
+        for e, j, c in terms:
+            out[(e, j)] = out.get((e, j), 0) + c
+        return out
+
+    def geometric(c, e):  # 1 / (1 - c y x^e)
+        return poly((tuple(j * x for x in e), j, c**j) for j in js)
+
+    def scalar_power(c, e):  # (1 + c y)^e
+        return poly((zero, j, c**j * int(sp.binomial(e, j))) for j in js)
+
+    if kind == "alt":
+        factors = [poly([(zero, 0, 1), (u, 1, 1)]) for u in units]
+        factors.append(scalar_power(1, m - r))
+        for d in rows:
+            factors += [poly([(zero, 0, 1), (d, 0, -1)]), geometric(-1, d)]
+    elif kind == "sym":
+        factors = []
+        for d in rows:
+            factors += [poly([(zero, 0, 1), (d, 0, -1)]), poly([(zero, 0, 1), (d, 1, -1)])]
+        factors.append(scalar_power(-1, r - m))
+        factors += [geometric(1, u) for u in units]
+    else:  # 1 / (1 - y L), L = sum_j x_j + m - r - sum_i x^{d_i}
+        y_form = poly([(u, 1, 1) for u in units] + [(zero, 1, m - r)]
+                      + [(d, 1, -1) for d in rows])
+        inverse = power = {(zero, 0): 1}
+        for _ in range(pmax):
+            power = _series_product(power, y_form, pmax)
+            inverse = {**inverse, **power}
+        factors = [poly([(zero, 0, 1), (d, 0, -1)]) for d in rows] + [inverse]
+    product_ = {(zero, 0): 1}
+    for factor in factors:
+        product_ = _series_product(product_, factor, pmax)
+    values = [0] * (pmax + 1)
+    for (e, j), c in product_.items():
+        values[j] += c * h(tuple(-x for x in e))
+    return values
+
+
 # --- Hirzebruch-style chi_y for complete intersections in P^m ----------------
 
 

@@ -260,12 +260,22 @@ def test_fourier_motzkin_cap_fails_fast(tmp_path, capsys):
     assert captured.out == ""
 
 
+# (P^1)^3: Cl = Z^3, so its class terms grow like a power of p
+P1_CUBED = {"fan": {
+    "rays": [[-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 1, 0], [0, 0, -1], [0, 0, 1]],
+    "max_cones": [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+}}
+
+
 @pytest.mark.parametrize("kind", ["tensor", "sym"])
-def test_series_term_cap_fails_fast(kind, capsys):
+def test_series_term_cap_fails_fast(kind, tmp_path, capsys):
     from toric_hodge.forms import MAX_SERIES_TERMS
 
+    p = {"tensor": "80", "sym": "100"}[kind]
+    doc = tmp_path / "p1_cubed.json"
+    doc.write_text(json.dumps(P1_CUBED))
     start = time.perf_counter()
-    code = cli.main(["euler", "--kind", kind, "-p", "300", data("p2_cubic.json")])
+    code = cli.main(["euler", "--kind", kind, "-p", p, str(doc)])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 3
@@ -273,6 +283,32 @@ def test_series_term_cap_fails_fast(kind, capsys):
     assert f"the supported maximum is {MAX_SERIES_TERMS}" in captured.err
     assert "series expansion" in captured.err
     assert captured.out == ""
+
+
+def test_series_pair_cap_fails_fast(tmp_path, capsys):
+    # one product of this expansion combines 28 million pairs of terms
+    from toric_hodge.forms import MAX_SERIES_PAIRS
+
+    doc = tmp_path / "p1_cubed.json"
+    doc.write_text(json.dumps(P1_CUBED))
+    start = time.perf_counter()
+    code = cli.main(["euler", "--kind", "sym", "-p", "80", str(doc)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert elapsed < 5
+    assert f"the supported maximum is {MAX_SERIES_PAIRS}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["tensor", "sym"])
+def test_high_form_degree_on_the_cubic(kind, capsys):
+    # the series in Z^r passed the term cap here; in class coordinates the
+    # tensor series has 136,348 terms and the symmetric one 1,800.  On the
+    # elliptic curve every Sym^p and tensor power of the cotangent sheaf is
+    # trivial, so chi is 0.
+    assert cli.main(["euler", "--kind", kind, "-p", "300", data("p2_cubic.json")]) == 0
+    assert capsys.readouterr().out == "p=300: 0\n"
 
 
 @pytest.mark.parametrize("kind", ["alt", "sym"])
@@ -289,6 +325,23 @@ def test_huge_form_degree_fails_before_building_factors(kind, capsys):
     assert elapsed < 5
     assert f"the supported maximum is {MAX_SERIES_TERMS}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["alt", "sym", "tensor"])
+def test_wps_form_degree_cap_fails_fast(kind, capsys):
+    # alt at p = 1000 on this K3 was still running after 65 s
+    from toric_hodge.wps import MAX_WPS_DEGREE
+
+    start = time.perf_counter()
+    code = cli.main(["wps", "euler", "--kind", kind, "-p", "1000", data("k3.json")])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    assert elapsed < 5
+    assert f"the supported maximum is {MAX_WPS_DEGREE}" in captured.err
+    assert captured.out == ""
+    p = str(MAX_WPS_DEGREE)
+    assert cli.main(["wps", "euler", "--kind", kind, "-p", p, data("k3.json")]) == 0
 
 
 def _raise(exc):

@@ -544,6 +544,15 @@ def test_degrees_p1_interval():
     assert degs.rows == ((0, 3),)
 
 
+def test_degrees_reject_bad_supports():
+    with pytest.raises(ValueError, match="empty support set"):
+        degrees_of(fan_p2(), [[(0, 0)], []])
+    with pytest.raises(ValueError, match="fan dimension"):
+        degrees_of(fan_p2(), [[(0, 0), (1, 0, 0)]])
+    with pytest.raises(ValueError, match="fan dimension"):
+        degrees_of(fan_p2(), [[(1,)]])
+
+
 def test_degrees_singleton():
     fan = fan_p2()
     degs = degrees_of(fan, [[(2, 5)]])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from toric_hodge import forms
 from toric_hodge.fans import degrees_of, Fan
 from toric_hodge.forms import (
     _factors,
@@ -23,6 +24,7 @@ from helpers import (
     forms_fixture_corpus,
     simplex_support,
 )
+from oracles import chi_forms_by_exponents
 
 
 def _x0_yp_coefficient(ctx, expanded, p):
@@ -181,6 +183,30 @@ def test_expansion_truncates_consistently(kind):
         for p in range(n + 1):
             low = {key: c for key, c in full.items() if key[1] <= p}
             assert low == y_truncated_expand(factors, p, ctx.r), (name, p)
+
+
+# the index-3 fan of tests/test_hilbert.py: its rays span an index-3
+# sublattice of Z^2, so Cl = Z + Z/3
+INDEX_3 = Fan(2, ((2, -1), (-1, 2), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_class_coordinates_match_the_series_in_exponents(kind, monkeypatch):
+    seen = []
+    monkeypatch.setattr(forms, "h_of_s", lambda c, s: seen.append(s) or h_of_s(c, s))
+    cases = [(name, fan, degrees_of(fan, supports) if supports else [])
+             for name, fan, supports in forms_fixture_corpus()]
+    cases += [("index3_k0", INDEX_3, []), ("index3_torsion_row", INDEX_3, [(1, 0, 0)]),
+              ("index3_conic", INDEX_3, degrees_of(INDEX_3, [simplex_support(2, 2)]))]
+    for name, fan, degs in cases:
+        ctx = build_context(fan)
+        expected = chi_forms_by_exponents(
+            ctx.r, fan.dim, degs, kind, 12, lambda s: h_of_s(ctx, s)
+        )
+        seen.clear()
+        assert chi_all(ctx, degs, kind, 12) == expected, name
+        # sums of keys are reduced again, so H is paired once per class
+        assert len(seen) == len({ctx.class_key(s) for s in seen}), name
 
 
 def test_chi_all_checks_its_input():

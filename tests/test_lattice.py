@@ -6,13 +6,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toric_hodge import lattice
 from toric_hodge.lattice import (
     MAX_FM_PAIRS,
     RationalPolyhedron,
@@ -33,6 +34,7 @@ from toric_hodge.lattice import (
     rank_of,
     row_lattice,
 )
+from toric_hodge.wps import wps_fan, wps_lattice_count
 
 from helpers import unimodular_matrix
 from oracles import brute_box_points, brute_count, brute_extreme_rays
@@ -289,7 +291,7 @@ def test_count_lattice_points_unbounded_and_point():
 
 @st.composite
 def boxed_systems(draw):
-    """(dim, constraints): box rows -B <= x_i <= B and 1-5 drawn rows, dims 1-4.
+    """(dim, constraints): box rows -B <= x_i <= B and 1-5 drawn rows, dims 1-5.
 
     A drawn row is one of: coefficients in [-4, 4] with a free bound; a
     multiple k*n of an earlier row with a bound k*b + r, 0 < r < k, that
@@ -298,8 +300,8 @@ def boxed_systems(draw):
     hyperplane for w = 0); or the corner x >= p, sum(x) <= sum(p) of a
     simplex holding the single lattice point p.
     """
-    dim = draw(st.integers(1, 4))
-    radius = draw(st.integers(0, 3 if dim == 4 else 5))
+    dim = draw(st.integers(1, 5))
+    radius = draw(st.integers(0, {4: 3, 5: 2}.get(dim, 5)))
     cons = []
     for i in range(dim):
         e = tuple(int(j == i) for j in range(dim))
@@ -385,6 +387,46 @@ def test_envelope_pieces(lines, lo, hi, pieces):
 def test_count_lattice_points_plane_envelopes(cons, count):
     assert brute_count(cons, 2) == count
     assert count_lattice_points(RationalPolyhedron(cons, 2)) == (True, count)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_dilated_simplices_count_binomially(m):
+    # d * simplex and its reflection through the origin hold C(d + m, m) points
+    units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    for d in range(41):
+        simplex = [(e, 0) for e in units] + [((-1,) * m, -d)]
+        reflected = [(tuple(-x for x in n), b) for n, b in simplex]
+        for cons in (simplex, reflected):
+            assert count_lattice_points(RationalPolyhedron(tuple(cons), m)) == (
+                True, comb(d + m, m)), (m, d)
+            levels = _fold(cons, m)
+            assert _count_levels([level.items() for level in levels], m) == comb(d + m, m)
+
+
+@pytest.mark.parametrize(
+    "weights", [(1, 1, 1, 1), (1, 1, 2, 4), (1, 2, 3, 5, 7), (2, 3, 5, 7, 11, 13)]
+)
+def test_weighted_simplices_match_denumerants(weights):
+    # {q : <p_j, q> >= -s_j} on the fan of P(w) holds c(sum_j w_j s_j) points
+    fan = wps_fan(weights)
+    rng = random.Random(len(weights))
+    for _ in range(12):
+        s = [rng.randint(-3, 12) for _ in weights]
+        cons = tuple((ray, -x) for ray, x in zip(fan.rays, s))
+        assert count_lattice_points(RationalPolyhedron(cons, fan.dim)) == (
+            True, wps_lattice_count(weights, s)), s
+
+
+def test_sweep_takes_envelopes_above_dimension_two(monkeypatch):
+    # both v-sides have two lines: x_5 <= min(2, x_1 + x_4 + 2) and
+    # x_5 >= max(-2, x_4 - x_2 - 1)
+    box = [(tuple(c * int(i == j) for i in range(5)), -2) for j in range(5) for c in (1, -1)]
+    cons = tuple(box + [((1, 0, 0, 1, -1), -2), ((0, 1, 0, -1, 1), -1)])
+    calls = []
+    envelope = lattice._envelope
+    monkeypatch.setattr(lattice, "_envelope", lambda *a: calls.append(a) or envelope(*a))
+    assert count_lattice_points(RationalPolyhedron(cons, 5)) == (True, brute_count(cons, 5))
+    assert calls and all(len(lines) == 2 for lines, _, _ in calls)
 
 
 def _fold(cons, dim):
@@ -580,6 +622,19 @@ def support_systems(draw):
 def test_minkowski_is_hull_of_all_sums(supports):
     sums = [tuple(map(sum, zip(*combo))) for combo in product(*supports)]
     assert minkowski_support(supports) == convex_hull(sums)
+
+
+@given(support_systems())
+@settings(max_examples=100, deadline=None)
+def test_minkowski_of_vertex_sets_hulls_only_the_sum(supports):
+    vertex_sets = [convex_hull(s).vertices for s in supports]
+    calls = []
+    hull = lattice.convex_hull
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "convex_hull", lambda pts: calls.append(1) or hull(pts))
+        poly = minkowski_support(vertex_sets, vertices=True)
+    assert poly == minkowski_support(supports)
+    assert len(calls) == 1
 
 
 def test_minkowski_single_support_given_as_lists():
