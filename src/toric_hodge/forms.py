@@ -28,7 +28,8 @@ weights and is used as a cross-check.
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import accumulate, combinations
 from math import comb
 
 from .hilbert import HilbertContext, h_of_s
@@ -44,9 +45,9 @@ def _binomial_coeff(e: int, j: int) -> int:
 
 
 # Expansions with more class terms, and products that combine more pairs of
-# terms, fail fast: the tensor series of (P^1)^3 passes the first cap at
-# p = 80 after 3.6 s, and one product of its symmetric series at p = 80
-# combines 28 million pairs, which took 33 s.
+# terms within the y-truncation, fail fast: the tensor series of (P^1)^3
+# passes the first cap at p = 80 after about 4 s, and one product of its
+# symmetric series at p = 80 combines 7.2 million such pairs.
 MAX_SERIES_TERMS = 500_000
 MAX_SERIES_PAIRS = 5_000_000
 
@@ -59,15 +60,19 @@ def _check_terms(terms):
         )
 
 
-def _multiply(a, b, p: int, reduce=tuple):
+def _multiply(a, b, p: int, reduce):
     """Product of two term dicts modulo y^(p+1), without zero terms.
 
     Exponent sums go through `reduce`.  Raises ValueError past
-    MAX_SERIES_PAIRS pairs, checked first, or MAX_SERIES_TERMS terms.
+    MAX_SERIES_PAIRS pairs of terms whose y-powers sum to at most p, checked
+    first, or past MAX_SERIES_TERMS terms.
     """
-    if len(a) * len(b) > MAX_SERIES_PAIRS:
-        pairs = f"series product combines {len(a) * len(b)} pairs of terms"
-        raise ValueError(f"{pairs}; the supported maximum is {MAX_SERIES_PAIRS}")
+    sizes = Counter(j for _, j in b)
+    below = list(accumulate(sizes[j] for j in range(p + 1)))  # y-power <= j
+    pairs = sum(below[p - j] for _, j in a if j <= p)
+    if pairs > MAX_SERIES_PAIRS:
+        msg = f"series product combines {pairs} pairs of terms"
+        raise ValueError(f"{msg}; the supported maximum is {MAX_SERIES_PAIRS}")
     out = {}
     for (e1, j1), c1 in a.items():
         for (e2, j2), c2 in b.items():
@@ -111,19 +116,18 @@ def _checked_rows(ctx, degrees, p):
     return rows
 
 
-def _factors(ctx, degrees, kind: str, p: int, key=tuple, reduce=tuple):
+def _factors(ctx, degrees, kind: str, p: int):
     """The series factors of one form type ("alt", "sym" or "tensor").
 
     Each factor is a term dict written out modulo y^(p+1), its exponents
-    mapped by `key` (Z^r by default, class keys with `ctx.class_key`); the
-    powers inside the tensor factor are multiplied with `reduce`.
+    class keys (`ctx.class_key`, sums reduced by `ctx.reduce_class`).
     """
-    rows = [key(d) for d in _checked_rows(ctx, degrees, p)]
+    rows = [ctx.class_key(d) for d in _checked_rows(ctx, degrees, p)]
     # with p + 1 past the cap, `_multiply` fails anyway: fail before building
     _check_terms(range(p + 1))
     m, r = ctx.fan.dim, ctx.r
-    zero = key((0,) * r)
-    units = [key(tuple(int(i == j) for i in range(r))) for j in range(r)]
+    zero = ctx.class_key((0,) * r)
+    units = [ctx.class_key(tuple(int(i == j) for i in range(r))) for j in range(r)]
 
     def binomial(c, j, e):
         # 1 + c y^j x^e; with j = 0 and e = 0 the two terms share one key
@@ -161,7 +165,7 @@ def _factors(ctx, degrees, kind: str, p: int, key=tuple, reduce=tuple):
         power = {(zero, 0): 1}
         inverse = dict(power)
         for _ in range(p):
-            power = _multiply(power, y_form, p, reduce)
+            power = _multiply(power, y_form, p, ctx.reduce_class)
             inverse.update(power)
             _check_terms(inverse)
         return [binomial(-1, 0, d) for d in rows] + [inverse]
@@ -175,7 +179,7 @@ def chi_all(ctx: HilbertContext, degrees, kind: str, pmax: int) -> list:
     q_{a,j} x^a y^j adds q_{a,j} * H(-ctx.class_divisor(a)) to the value at
     p = j, and H is evaluated once per class.
     """
-    factors = _factors(ctx, degrees, kind, pmax, ctx.class_key, ctx.reduce_class)
+    factors = _factors(ctx, degrees, kind, pmax)
     dim = len(ctx.class_key((0,) * ctx.r))
     expanded = y_truncated_expand(factors, pmax, dim, ctx.reduce_class)
     values, h = [0] * (pmax + 1), {}

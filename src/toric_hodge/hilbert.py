@@ -73,11 +73,20 @@ class HilbertContext:
         self._h_memo = {}  # class_key(s) -> H(s)
         rows = list(zip(*fan.rays))  # P^T
         reduction = row_lattice(rows, self.r)
-        self._right = reduction.right  # U
-        self._lower = [vec_mat(row, self._right)[: fan.dim] for row in rows]  # L
-        # with L unimodular Cl is free: keys are the last r - n coordinates
-        self._free = all(abs(row[i]) == 1 for i, row in enumerate(self._lower))
-        self._key_rows = reduction.right_inverse[fan.dim if self._free else 0 :]
+        self._right, n = reduction.right, fan.dim  # U
+        lower = [vec_mat(row, self._right)[:n] for row in rows]  # L
+        for k, row in enumerate(lower):  # Hermite form: reduce below each pivot
+            for i in reversed(range(k)):
+                c = row[i] // lower[i][i]
+                lower[k] = row = [x - c * y for x, y in zip(row, lower[i])]
+        # a unit pivot now has only zeros below it, so its coordinate stays 0
+        # once reduced: keys keep only the torsion and the last r - n ones
+        torsion = [i for i in range(n) if abs(lower[i][i]) > 1]
+        self._keep = torsion + list(range(n, self.r))
+        self._rows = [(i, lower[i]) for i in reversed(range(n))]
+        self._torsion = [(k, [lower[i][j] for j in torsion]) for k, i in enumerate(torsion)]
+        self._torsion.reverse()
+        self._key_rows = [reduction.right_inverse[i] for i in self._keep]
 
     def class_key(self, s) -> tuple:
         """Canonical representative of the class of s in Z^r / P Z^n.
@@ -85,27 +94,32 @@ class HilbertContext:
         With P^T U = [L | 0] (U unimodular, L lower triangular of rank n),
         s + P u has the coordinates s U + u^T [L | 0]: the last r - n are
         invariant, and the first n are reduced modulo the rows of L from
-        the last row up, which also tells torsion classes apart.  When Cl
-        is free the first n reduce to 0 and the key drops them.
+        the last row up, which also tells torsion classes apart.  The key
+        leaves out the coordinates of unit pivots, which reduce to 0.
         """
-        a = vec_mat(s, self._right)
-        return tuple(a[self.fan.dim :]) if self._free else self.reduce_class(a)
+        a = _reduce(list(vec_mat(s, self._right)), self._rows)
+        return tuple(a[i] for i in self._keep)
 
     def reduce_class(self, a) -> tuple:
-        """The key of a sum of keys: the reduction step of `class_key`."""
-        if self._free:
-            return tuple(a)
-        a = list(a)
-        for i in reversed(range(self.fan.dim)):
-            row = self._lower[i]
-            c = a[i] // row[i]
-            for j in range(i + 1):
-                a[j] -= c * row[j]
-        return tuple(a)
+        """The key of a list of key coordinates, such as a sum of keys.
+
+        Only the torsion rows of L act, so the list is reduced in place by
+        them; when Cl is free there are none.
+        """
+        return tuple(_reduce(a, self._torsion))
 
     def class_divisor(self, key) -> tuple:
         """A divisor s whose class has this key."""
         return vec_mat(key, self._key_rows)
+
+
+def _reduce(a, rows):
+    """Reduce the list a in place by (i, row) pairs, row[i] the pivot."""
+    for i, row in rows:
+        c = a[i] // row[i]
+        for j in range(i + 1):
+            a[j] -= c * row[j]
+    return a
 
 
 def _intersection_coefficients(cone_masks):

@@ -627,28 +627,28 @@ def _envelope(lines, lo, hi):
         u = end + 1
 
 
-def _count_plane(outer, sides, prefix):
-    """Integer points (u, v) over `prefix`, counted in closed form.
+def _plane_sum(lo, hi, sides, parts):
+    """Integer points (u, v) with lo <= u <= hi, counted in closed form.
 
-    `outer` gives the interval [lo, hi] of u.  It is the exact rational
-    projection of the rows in `sides`, so every integer u there has
-    v-count min_j floor(U_j(u)) - max_i ceil(L_i(u)) + 1 >= 0.  Writing
+    [lo, hi] is the u-interval of the exact rational projection of the
+    v-bounds, so every integer u there has v-count
+    min_j floor(U_j(u)) - max_i ceil(L_i(u)) + 1 >= 0.  Writing
     -ceil(x) = floor(-x), both terms are minima of floors of lines in u,
     and the count is a sum of floor sums, one per envelope piece.
 
-    `sides` holds the upper and the lower v-bounds as rows (n, b, |c|) of
-    n.x >= b with v-coefficient c.  With B = n[:t].prefix - b a row reads
-    n_u*u + c*v >= -B: v <= (n_u*u + B) / |c| when c < 0, and
-    -ceil(lower bound) = floor((n_u*u + B) / c) when c > 0.
+    `sides` holds the upper and the lower v-bounds, each as (k, lines):
+    line i is (a, m) and reads (a*u + parts[k+i]) / m.  For a row n.x >= b
+    with v-coefficient c and B = (n.x without its u and v terms) - b, that
+    is v <= (n_u*u + B) / |c| when c < 0, and -ceil(lower bound) =
+    floor((n_u*u + B) / c) when c > 0.
     """
-    bounds = _interval(outer, prefix)
-    if bounds is None:
-        return 0
-    lo, hi = bounds
-    t = len(prefix)
     total = hi - lo + 1
-    for rows in sides:
-        lines = [(n[t], sum(map(mul, n, prefix)) - b, m) for n, b, m in rows]
+    for k, lines in sides:
+        if len(lines) == 1:  # no envelope
+            a, m = lines[0]
+            total += _floor_sum(hi - lo + 1, m, a, a * lo + parts[k])
+            continue
+        lines = [(a, b, m) for (a, m), b in zip(lines, parts[k:])]
         for start, end, (a, b, m) in _envelope(lines, lo, hi):
             total += _floor_sum(end - start + 1, m, a, a * start + b)
     return total
@@ -660,7 +660,7 @@ def _count_levels(levels, dim):
     `levels[t-1]` is an iterable of the (normal, bound) rows constraining
     (x_1 .. x_t), each level the exact rational projection of the next
     (`_cascade`, `extend_cascade`).  The last two coordinates (u, v) are
-    counted in closed form by floor sums (`_count_plane`), so a 2-D region
+    counted in closed form by floor sums (`_plane_sum`), so a 2-D region
     costs the same however large it is.  Above them the outer dim - 3 levels
     are swept (`_prefixes`), and w = x[dim-3] is a plain loop in which each
     u- and v-row steps its partial sum by its w-coefficient.
@@ -670,23 +670,24 @@ def _count_levels(levels, dim):
     if dim == 1:
         bounds = _interval(levels[0], [])
         return 0 if bounds is None else bounds[1] - bounds[0] + 1
-    # rows with no v-coefficient are already part of the outer level
+    # v-bounds (rows with no v-coefficient are already part of the outer level)
     sides = (
         [(n, b, -n[-1]) for n, b in levels[-1] if n[-1] < 0],
         [(n, b, n[-1]) for n, b in levels[-1] if n[-1] > 0],
     )
-    if dim == 2:
-        return _count_plane(levels[0], sides, [])
-    t = dim - 3  # w = x[t], u = x[t+1], v = x[t+2]
     # u-bounds c*u >= -B; rows with no u-coefficient are in the level of w
     lower = [(n, b) for n, b in levels[-2] if n[-1] > 0]
     upper = [(n, b) for n, b in levels[-2] if n[-1] < 0]
     rows = lower + upper + [(n, b) for side in sides for n, b, _ in side]
-    steps = [n[t] for n, _ in rows]
-    lower_c, upper_m = [n[-1] for n, _ in lower], [-n[-1] for n, _ in upper]
     first = len(lower)
     cuts = (first + len(upper), len(rows) - len(sides[1]))  # where the sides start
-    lines = [(k, [(n[t + 1], m) for n, _, m in side]) for k, side in zip(cuts, sides)]
+    lines = [(k, [(n[-2], m) for n, _, m in side]) for k, side in zip(cuts, sides)]
+    if dim == 2:
+        bounds = _interval(levels[0], [])
+        return 0 if bounds is None else _plane_sum(*bounds, lines, [-b for _, b in rows])
+    t = dim - 3  # w = x[t], u = x[t+1], v = x[t+2]
+    steps = [n[t] for n, _ in rows]
+    lower_c, upper_m = [n[-1] for n, _ in lower], [-n[-1] for n, _ in upper]
     total = 0
     for prefix in _prefixes(levels, t):
         bounds = _interval(levels[t], prefix)
@@ -698,15 +699,7 @@ def _count_levels(levels, dim):
             lo = -min(map(floordiv, parts, lower_c))
             hi = min(map(floordiv, parts[first:], upper_m))
             if lo <= hi:
-                total += hi - lo + 1
-                for k, side in lines:
-                    if len(side) == 1:  # no envelope
-                        a, m = side[0]
-                        total += _floor_sum(hi - lo + 1, m, a, a * lo + parts[k])
-                        continue
-                    side = [(a, b, m) for (a, m), b in zip(side, parts[k:])]
-                    for start, end, (a, b, m) in _envelope(side, lo, hi):
-                        total += _floor_sum(end - start + 1, m, a, a * start + b)
+                total += _plane_sum(lo, hi, lines, parts)
             parts = list(map(add, parts, steps))
     return total
 

@@ -286,7 +286,8 @@ def test_series_term_cap_fails_fast(kind, tmp_path, capsys):
 
 
 def test_series_pair_cap_fails_fast(tmp_path, capsys):
-    # one product of this expansion combines 28 million pairs of terms
+    # one product of this expansion combines 7.2 million pairs of terms whose
+    # y-powers stay within the truncation
     from toric_hodge.forms import MAX_SERIES_PAIRS
 
     doc = tmp_path / "p1_cubed.json"

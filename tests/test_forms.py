@@ -81,8 +81,11 @@ def test_coeff_cotangent_line():
         {((0, 0), j): (-1) ** j for j in range(2)},  # (1 + y)^(1 - 2)
     ]
     assert _x0_yp_coefficient(ctx, y_truncated_expand(factors, 1, ctx.r), 1) == -1
-    assert y_truncated_expand(factors, 1, ctx.r) == y_truncated_expand(
-        _factors(ctx, [], "alt", 1), 1, ctx.r
+    # `_factors` writes the same factors with class keys as exponents
+    in_classes = [{(ctx.class_key(e), j): c for (e, j), c in f.items()} for f in factors]
+    dim = len(ctx.class_key((0, 0)))
+    assert y_truncated_expand(in_classes, 1, dim, ctx.reduce_class) == (
+        y_truncated_expand(_factors(ctx, [], "alt", 1), 1, dim, ctx.reduce_class)
     )
     assert chi_all(ctx, [], "alt", 1)[1] == -1
 
@@ -179,10 +182,12 @@ def test_expansion_truncates_consistently(kind):
         degs = degrees_of(fan, supports) if supports else []
         n = fan.dim
         factors = _factors(ctx, degs, kind, n)
-        full = y_truncated_expand(factors, n, ctx.r)
+        dim = len(ctx.class_key((0,) * ctx.r))
+        full = y_truncated_expand(factors, n, dim, ctx.reduce_class)
         for p in range(n + 1):
             low = {key: c for key, c in full.items() if key[1] <= p}
-            assert low == y_truncated_expand(factors, p, ctx.r), (name, p)
+            truncated = y_truncated_expand(factors, p, dim, ctx.reduce_class)
+            assert low == truncated, (name, p)
 
 
 # the index-3 fan of tests/test_hilbert.py: its rays span an index-3

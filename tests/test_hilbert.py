@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from itertools import product
 from math import comb, lcm
 
 import pytest
@@ -12,6 +13,7 @@ from toric_hodge import forms, lattice
 from toric_hodge.errors import ConsistencyError
 from toric_hodge.fans import Fan, degrees_of, normal_fan, simplicial_refinement
 from toric_hodge.hilbert import (
+    HilbertContext,
     build_context,
     chi_structure_sheaf,
     h_of_s,
@@ -340,6 +342,25 @@ def test_h_memo_is_keyed_by_divisor_class(case):
     assert ctx.class_key(shifted) == ctx.class_key(s)
     # keys agree exactly when the difference lies in P Z^n
     assert (ctx.class_key(other) == ctx.class_key(s)) == in_ray_image(fan.rays, delta)
+
+
+def test_class_keys_with_a_unit_pivot_between_torsion_pivots():
+    # P^T U = [L | 0] has the pivots -3, 1, -7 here (Cl = Z/21), and the last
+    # row of L has an entry under the unit pivot: reducing a sum of keys by
+    # the torsion rows alone is right only once L is in Hermite form
+    rays = ((-3, 1, 0), (-3, 3, 1), (-3, -2, 2))
+    ctx = HilbertContext(Fan(3, rays, ((0, 1, 2),)), {})
+    box = list(product(range(-2, 3), repeat=3))
+    keys = {s: ctx.class_key(s) for s in box}
+    assert len(set(keys.values())) == 21
+    for s in box[::7]:
+        for t in box:
+            diff = tuple(x - y for x, y in zip(s, t))
+            assert (keys[s] == keys[t]) == in_ray_image(rays, diff)
+            total = tuple(x + y for x, y in zip(s, t))
+            summed = [x + y for x, y in zip(keys[s], keys[t])]
+            assert ctx.reduce_class(summed) == ctx.class_key(total)
+            assert ctx.class_key(ctx.class_divisor(keys[t])) == keys[t]
 
 
 def test_class_memo_walks_each_degree_once(monkeypatch):
