@@ -39,7 +39,6 @@ from .hodge_tables import EPQTable, zero_table
 from .lattice import (
     AffineReduction,
     Polytope,
-    RationalPolyhedron,
     affine_lattice_reduction,
     convex_hull,
     minkowski_support,
@@ -68,7 +67,6 @@ __all__ = [
     "HilbertContext",
     "InputError",
     "Polytope",
-    "RationalPolyhedron",
     "TorusCIProblem",
     "Weights",
     "adapted_subfan",

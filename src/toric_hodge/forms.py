@@ -90,10 +90,15 @@ def y_truncated_expand(factors, p: int, dim: int, reduce=tuple):
 
     Each factor and the result are sparse Laurent polynomials
     {(x-exponent tuple, y-power): int}, in Z^dim with `reduce` = tuple, or
-    in class keys with a Hilbert context's `reduce_class`.
+    in class keys with a Hilbert context's `reduce_class`.  Every exponent
+    must have length dim (ValueError): `_multiply` adds exponents with a
+    plain zip, which would cut a longer one short.
     """
     if p < 0:
         raise ValueError("negative truncation order")
+    factors = list(factors)
+    if any(len(e) != dim for terms in factors for e, _ in terms):
+        raise ValueError(f"series exponents must have length {dim}")
     result = {((0,) * dim, 0): 1}
     for terms in factors:
         result = _multiply(result, terms, p, reduce)

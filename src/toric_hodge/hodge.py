@@ -23,7 +23,9 @@ induction on the torus dimension and the number of equations:
      restricted supports hold a single point or outnumber m - dim(sigma):
      their table is zero by step 1;
   7. the row sums e^p_c = sum_q e_c^{pq} of the open part are read from
-     lattice-point counts of Minkowski combinations of the supports;
+     lattice-point counts of Minkowski combinations of the supports, each
+     counted on the facets of the coordinate projections of their sum,
+     found once per problem from its projected vertices;
   8. the symmetry of the quasi-smooth closure (open part plus boundary)
      gives e_c below the middle, the row sums give the middle
      anti-diagonal, and the closure's row sums must satisfy Serre duality
@@ -41,6 +43,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, product
 from math import comb
+from operator import mul
 
 from .errors import ConsistencyError
 from .fans import (
@@ -57,16 +60,17 @@ from .fans import (
 )
 from .hodge_tables import EPQTable, zero_table
 from .lattice import (
-    RationalPolyhedron,
+    _count_levels,
     affine_lattice_reduction,
     convex_hull,
-    count_lattice_points,
     minkowski_support,
+    projection_levels,
 )
 
-# Refined normal fans with more maximal cones fail fast: counting their dilates
-# in (C*)^5 took minutes; raising it waits on Fourier-Motzkin redundancy removal.
-MAX_ORBIT_CONES = 128
+# Refined normal fans with more maximal cones fail fast: the orbit recursion
+# grows with the fan, and the slowest table found under this cap, in (C*)^6,
+# took 6 s.
+MAX_ORBIT_CONES = 1024
 
 _epq_memo: dict = {}
 
@@ -171,8 +175,9 @@ def _epq_c_ci_compute(problem: TorusCIProblem, vertices: bool) -> EPQTable:
     # all_cones lists the zero cone, the open orbit, first
     b = _orbit_sum(fan, all_cones(fan)[1:], supports, degrees, n + 1)
 
-    # 7. row sums of the open part
-    sums = _open_row_sums(m, n, fan.rays, degrees)
+    # 7. row sums of the open part; the fan's rays are Delta's facet normals
+    top = [(ray, tuple(-d for d in col)) for ray, col in zip(fan.rays, zip(*degrees))]
+    sums = _open_row_sums(m, n, projection_levels(top, delta.vertices, supports))
 
     # 8. e_c: duality (step 5) above the middle, the closure's symmetry below
     e_c = [[0] * (n + 1) for _ in range(n + 1)]
@@ -193,26 +198,22 @@ def _epq_c_ci_compute(problem: TorusCIProblem, vertices: bool) -> EPQTable:
     return EPQTable(tuple(tuple(r) for r in e_c), "compact")
 
 
-def _open_row_sums(m: int, n: int, normals, rows) -> list:
+def _open_row_sums(m: int, n: int, levels) -> list:
     """Row sums e^p_c, p = 0..n, of a generic system in (C*)^m (Khovanskii).
 
     With L(c) the number of lattice points in sum_i c_i Delta_i, which is
-    {x : <normals[j], x> >= -sum_i c_i rows[i][j]},
+    {x : <u, x> >= sum_i c_i h_i(u)} on every level (u, h) of the
+    projections of Delta (`projection_levels`),
       e^p_c = (-1)^(p+m) sum_{|a| <= p} (-1)^|a| C(m, p - |a|)
               sum_{S} (-1)^|S| L(a + 1_S).
     """
 
     @cache
     def points(c):
-        bounds = [-sum(x * d for x, d in zip(c, col)) for col in zip(*rows)]
-        bounded, count = count_lattice_points(
-            RationalPolyhedron(tuple(zip(normals, bounds)), m)
-        )
-        if not bounded:
-            raise ConsistencyError(f"Minkowski combination {c} is unbounded")
-        return count
+        bounded = [[(u, sum(map(mul, c, h))) for u, h in level] for level in levels]
+        return _count_levels(bounded, m)
 
-    k = len(rows)
+    k = m - n
     mixed = [0] * (n + 1)  # sum over |a| = j of (-1)^|a| sum_S (-1)^|S| L(a + 1_S)
     for a in product(range(n + 1), repeat=k):
         if sum(a) <= n:

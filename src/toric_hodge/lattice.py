@@ -6,29 +6,31 @@ One fraction-free elimination (Bareiss, `_eliminate`) gives ranks,
 independent rows, determinants and inverses, and one unimodular column
 reduction that carries its own inverse (`row_lattice`) gives saturations
 and kernels.  Half-spaces have integer normals and integer bounds.  The
-polyhedral machinery (double description for extreme rays, Fourier-Motzkin
-elimination for coordinate projections) is written for desk-scale inputs:
-dimensions up to about 6 and a few dozen constraints, which is all the
-counting formulas downstream ever need.
+polyhedral machinery (double description for extreme rays and hulls,
+Fourier-Motzkin elimination for the H(s) walk) is written for desk-scale
+inputs: dimensions up to about 6 and a few dozen constraints, which is all
+the counting formulas downstream ever need.
 
-Lattice points are counted from one cascade of exact Fourier-Motzkin
-projections.  `count_lattice_points` builds the cascade of a whole system
-(`_cascade`); `extend_cascade` grows a carried cascade by one row,
-combining at each level only the rows that are new or tighter, so a walk
-that adds one constraint per step never eliminates from scratch
-(Schrijver, *Theory of Linear and Integer Programming*, section 12.2).
-Either way one sweep (`_count_levels`) runs over the outer dim - 3 levels,
-then over the next coordinate as a plain loop that steps every row's
-partial sum, and counts the last two coordinates in closed form: each
-envelope piece of the bounds is one floor sum sum floor((a*i + b) / m),
-computed by a Euclid-like reduction (Beck and Robins, *Computing the
-Continuous Discretely*, ch. 1 and 8).
+Lattice points are counted from levels of exact coordinate projections,
+which come from one of two places.  A polytope given by its vertices has
+its projections read off hulls of the projected vertices
+(`projection_levels`), once for every nonnegative combination of the
+summands of a Minkowski sum.  The H(s) walk instead carries a
+Fourier-Motzkin cascade that `extend_cascade` grows by one row, combining
+at each level only the rows that are new or tighter, so a walk that adds
+one constraint per step never eliminates from scratch (Schrijver, *Theory
+of Linear and Integer Programming*, section 12.2).  Either way one sweep
+(`_count_levels`) runs over the outer dim - 3 levels, then over the next
+coordinate as a plain loop that steps every row's partial sum, and counts
+the last two coordinates in closed form: each envelope piece of the
+bounds is one floor sum sum floor((a*i + b) / m), computed by a
+Euclid-like reduction (Beck and Robins, *Computing the Continuous
+Discretely*, ch. 1 and 8).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import gcd
 from operator import add, floordiv, mul
@@ -298,54 +300,11 @@ def cone_extreme_rays(normals, dim):
 
 
 # ---------------------------------------------------------------------------
-# rational polyhedra
+# the carried Fourier-Motzkin cascade, and lattice-point counts by levels
 
 
-@dataclass(frozen=True)
-class RationalPolyhedron:
-    """Intersection of half-spaces {x : <normal, x> >= bound}.
-
-    Normals and bounds are integers; a rational bound b/d is the half-space
-    of the normal scaled by d with bound b.
-    """
-
-    constraints: tuple  # tuple of (normal: int tuple, bound: int)
-    dim: int
-
-    def __post_init__(self):
-        cons = tuple((tuple(n), b) for n, b in self.constraints)
-        for n, b in cons:
-            if len(n) != self.dim:
-                raise ValueError("constraint dimension mismatch")
-            if not isinstance(b, int):
-                raise ValueError("half-space bounds must be integers")
-        object.__setattr__(self, "constraints", cons)
-
-    def contains(self, point) -> bool:
-        return all(dot(n, point) >= b for n, b in self.constraints)
-
-
-@lru_cache(maxsize=65536)
-def _recession_trivial_cached(normals, dim) -> bool:
-    if dim == 0:
-        return True
-    if not normals or rank_of(normals) < dim:
-        return False  # the recession cone contains a line
-    return not cone_extreme_rays(normals, dim)
-
-
-def recession_is_trivial(normals, dim) -> bool:
-    """Exact test that {x : <normal,x> >= 0 for all normals} = {0}.
-
-    The answer depends only on the set of normals, so it is cached;
-    counting the same combinatorial region for many different bounds pays
-    for the cone computation once.
-    """
-    return _recession_trivial_cached(tuple(sorted(normals)), dim)
-
-
-# Fourier-Motzkin steps that combine more row pairs fail fast: one step of
-# 6.9 million pairs (a 4-D Minkowski sum with 31 facets) took 38 s and 1.4 GB.
+# Steps of the carried cascade that combine more row pairs fail fast: a step of
+# 6.9 million pairs took 38 s and 1.4 GB.
 MAX_FM_PAIRS = 200_000
 
 
@@ -400,47 +359,6 @@ def _merge(rows, level):
             merged[n] = b
             fresh.add(n)
     return merged, fresh
-
-
-def _fm_eliminate_last(constraints, dim):
-    """Fourier-Motzkin elimination of the last coordinate.
-
-    Input and output constraints are integer (normal, bound) pairs meaning
-    normal.x >= bound.  Returns None if a contradictory constant constraint
-    appears (empty polyhedron).
-    """
-    k = dim - 1
-    lower, upper, out = [], [], []
-    for n, b in constraints:
-        c = n[k]
-        if c > 0:
-            lower.append((n, b))
-        elif c < 0:
-            upper.append((n, b))
-        else:
-            out.append((n[:k], b))
-    _check_pairs(len(lower) * len(upper))
-    merged = _merge(out + _combine(lower, upper, k), {})
-    return None if merged is None else sorted(merged[0].items())
-
-
-def _cascade(cons, dim):
-    """Fourier-Motzkin projections of an integer system, dim >= 1.
-
-    Returns levels with levels[t-1] constraining (x_1 .. x_t): levels[dim-1]
-    is the original system and each level is the exact rational projection
-    of the next.  None when a contradictory constant constraint shows the
-    system empty.
-    """
-    levels = [sorted(set(cons))]
-    cur = cons
-    for t in range(dim, 1, -1):
-        cur = _fm_eliminate_last(cur, t)
-        if cur is None:
-            return None
-        levels.append(cur)
-    levels.reverse()
-    return levels
 
 
 def extend_cascade(levels, normal, bound):
@@ -655,15 +573,17 @@ def _plane_sum(lo, hi, sides, parts):
 
 
 def _count_levels(levels, dim):
-    """Number of integer points of a non-empty, bounded cascade.
+    """Number of integer points of a non-empty, bounded system, by levels.
 
     `levels[t-1]` is an iterable of the (normal, bound) rows constraining
-    (x_1 .. x_t), each level the exact rational projection of the next
-    (`_cascade`, `extend_cascade`).  The last two coordinates (u, v) are
-    counted in closed form by floor sums (`_plane_sum`), so a 2-D region
-    costs the same however large it is.  Above them the outer dim - 3 levels
-    are swept (`_prefixes`), and w = x[dim-3] is a plain loop in which each
-    u- and v-row steps its partial sum by its w-coefficient.
+    (x_1 .. x_t), each level the exact rational projection of the next: the
+    facets of the projections of a polytope (`projection_levels`) or a
+    carried Fourier-Motzkin cascade (`extend_cascade`).  The last two
+    coordinates (u, v) are counted in closed form by floor sums
+    (`_plane_sum`), so a 2-D region costs the same however large it is.
+    Above them the outer dim - 3 levels are swept (`_prefixes`), and
+    w = x[dim-3] is a plain loop in which each u- and v-row steps its
+    partial sum by its w-coefficient.
     """
     if dim == 0:
         return 1
@@ -702,25 +622,6 @@ def _count_levels(levels, dim):
                 total += _plane_sum(lo, hi, lines, parts)
             parts = list(map(add, parts, steps))
     return total
-
-
-def count_lattice_points(region: RationalPolyhedron):
-    """Number of integer points of a polyhedron, or an unbounded flag.
-
-    Boundedness is decided exactly from the recession cone (pointedness via
-    double description, cached per normal set).  The points are counted
-    from the Fourier-Motzkin cascade of the whole system (`_count_levels`).
-    Returns (bounded, count).
-    """
-    cons, dim = region.constraints, region.dim
-    if not recession_is_trivial([n for n, _ in cons], dim):
-        return False, 0
-    if dim == 0:
-        return True, int(all(b <= 0 for _, b in cons))
-    levels = _cascade(cons, dim)
-    if levels is None:
-        return True, 0
-    return True, _count_levels(levels, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +734,33 @@ def minkowski_support(supports, *, vertices: bool = False) -> Polytope:
             total = vec_add(total, q)
         sums.add(total)
     return convex_hull(sums)
+
+
+def projection_levels(top, vertices, supports):
+    """Facets of the projections of Delta = sum_i conv(supports[i]), by level.
+
+    Delta is full-dimensional, with the given vertices; `top` lists its
+    facets as (u, h), where h[i] = min over supports[i] of <u, x> is the
+    support function of the i-th summand at u.  levels[t-1] lists the
+    facets of the projection of Delta onto (x_1 .. x_t) in the same way:
+    below the top they are the extreme rays (u, b) of the dual cone
+    {(u, b) : <u, v> + b >= 0} of the projected vertices v, and the
+    one-coordinate level is +-x_1.  For every c >= 0 the projection of
+    sum_i c_i Delta_i is sum_i c_i proj(Delta_i), and the normal fan of
+    proj(Delta) refines its normal fan, so on every level the rows
+    <u, x> >= sum_i c_i h_i(u) are its exact projections (`_count_levels`),
+    with nothing to eliminate.
+    """
+    dim = len(top[0][0])
+    normals = [[(1,), (-1,)]] if dim > 1 else []
+    for t in range(2, dim):
+        dual = cone_extreme_rays({v[:t] + (1,) for v in vertices}, t + 1)
+        normals.append([a[:t] for a in dual])
+    levels = [
+        [(u, tuple(min(sum(map(mul, u, v)) for v in s) for s in supports)) for u in level]
+        for level in normals
+    ]
+    return levels + [top]
 
 
 # ---------------------------------------------------------------------------

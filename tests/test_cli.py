@@ -5,7 +5,9 @@ import os
 import shutil
 import subprocess
 import time
-from math import comb
+from functools import cache
+from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -181,8 +183,8 @@ def test_exit_code_internal_consistency(capsys, monkeypatch):
 
     row_sums = hodge_mod._open_row_sums
 
-    def off_by_one(m, n, normals, rows):
-        return [v + (p == 0) for p, v in enumerate(row_sums(m, n, normals, rows))]
+    def off_by_one(*args):
+        return [v + (p == 0) for p, v in enumerate(row_sums(*args))]
 
     monkeypatch.setattr(hodge_mod, "_open_row_sums", off_by_one)
     hodge_mod.clear_epq_memo()
@@ -241,23 +243,111 @@ def test_refined_fan_cap_fails_fast(capsys, monkeypatch):
     assert captured.out == ""
 
 
-def test_fourier_motzkin_cap_fails_fast(tmp_path, capsys):
+def _brute_torus_sums(m, supports):
+    """Row sums of e_c of a generic system, and its Euler characteristic.
+
+    Both come from brute-force counts L(c) of the lattice points of
+    sum_i c_i Delta_i, each scanned on the box of its vertices.  The row
+    sums follow Khovanskii's formula of `hodge._open_row_sums`; the Euler
+    characteristic is Bernstein-Khovanskii's (-1)^(m-k) times the sum of
+    the mixed volumes MV(Delta_1^a_1, .., Delta_k^a_k) over a >= 1 with
+    |a| = m, each the mixed finite difference of L over c <= a.
+    """
+    k = len(supports)
+
+    @cache
+    def count(c):
+        pts = [tuple(map(sum, zip(*(tuple(x * ci for x in q) for ci, q in zip(c, combo)))))
+               for combo in product(*supports)]
+        box = [(min(col), max(col)) for col in zip(*pts)]
+        return brute_count(minkowski_support([pts]).facets, m, box)
+
+    n = m - k
+    mixed = [0] * (n + 1)
+    for a in product(range(n + 1), repeat=k):
+        if sum(a) <= n:
+            for e in product((0, 1), repeat=k):
+                c = tuple(x + y for x, y in zip(a, e))
+                mixed[sum(a)] += (-1) ** (sum(a) + sum(e)) * count(c)
+    rows = [(-1) ** (p + m) * sum(comb(m, p - j) * mixed[j] for j in range(p + 1))
+            for p in range(n + 1)]
+    volumes = 0
+    for a in product(range(1, m + 1), repeat=k):
+        if sum(a) == m:
+            for c in product(*(range(x + 1) for x in a)):
+                sign = (-1) ** (m - sum(c))
+                volumes += sign * prod(comb(x, y) for x, y in zip(a, c)) * count(c)
+    return rows, (-1) ** (m - k) * volumes
+
+
+# Torus systems past caps of earlier designs, each with its refined cone count:
+# the first two (12 and 27 facets) stopped at MAX_FM_PAIRS when every count
+# eliminated the whole system (5.7 million and 0.55 million row pairs in one
+# step), and the third has more than the 128 refined cones once allowed.
+PAST_OLD_CAPS = [
+    (
+        5,
+        [[[0, 0, 0, 3, 1], [0, 3, 0, 1, 3], [1, 0, 0, 3, 1], [1, 3, 2, 1, 2],
+          [2, 2, 3, 2, 0], [2, 2, 3, 3, 1], [3, 3, 3, 2, 0]]],
+        36,
+        [[6, 0, 0, 0, 0], [0, -6, 0, 5, 0], [0, 0, 21, 0, 0], [0, 5, 0, -5, 0],
+         [0, 0, 0, 0, 1]],
+    ),
+    (
+        4,
+        [[[1, 0, 1, 0], [2, 0, 2, 1], [2, 2, 2, 1], [2, 2, 2, 3], [3, 0, 0, 1], [3, 3, 3, 3]],
+         [[0, 2, 0, 3], [1, 0, 1, 1], [1, 3, 0, 3], [3, 3, 0, 0]]],
+        103,
+        [[23, 21, 35], [21, 120, 0], [35, 0, 1]],
+    ),
+    (
+        4,
+        [[[0, 0, 3, 1], [0, 1, 0, 2], [1, 0, 0, 3], [2, 3, 0, 3], [2, 3, 2, 0], [3, 2, 3, 1]],
+         [[0, 3, 1, 3], [1, 2, 0, 1], [2, 0, 0, 1], [3, 2, 2, 1]]],
+        140,
+        [[23, 3, 112], [3, 359, 0], [112, 0, 1]],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "m,supports,cones,entries", PAST_OLD_CAPS,
+    ids=["c5_hypersurface", "c4_27_facets", "c4_140_cones"],
+)
+def test_hodge_torus_past_old_caps(tmp_path, capsys, m, supports, cones, entries):
+    delta = minkowski_support(supports)
+    assert len(simplicial_refinement(normal_fan(delta, m)).maximal_cones) == cones
+    rows, euler = _brute_torus_sums(m, supports)
+    assert [sum(row) for row in entries] == rows
+    assert sum(rows) == euler
+    doc = tmp_path / "torus.json"
+    doc.write_text(json.dumps({"dim": m, "supports": supports}))
+    assert cli.main(["hodge-torus", "--json", str(doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == entries
+
+
+def test_orbit_cone_cap_fails_fast(tmp_path, capsys):
     import toric_hodge.hodge as hodge_mod
 
-    # the pulled normal fan (12 rays, 36 maximal cones) is under the orbit
-    # cap, but the projections that count the dilates of this 12-facet
-    # polytope grow to millions of rows
-    support = [[0, 0, 0, 3, 1], [0, 3, 0, 1, 3], [1, 0, 0, 3, 1], [1, 3, 2, 1, 2],
-               [2, 2, 3, 2, 0], [2, 2, 3, 3, 1], [3, 3, 3, 2, 0]]
+    # a 16-point hypersurface in (C*)^5 whose refined normal fan is past the cap
+    support = [[0, 0, 0, 0, 3], [0, 0, 0, 2, 2], [0, 2, 1, 0, 3], [1, 0, 0, 0, 3],
+               [1, 0, 0, 3, 2], [1, 0, 1, 3, 0], [1, 1, 0, 1, 2], [1, 1, 1, 0, 3],
+               [1, 1, 1, 1, 0], [1, 1, 3, 1, 0], [1, 2, 2, 3, 0], [1, 2, 3, 2, 1],
+               [2, 0, 3, 3, 0], [2, 1, 1, 0, 0], [3, 0, 1, 3, 1], [3, 2, 0, 3, 3]]
     doc = tmp_path / "torus.json"
     doc.write_text(json.dumps({"dim": 5, "supports": [support]}))
     hodge_mod.clear_epq_memo()
+    start = time.perf_counter()
     code = cli.main(["hodge-torus", str(doc)])
+    elapsed = time.perf_counter() - start
     hodge_mod.clear_epq_memo()
     captured = capsys.readouterr()
     assert code == 3
-    assert "Fourier-Motzkin step" in captured.err
+    assert "refined normal fan has 1078 maximal cones" in captured.err
+    assert f"the supported maximum is {hodge_mod.MAX_ORBIT_CONES}" in captured.err
+    assert hodge_mod.MAX_ORBIT_CONES == 1024
     assert captured.out == ""
+    assert elapsed < 10
 
 
 # (P^1)^3: Cl = Z^3, so its class terms grow like a power of p

@@ -57,6 +57,16 @@ def test_expand_cancellation():
     assert out == {((0,), 0): 1}
 
 
+@pytest.mark.parametrize("exponent", [(1,), (1, 0, 0)])
+def test_expand_rejects_exponents_of_another_length(exponent):
+    # a short or long exponent in any factor, even one the truncation drops
+    factors = [{((0, 0), 0): 1}, {((1, 0), 0): 1, (exponent, 2): 1}]
+    with pytest.raises(ValueError, match="length 2"):
+        y_truncated_expand(factors, 1, 2)
+    with pytest.raises(ValueError, match="length 2"):
+        y_truncated_expand(iter(factors[::-1]), 1, 2)
+
+
 def test_coeff_empty_factorization():
     ctx = build_context(fan_p2())
     assert y_truncated_expand([], 0, ctx.r) == {((0, 0, 0), 0): 1}

@@ -403,9 +403,8 @@ def test_euler_equals_newton_volume_octahedron():
 
 
 def test_pulled_fan_stays_under_the_orbit_cap():
-    # a stellar refinement of this normal fan has 159 maximal cones, past
-    # MAX_ORBIT_CONES; the pulled one stays under the cap and gives the table
-    # that the stellar one gives with the cap lifted
+    # a stellar refinement of this normal fan has 159 maximal cones; the
+    # pulled one has fewer and gives the table that the stellar one gives
     clear_epq_memo()
     problem = TorusCIProblem(
         4,

@@ -4,40 +4,38 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, gcd, isqrt
+from math import comb, gcd
 
 import pytest
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toric_hodge import lattice
+from toric_hodge.fans import degrees_of, normal_fan
 from toric_hodge.lattice import (
     MAX_FM_PAIRS,
-    RationalPolyhedron,
-    _cascade,
     _count_levels,
     _envelope,
-    _fm_eliminate_last,
     _floor_sum,
     affine_lattice_reduction,
+    cascade_is_bounded,
     convex_hull,
-    count_lattice_points,
     det_int,
     dot,
     extend_cascade,
     independent_rows,
     minkowski_support,
     primitive,
+    projection_levels,
     rank_of,
     row_lattice,
 )
 from toric_hodge.wps import wps_fan, wps_lattice_count
 
 from helpers import unimodular_matrix
-from oracles import brute_box_points, brute_count, brute_extreme_rays
+from oracles import _fm_coordinate_bounds, brute_box_points, brute_count, brute_extreme_rays
 
 
 # --- integer elimination ----------------------------------------------------
@@ -223,39 +221,76 @@ def test_hull_invariants(points):
 # --- lattice points ----------------------------------------------------------
 
 
+def _combination_levels(supports):
+    """Projection levels of the Minkowski sum of the supports, with its fan.
+
+    The top level is the normal fan's rays with the degree rows, as step 7
+    of the hodge recursion builds it: sum_i c_i Delta_i is
+    {x : <ray_j, x> >= -sum_i c_i d_ij}.
+    """
+    delta = minkowski_support(supports)
+    fan = normal_fan(delta, delta.dim)
+    degrees = degrees_of(fan, supports)
+    top = [(ray, tuple(-d for d in col)) for ray, col in zip(fan.rays, zip(*degrees))]
+    return fan, degrees, projection_levels(top, delta.vertices, supports)
+
+
+def _count_combination(levels, c):
+    """Lattice points of sum_i c_i Delta_i, counted on its projection levels."""
+    bounded = [[(u, sum(x * y for x, y in zip(c, h))) for u, h in level] for level in levels]
+    return _count_levels(bounded, len(levels))
+
+
+def _brute_combination(fan, degrees, supports, c):
+    """The same count by a box scan of {x : <ray_j, x> >= -sum_i c_i d_ij}."""
+    cons = [(ray, -sum(x * row[j] for x, row in zip(c, degrees)))
+            for j, ray in enumerate(fan.rays)]
+    box = [(sum(x * min(col) for x, col in zip(c, cols)),
+            sum(x * max(col) for x, col in zip(c, cols)))
+           for cols in zip(*[list(zip(*s)) for s in supports])]
+    return brute_count(cons, fan.dim, box)
+
+
+def _fold_count(cons, dim):
+    """Lattice points of a system, counted on its carried cascade."""
+    levels = _fold(cons, dim)
+    return 0 if levels is None else _count_levels([level.items() for level in levels], dim)
+
+
 def test_lattice_points_interval():
     cons = (((1,), 0), ((-1,), -2))
     assert brute_box_points(cons, 1, 3) == [(0,), (1,), (2,)]
-    assert count_lattice_points(RationalPolyhedron(cons, 1)) == (True, 3)
+    _, _, levels = _combination_levels([[(0,), (2,)]])
+    assert sorted(levels[0]) == [((-1,), (-2,)), ((1,), (0,))]
+    assert [_count_combination(levels, (c,)) for c in range(4)] == [1, 3, 5, 7]
 
 
 def test_lattice_points_halfline_unbounded():
-    region = RationalPolyhedron((((1,), 0),), 1)
-    assert count_lattice_points(region) == (False, 0)
+    assert not cascade_is_bounded(_fold((((1,), 0),), 1))
 
 
 def test_lattice_points_triangle_vs_box_oracle():
     cons = (((1, 1), 0), ((-1, 0), -1), ((0, -1), -1))
     assert len(brute_box_points(cons, 2, 3)) == brute_count(cons, 2) == 6
-    assert count_lattice_points(RationalPolyhedron(cons, 2)) == (True, 6)
+    # the same triangle from its vertices, and its dilates
+    support = [(1, 1), (-1, 1), (1, -1)]
+    fan, degrees, levels = _combination_levels([support])
+    for c in range(5):
+        assert _count_combination(levels, (c,)) == _brute_combination(
+            fan, degrees, [support], (c,)) == (c + 1) * (2 * c + 1)
 
 
 def test_lattice_points_empty_region():
-    region = RationalPolyhedron((((1,), 5), ((-1,), 5)), 1)
-    assert count_lattice_points(region) == (True, 0)
+    cons = (((1,), 5), ((-1,), 5))
+    assert _fold(cons, 1) is None
+    assert _fold_count(cons, 1) == brute_count(cons, 1) == 0
 
 
 def test_lattice_points_fractional_bounds():
     # 1/2 <= x <= 7/2, written with integer bounds as 2x >= 1 and -2x >= -7
     cons = (((2,), 1), ((-2,), -7))
     assert brute_box_points(cons, 1, 4) == [(1,), (2,), (3,)]
-    assert count_lattice_points(RationalPolyhedron(cons, 1)) == (True, 3)
-
-
-@pytest.mark.parametrize("bound", [0.5, Fraction(1, 2), "1"])
-def test_rational_polyhedron_rejects_non_integer_bounds(bound):
-    with pytest.raises(ValueError, match="integers"):
-        RationalPolyhedron((((2,), bound),), 1)
+    assert _fold_count(cons, 1) == 3
 
 
 def test_import_loads_no_fractions_module():
@@ -276,17 +311,16 @@ def test_import_loads_no_fractions_module():
 def test_count_lattice_points_matches_the_point_list(rows):
     box = (((1, 0), -4), ((-1, 0), -4), ((0, 1), -4), ((0, -1), -4))
     cons = box + tuple(((a, b), c) for a, b, c in rows)
-    region = RationalPolyhedron(cons, 2)
     pts = brute_box_points(cons, 2, 4)
-    assert count_lattice_points(region) == (True, len(pts))
+    assert _fold_count(cons, 2) == len(pts)
     if pts:
         assert _fold(cons, 2) is not None
 
 
 def test_count_lattice_points_unbounded_and_point():
-    assert count_lattice_points(RationalPolyhedron((((1,), 0),), 1)) == (False, 0)
-    assert count_lattice_points(RationalPolyhedron((), 0)) == (True, 1)
-    assert count_lattice_points(RationalPolyhedron((((), 1),), 0)) == (True, 0)
+    assert not cascade_is_bounded(_fold((((1, 0), 0), ((0, 1), 0), ((0, -1), 0)), 2))
+    assert _fold_count((), 0) == 1
+    assert _fold_count(((((), 1),)), 0) == 0
 
 
 @st.composite
@@ -336,8 +370,37 @@ def boxed_systems(draw):
               ((0, 0, 1), -2), ((0, 0, -1), -2), ((2, -4, 2), 1), ((-2, 4, -2), -1))))
 def test_count_lattice_points_matches_brute_count(system):
     dim, cons = system
-    region = RationalPolyhedron(cons, dim)
-    assert count_lattice_points(region) == (True, brute_count(cons, dim))
+    assert _fold_count(cons, dim) == brute_count(cons, dim)
+
+
+@st.composite
+def combination_systems(draw):
+    """1-2 supports of 2-5 points in [0, 2]^m, m = 2..4, with a full-dimensional sum."""
+    m = draw(st.integers(2, 4))
+    point = st.tuples(*[st.integers(0, 2)] * m)
+    supports = [
+        draw(st.lists(point, min_size=2, max_size=5, unique=True))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    assume(minkowski_support(supports).dim == m)
+    return supports
+
+
+@given(combination_systems())
+@settings(max_examples=60, deadline=None)
+def test_projection_levels_count_minkowski_combinations(supports):
+    # every nonnegative combination sum_i c_i Delta_i, c = 0 included, is
+    # counted exactly on the projection levels of Delta built once
+    fan, degrees, levels = _combination_levels(supports)
+    m = fan.dim
+    vertices = minkowski_support(supports).vertices
+    for t in range(2, m):  # below the top: the facets of each projection's hull
+        hull = convex_hull({v[:t] for v in vertices})
+        assert sorted(u for u, _ in levels[t - 1]) == sorted(n for n, _ in hull.facets)
+    for c in product(range(3), repeat=len(supports)):
+        if sum(c) <= 2:
+            assert _count_combination(levels, c) == _brute_combination(
+                fan, degrees, supports, c), c
 
 
 def test_floor_sum_matches_direct_summation():
@@ -386,7 +449,7 @@ def test_envelope_pieces(lines, lo, hi, pieces):
 )
 def test_count_lattice_points_plane_envelopes(cons, count):
     assert brute_count(cons, 2) == count
-    assert count_lattice_points(RationalPolyhedron(cons, 2)) == (True, count)
+    assert _fold_count(cons, 2) == count
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -397,10 +460,13 @@ def test_dilated_simplices_count_binomially(m):
         simplex = [(e, 0) for e in units] + [((-1,) * m, -d)]
         reflected = [(tuple(-x for x in n), b) for n, b in simplex]
         for cons in (simplex, reflected):
-            assert count_lattice_points(RationalPolyhedron(tuple(cons), m)) == (
-                True, comb(d + m, m)), (m, d)
-            levels = _fold(cons, m)
-            assert _count_levels([level.items() for level in levels], m) == comb(d + m, m)
+            assert _fold_count(cons, m) == comb(d + m, m), (m, d)
+    # the same dilates from the simplex's vertices, counted on its projections
+    for sign in (1, -1):
+        support = [(0,) * m] + [tuple(sign * x for x in e) for e in units]
+        _, _, levels = _combination_levels([support])
+        for d in range(41):
+            assert _count_combination(levels, (d,)) == comb(d + m, m), (m, d)
 
 
 @pytest.mark.parametrize(
@@ -413,8 +479,7 @@ def test_weighted_simplices_match_denumerants(weights):
     for _ in range(12):
         s = [rng.randint(-3, 12) for _ in weights]
         cons = tuple((ray, -x) for ray, x in zip(fan.rays, s))
-        assert count_lattice_points(RationalPolyhedron(cons, fan.dim)) == (
-            True, wps_lattice_count(weights, s)), s
+        assert _fold_count(cons, fan.dim) == wps_lattice_count(weights, s), s
 
 
 def test_sweep_takes_envelopes_above_dimension_two(monkeypatch):
@@ -425,7 +490,7 @@ def test_sweep_takes_envelopes_above_dimension_two(monkeypatch):
     calls = []
     envelope = lattice._envelope
     monkeypatch.setattr(lattice, "_envelope", lambda *a: calls.append(a) or envelope(*a))
-    assert count_lattice_points(RationalPolyhedron(cons, 5)) == (True, brute_count(cons, 5))
+    assert _fold_count(cons, 5) == brute_count(cons, 5)
     assert calls and all(len(lines) == 2 for lines, _, _ in calls)
 
 
@@ -448,12 +513,14 @@ def _fold(cons, dim):
 def test_extend_cascade_matches_whole_system_elimination(system):
     dim, cons = system
     folded = _fold(cons, dim)
-    # the whole-system cascade stops at x_1; eliminating x_1 as well decides
-    # rational emptiness
-    levels = _cascade(cons, dim)
-    assert (folded is None) == (levels is None or _fm_eliminate_last(levels[0], 1) is None)
+    # rational emptiness, from the oracle's own elimination of all but one
+    # coordinate: a violated constant row or an empty interval
+    bounds = _fm_coordinate_bounds(cons, dim)
+    empty = bounds == "empty" or any(
+        lo is not None and hi is not None and lo > hi for lo, hi in bounds
+    )
+    assert (folded is None) == empty
     count = brute_count(cons, dim)
-    assert count_lattice_points(RationalPolyhedron(cons, dim)) == (True, count)
     if folded is None:
         assert count == 0
     else:
@@ -465,7 +532,6 @@ def test_extend_cascade_is_rational():
     # x = 1/2 is the only solution: non-empty over Q with no lattice point
     half = (((2,), 1), ((-2,), -1))
     assert _count_levels([level.items() for level in _fold(half, 1)], 1) == 0
-    assert count_lattice_points(RationalPolyhedron(half, 1)) == (True, 0)
     assert _fold((((1, 1), 3), ((-1, 0), 0), ((0, -1), 0)), 2) is None
     assert _fold((((1, 0), 0),), 2) is not None  # unbounded is fine
     assert _fold((), 0) == []
@@ -484,20 +550,6 @@ def test_extend_cascade_leaves_the_parent_unchanged():
     # a row that is not tighter than the level's own leaves every level shared
     same = extend_cascade(parent, (2, 0), -2)  # x >= -1
     assert all(a is b for a, b in zip(same, parent))
-
-
-def test_fourier_motzkin_step_cap():
-    # k rows bound y from below and k from above: one step would combine k^2 pairs
-    k = isqrt(MAX_FM_PAIRS) + 1
-    rows = [((a, 1), -k) for a in range(k)] + [((a, -1), -k) for a in range(k)]
-    box = [((1, 0), 0), ((-1, 0), -k)]  # 0 <= x <= k
-    with pytest.raises(ValueError, match="the supported maximum is"):
-        count_lattice_points(RationalPolyhedron(tuple(rows + box), 2))
-    # without a = 0 on either side, -k - x <= y <= k + x on 0 <= x <= k
-    fewer = tuple(rows[1:k] + rows[k + 1:] + box)
-    assert count_lattice_points(RationalPolyhedron(fewer, 2)) == (
-        True, sum(2 * k + 2 * x + 1 for x in range(k + 1))
-    )
 
 
 def test_extend_cascade_step_cap():
@@ -570,7 +622,7 @@ def test_lattice_points_unimodular_invariance():
     rng = random.Random(11)
     cons = (((1, 1), 0), ((-1, 0), -2), ((0, -1), -2), ((1, -1), -3))
     count = brute_count(cons, 2)
-    assert count_lattice_points(RationalPolyhedron(cons, 2)) == (True, count)
+    assert _fold_count(cons, 2) == count
     for _ in range(25):
         u = unimodular_matrix(2, rng)
         # substitute x = U x' : transformed normal is n U
@@ -579,7 +631,7 @@ def test_lattice_points_unimodular_invariance():
             for n, b in cons
         )
         assert brute_count(new_cons, 2) == count
-        assert count_lattice_points(RationalPolyhedron(new_cons, 2)) == (True, count)
+        assert _fold_count(new_cons, 2) == count
 
 
 # --- minkowski sums ----------------------------------------------------------
