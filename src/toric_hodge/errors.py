@@ -7,3 +7,13 @@ class InputError(Exception):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; the computation cannot be trusted."""
+
+    subproblem = None  # (m, supports) of the e_c recursion's problem whose check fired
+    depth = 0  # recursive epq_c_ci calls above that problem
+
+    def __str__(self):
+        if self.subproblem is None:
+            return super().__str__()
+        m, supports = self.subproblem
+        return (f"{super().__str__()} (subproblem m={m}, supports {supports}; "
+                f"recursion depth {self.depth})")

@@ -118,9 +118,8 @@ def _cone_hrep(dim, rays):
     reduced = [span.coord(r) for r in rays]
     duals = cone_extreme_rays(reduced, rank)
     ineqs = []
-    for a in duals:
-        w = tuple(sum(right[i][j] * a[j] for j in range(rank)) for i in range(dim))
-        ineqs.append(primitive(w))
+    for a in duals:  # map stops after a's `rank` entries: U's first columns
+        ineqs.append(primitive(tuple([sum(map(mul, row, a)) for row in right])))
     return tuple(eqs), tuple(sorted(ineqs))
 
 
@@ -154,12 +153,8 @@ def cone_faces(fan: Fan, cone: Cone):
     cone = tuple(sorted(cone))
     if not cone:
         return {()}
-    rays = [fan.rays[i] for i in cone]
-    if rank_of(rays) == len(rays):  # simplicial: faces are the subsets
-        faces = set()
-        for size in range(len(cone) + 1):
-            faces.update(combinations(cone, size))
-        return faces
+    if _is_simplicial_cone(fan, cone):  # the faces are the subsets
+        return {f for size in range(len(cone) + 1) for f in combinations(cone, size)}
     facets = [frozenset(f) for f in cone_facet_ray_sets(fan, cone)]
     closed = {frozenset(cone)}
     frontier = [frozenset(cone)]
@@ -204,9 +199,11 @@ def validate(fan: Fan) -> ValidationReport:
     A fan that passes the wall certificate of `is_complete` (every wall in
     two cones on opposite sides, one generic vector in one cone; DLRS ch. 4)
     is complete, and its report says so; only other fans have every pair of
-    cones intersected.  A ray of a cone with dependent rays is redundant
-    when the constraints tight at it (equalities included) have rank below
-    dim - 1, i.e. it spans no edge (Ziegler, *Lectures on Polytopes*, sec. 2).
+    cones intersected.  A cone on independent rays is strongly convex, so
+    only a cone with dependent rays has its constraints' rank tested, and
+    a ray of it is redundant when the constraints tight at it (equalities
+    included) have rank below dim - 1, i.e. it spans no edge (Ziegler,
+    *Lectures on Polytopes*, sec. 2).
     """
     problems = []
     seen = set()
@@ -234,16 +231,15 @@ def validate(fan: Fan) -> ValidationReport:
             problems.append(f"cone {cone} has an out-of-range ray index")
             continue
         used.update(cone)
-        if cone:
+        # a cone on independent rays is strongly convex and has no redundant ray
+        if not _is_simplicial_cone(fan, cone):
             eqs, ineqs = cone_hrep(fan, cone)
             if rank_of(eqs + ineqs) < fan.dim:
                 problems.append(f"cone {cone} is not strongly convex")
                 continue
-            rays = tuple(fan.rays[i] for i in cone)
-            if _cone_lattice(fan.dim, rays).rank == len(cone):
-                continue
-            for i, ray in zip(cone, rays):
-                if rank_of([n for n in eqs + ineqs if dot(n, ray) == 0]) < fan.dim - 1:
+            for i in cone:
+                tight = [n for n in eqs + ineqs if dot(n, fan.rays[i]) == 0]
+                if rank_of(tight) < fan.dim - 1:
                     problems.append(f"ray {i} is redundant in cone {cone}")
     if problems:
         return ValidationReport(False, tuple(problems))
@@ -296,10 +292,13 @@ def _is_face_of(fan: Fan, cone: Cone, sub_rays) -> bool:
     return face_set == {tuple(r) for r in sub_rays}
 
 
+def _is_simplicial_cone(fan: Fan, cone: Cone) -> bool:
+    """Are the cone's rays linearly independent?  Cached per ray set."""
+    return _cone_lattice(fan.dim, tuple(fan.rays[i] for i in cone)).rank == len(cone)
+
+
 def is_simplicial(fan: Fan) -> bool:
-    return all(
-        rank_of([fan.rays[i] for i in c]) == len(c) for c in fan.maximal_cones
-    )
+    return all(_is_simplicial_cone(fan, c) for c in fan.maximal_cones)
 
 
 def is_regular(fan: Fan) -> bool:
@@ -383,7 +382,7 @@ def simplicial_refinement(fan: Fan) -> Fan:
 
     @cache
     def pieces(face):
-        if rank_of([fan.rays[i] for i in face]) == len(face):
+        if _is_simplicial_cone(fan, face):
             return (face,)
         v = face[0]
         return tuple(
@@ -455,18 +454,17 @@ def adapted_subfan(fan: Fan, supports) -> AdaptedSubfan:
     return AdaptedSubfan(per_cone=per_cone, whole_fan=whole)
 
 
-def orbit_problem(fan: Fan, cone: Cone, supports, degrees: DegreeMatrix) -> TorusCIProblem:
-    """Restrict a support system to a torus orbit.
+def orbit_problem(fan: Fan, cone: Cone, restricted) -> TorusCIProblem:
+    """A support system on the torus orbit of a cone.
 
-    The restricted supports are computed facially; restrictions that vanish
-    identically (empty facial support) impose no condition on the orbit and
-    are dropped.  Surviving supports are translated into the orbit's
-    character lattice, i.e. the sublattice of Z^m orthogonal to the cone's
-    rays, expressed in an integral basis.  The result is a torus problem of
-    dimension m - dim(cone).
+    `restricted` holds the supports' facial restrictions to the cone
+    (`restrict_supports`); those that vanish identically (empty) impose no
+    condition on the orbit and are dropped.  Surviving supports are
+    translated into the orbit's character lattice, i.e. the sublattice of
+    Z^m orthogonal to the cone's rays, expressed in an integral basis.  The
+    result is a torus problem of dimension m - dim(cone).
     """
     cone = tuple(sorted(cone))
-    restricted = restrict_supports(fan, cone, supports, degrees)
     survivors = [s for s in restricted if s]
     if not cone:
         return TorusCIProblem(m=fan.dim, supports=tuple(survivors))

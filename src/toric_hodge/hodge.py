@@ -21,7 +21,8 @@ induction on the torus dimension and the number of equations:
      fan of the Minkowski sum of the supports (simplicial, on the same rays),
      and every boundary orbit is solved recursively, except those whose
      restricted supports hold a single point or outnumber m - dim(sigma):
-     their table is zero by step 1;
+     their table is zero by step 1 (the fan is built and checked against
+     its cap before step 4, so a fan past the cap fails fast);
   7. the row sums e^p_c = sum_q e_c^{pq} of the open part are read from
      lattice-point counts of Minkowski combinations of the supports, each
      counted on the facets of the coordinate projections of their sum,
@@ -112,9 +113,16 @@ def epq_c_ci(problem: TorusCIProblem, *, vertices: bool = False) -> EPQTable:
     cached = _epq_memo.get(key)
     if cached is not None:
         return cached
-    table = _epq_c_ci_compute(problem, vertices)
-    if not table.is_symmetric():
-        raise ConsistencyError("compactly supported table lost (p,q)-symmetry")
+    try:
+        table = _epq_c_ci_compute(problem, vertices)
+        if not table.is_symmetric():
+            raise ConsistencyError("compactly supported table lost (p,q)-symmetry")
+    except ConsistencyError as exc:  # name the subproblem whose check fired
+        if exc.subproblem is None:
+            exc.subproblem = key
+        else:
+            exc.depth += 1
+        raise
     _epq_memo[key] = table
     return table
 
@@ -143,6 +151,18 @@ def _epq_c_ci_compute(problem: TorusCIProblem, vertices: bool) -> EPQTable:
         if supports != problem.supports:
             return epq_c_ci(TorusCIProblem(m=m, supports=supports), vertices=True)
     delta = minkowski_support(supports, vertices=True)
+    # the refined fan of step 6, checked before step 4 solves sub-collections
+    fan = simplicial_refinement(normal_fan(delta, m))
+    if len(fan.maximal_cones) > MAX_ORBIT_CONES:
+        raise ValueError(
+            f"refined normal fan has {len(fan.maximal_cones)} maximal cones; "
+            f"the supported maximum is {MAX_ORBIT_CONES}"
+        )
+    report = validate(fan)
+    if not report.complete:
+        raise ConsistencyError(
+            f"refined normal fan is invalid: {report.first_violation or 'not complete'}"
+        )
 
     # 4. ordinary values below the middle
     torus = epq_torus(m, "ordinary")
@@ -159,18 +179,7 @@ def _epq_c_ci_compute(problem: TorusCIProblem, vertices: bool) -> EPQTable:
             acc -= (-1) ** (len(picks) - 1) * tab.get(n_sub - p, n_sub - q)
         return (-1) ** (k - 1) * acc
 
-    # 6. compactify and solve the boundary
-    fan = simplicial_refinement(normal_fan(delta, m))
-    if len(fan.maximal_cones) > MAX_ORBIT_CONES:
-        raise ValueError(
-            f"refined normal fan has {len(fan.maximal_cones)} maximal cones; "
-            f"the supported maximum is {MAX_ORBIT_CONES}"
-        )
-    report = validate(fan)
-    if not report.complete:
-        raise ConsistencyError(
-            f"refined normal fan is invalid: {report.first_violation or 'not complete'}"
-        )
+    # 6. solve the boundary of the compactification in the refined fan
     degrees = degrees_of(fan, supports)
     # all_cones lists the zero cone, the open orbit, first
     b = _orbit_sum(fan, all_cones(fan)[1:], supports, degrees, n + 1)
@@ -240,7 +249,7 @@ def _orbit_sum(fan: Fan, cones, supports, degrees, size: int) -> list:
             raise ConsistencyError("boundary orbit exceeds the expected dimension")
         if len(survivors) > dim or any(len(s) == 1 for s in survivors):
             continue
-        piece = epq_c_ci(orbit_problem(fan, cone, supports, degrees), vertices=True)
+        piece = epq_c_ci(orbit_problem(fan, cone, survivors), vertices=True)
         for row, piece_row in zip(acc, piece.entries):
             for q, x in enumerate(piece_row):
                 row[q] += x

@@ -5,11 +5,11 @@ rational arithmetic anywhere.  Lattice vectors are plain tuples of ints.
 One fraction-free elimination (Bareiss, `_eliminate`) gives ranks,
 independent rows, determinants and inverses, and one unimodular column
 reduction that carries its own inverse (`row_lattice`) gives saturations
-and kernels.  Half-spaces have integer normals and integer bounds.  The
-polyhedral machinery (double description for extreme rays and hulls,
-Fourier-Motzkin elimination for the H(s) walk) is written for desk-scale
-inputs: dimensions up to about 6 and a few dozen constraints, which is all
-the counting formulas downstream ever need.
+and kernels.  Vector helpers map `operator` functions and raise ValueError
+on a length mismatch.  The double description (`_double_description`)
+returns extreme rays with their incidence masks, so a hull reads its
+vertices off its facets with no rank test; it meets the points farthest
+from their centroid first.  All of it is sized for dimension about 6.
 
 Lattice points are counted from levels of exact coordinate projections,
 which come from one of two places.  A polytope given by its vertices has
@@ -31,9 +31,10 @@ Discretely*, ch. 1 and 8).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from math import gcd
-from operator import add, floordiv, mul
+from operator import add, and_, floordiv, mul, sub
 
 Vector = tuple  # tuple of ints
 
@@ -43,15 +44,21 @@ Vector = tuple  # tuple of ints
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError("vectors of different lengths")
+    return sum(map(mul, a, b))
 
 
 def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError("vectors of different lengths")
+    return tuple(map(sub, a, b))
 
 
 def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b, strict=True))
+    if len(a) != len(b):
+        raise ValueError("vectors of different lengths")
+    return tuple(map(add, a, b))
 
 
 def vec_neg(a):
@@ -80,14 +87,13 @@ def mat_identity(n):
 
 
 def mat_vec(a, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    return tuple([dot(row, v) for row in a])
 
 
 def vec_mat(v, a):
-    if not a:
-        return ()
-    cols = len(a[0])
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(cols))
+    if len(v) != len(a):
+        raise ValueError("vector and matrix of different lengths")
+    return tuple([sum(map(mul, v, col)) for col in zip(*a)])
 
 
 def _eliminate(rows):
@@ -132,8 +138,12 @@ def independent_rows(rows, target_rank=None):
     """Indices of a lexicographically-first maximal independent subset.
 
     These are the pivot columns of the transpose; with `target_rank` only
-    the first that many are returned.
+    the first that many are returned (the first rows alone, when independent).
     """
+    if target_rank is not None:
+        head = _eliminate([list(col) for col in zip(*rows[:target_rank])])[1]
+        if len(head) == target_rank:
+            return head
     return _eliminate([list(col) for col in zip(*rows)])[1][:target_rank]
 
 
@@ -229,14 +239,22 @@ def row_lattice(rows, dim) -> RowLattice:
 
 
 def cone_extreme_rays(normals, dim):
-    """Extreme rays of the pointed cone {x : n.x >= 0 for each normal}.
+    """Extreme rays of the pointed cone {x : n.x >= 0 for each normal}, sorted.
 
     The constraint matrix must have full column rank (this is exactly
-    pointedness); raises ValueError otherwise.  Classic incremental double
-    description with the combinatorial adjacency test.
+    pointedness); raises ValueError otherwise.
+    """
+    return sorted(_double_description(normals, dim))
+
+
+def _double_description(normals, dim):
+    """The extreme rays as {ray: mask}, bit i set when the ray is tight on normals[i].
+
+    Incremental double description with the combinatorial adjacency test;
+    the masks are its bookkeeping, so the incidences come for free.
     """
     if dim == 0:
-        return []
+        return {}
     normals = [tuple(n) for n in normals]
     basis_idx = independent_rows(normals, target_rank=dim)
     if len(basis_idx) < dim:
@@ -249,14 +267,14 @@ def cone_extreme_rays(normals, dim):
     sign = 1 if d > 0 else -1
     rays = [primitive(tuple(sign * row[dim + j] for row in a)) for j in range(dim)]
 
+    # simplex ray j is tight on every basis row but row j
     in_basis = set(basis_idx)
-    rest = [n for i, n in enumerate(normals) if i not in in_basis]
-
-    # bit k of masks[i] is set when rays[i] is tight on the k-th processed
-    # normal; simplex ray j is tight on every basis row but row j
-    masks = [((1 << dim) - 1) ^ (1 << j) for j in range(dim)]
-    for k, n in enumerate(rest):
-        bit = 1 << (dim + k)
+    full = sum(1 << k for k in basis_idx)
+    masks = [full ^ (1 << k) for k in basis_idx]
+    for k, n in enumerate(normals):
+        if k in in_basis:
+            continue
+        bit = 1 << k
         vals = [dot(n, r) for r in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         zer = [i for i, v in enumerate(vals) if v == 0]
@@ -269,15 +287,9 @@ def cone_extreme_rays(normals, dim):
         new_masks = [masks[i] for i in pos] + [masks[i] | bit for i in zer]
         for ip in pos:
             for im in neg:
+                # adjacent: no third ray is tight wherever both of them are
                 t = masks[ip] & masks[im]
-                adjacent = True
-                for io in range(len(rays)):
-                    if io in (ip, im):
-                        continue
-                    if masks[io] & t == t:
-                        adjacent = False
-                        break
-                if adjacent:
+                if sum(m & t == t for m in masks) == 2:
                     comb = tuple(
                         vals[ip] * rays[im][j] - vals[im] * rays[ip][j]
                         for j in range(dim)
@@ -287,16 +299,9 @@ def cone_extreme_rays(normals, dim):
                         # exactly where both of them are
                         new_rays.append(primitive(comb))
                         new_masks.append(t | bit)
-        seen = set()
-        rays, masks = [], []
-        for r, m in zip(new_rays, new_masks):
-            if r not in seen:
-                seen.add(r)
-                rays.append(r)
-                masks.append(m)
-        if not rays:
-            break
-    return sorted(rays)
+        incidence = dict(zip(new_rays, new_masks))  # a repeated ray has one mask
+        rays, masks = list(incidence), list(incidence.values())
+    return dict(zip(rays, masks))
 
 
 # ---------------------------------------------------------------------------
@@ -648,18 +653,30 @@ class Polytope:
 
 
 def convex_hull(points) -> Polytope:
-    """Exact convex hull of lattice points: vertices, facets, affine dim."""
+    """Exact convex hull of lattice points: vertices, facets, affine dim.
+
+    The facets come from the double description of the dual cone, fed the
+    points farthest from their centroid first, so that it meets the final
+    facets early (Fukuda and Prodon, 1996).  A point is a vertex exactly
+    when it lies on `dim` or more facets and no other point lies on all.
+    """
     pts = sorted(set(tuple(int(x) for x in p) for p in points))
     if not pts:
         raise ValueError("convex hull of an empty point set")
     ambient = len(pts[0])
     if any(len(p) != ambient for p in pts):
         raise ValueError("points of mixed dimension")
+    # far from their centroid first (scaled by n), ties in lexicographic order
+    centre, n = [sum(col) for col in zip(*pts)], len(pts)
+    pts.sort(key=lambda p: -sum([(n * x - c) ** 2 for x, c in zip(p, centre)]))
     p0 = pts[0]
     # the primitive rows of the reduced echelon form depend only on the
     # affine hull, so the Polytope depends only on the hull, not on the
-    # points that span it
-    a, pivots, _ = _eliminate([vec_sub(p, p0) for p in pts[1:]])
+    # points that span it; the first `ambient` differences usually span it
+    diffs = [vec_sub(p, p0) for p in pts]
+    a, pivots, _ = _eliminate(diffs[1 : ambient + 1])
+    if len(pivots) < ambient:
+        a, pivots, _ = _eliminate(diffs[1:])
     span = row_lattice([primitive(row) for row in a[: len(pivots)]], ambient)
     rank = span.rank
 
@@ -672,37 +689,30 @@ def convex_hull(points) -> Polytope:
         eqs.append((vec_neg(u), -val))
 
     if rank == 0:
-        return Polytope(
-            vertices=(p0,), facets=tuple(sorted(eqs)), dim=0, ambient_dim=ambient
-        )
+        return Polytope((p0,), tuple(sorted(eqs)), dim=0, ambient_dim=ambient)
 
-    reduced = [span.coord(vec_sub(p, p0)) for p in pts]
     # facets of the full-dimensional reduced polytope: extreme rays of the
-    # dual cone {(a, c) : a.r + c >= 0 for every reduced point r}
-    dual_normals = [r + (1,) for r in reduced]
-    facet_rays = cone_extreme_rays(dual_normals, rank + 1)
+    # dual cone {(a, c) : a.r + c >= 0 for every reduced point r}; bit i of
+    # a facet's mask is set when pts[i] lies on it
+    incidence = _double_description([span.coord(d) + (1,) for d in diffs], rank + 1)
 
     # map a reduced-space functional back to the ambient lattice
     right = span.right
     t0 = vec_mat(p0, right)[:rank]
 
     facets = list(eqs)
-    red_facets = []
-    for fr in facet_rays:
+    for fr in incidence:
         a, c = fr[:rank], fr[rank]
-        red_facets.append((a, -c))
-        w = tuple(
-            sum(right[i][j] * a[j] for j in range(rank)) for i in range(ambient)
-        )
+        w = tuple([sum(map(mul, row, a)) for row in right])  # U's first `rank` columns
         # the facet passes through a lattice vertex v with bound = <w, v>,
         # so gcd(w) divides the bound
         g = gcd(*w)
         facets.append((tuple(x // g for x in w), (dot(a, t0) - c) // g))
 
     vertices = []
-    for p, r in zip(pts, reduced):
-        tight = [a for a, b in red_facets if dot(a, r) == b]
-        if len(tight) >= rank and rank_of(tight) == rank:
+    for i, p in enumerate(pts):
+        on = [m for m in incidence.values() if m >> i & 1]
+        if len(on) >= rank and reduce(and_, on) == 1 << i:
             vertices.append(p)
 
     return Polytope(

@@ -253,6 +253,41 @@ def maximal_minors_gcd(rows):
     return g
 
 
+# --- hull vertices and cone faces by ranks ------------------------------------
+
+
+def hull_vertices_by_rank(points, facets):
+    """The points that are vertices of their hull, by the rank test.
+
+    `facets` are the hull's (normal, bound) rows normal.x >= bound, with
+    the affine-hull equalities as pairs of opposite rows.  A point is a
+    vertex exactly when the normals of the rows tight at it have full rank.
+    """
+    ambient = len(points[0])
+
+    def is_vertex(p):
+        tight = [n for n, b in facets if _pairing(n, p) == b]
+        return bool(tight) and sp.Matrix(tight).rank() == ambient
+
+    return sorted(p for p in set(map(tuple, points)) if is_vertex(p))
+
+
+def cone_faces_by_facets(rays):
+    """Faces of a full-dimensional pointed cone, as sets of ray positions.
+
+    Every face is the set of rays tight on some subset of the facet normals
+    (the empty subset gives the cone itself), and the facet normals are the
+    extreme rays of the dual cone, found by enumeration.
+    """
+    normals = brute_extreme_rays(rays, len(rays[0]))
+    faces = set()
+    for size in range(len(normals) + 1):
+        for picked in combinations(normals, size):
+            faces.add(tuple(i for i, r in enumerate(rays)
+                            if all(_pairing(n, r) == 0 for n in picked)))
+    return faces
+
+
 # --- complete fans by pairs of cones and by ridges ----------------------------
 
 

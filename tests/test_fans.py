@@ -19,6 +19,7 @@ from toric_hodge.fans import (
     adapted_subfan,
     all_cones,
     cone_contains,
+    cone_faces,
     cone_hrep,
     degrees_of,
     is_complete,
@@ -32,7 +33,7 @@ from toric_hodge.fans import (
 )
 from toric_hodge.hilbert import build_context
 from toric_hodge.hodge import clear_epq_memo, epq_c_ci, hodge_compact
-from toric_hodge.lattice import convex_hull, minkowski_support, primitive
+from toric_hodge.lattice import convex_hull, minkowski_support, primitive, rank_of
 
 from helpers import (
     apply_matrix,
@@ -53,6 +54,7 @@ from helpers import (
 from oracles import (
     brute_extreme_rays,
     complete_by_ridges,
+    cone_faces_by_facets,
     first_bad_pair,
     maximal_minors_gcd,
 )
@@ -228,6 +230,32 @@ def test_cone_hrep_cache_matches_fresh_computation():
 
 
 # --- predicates --------------------------------------------------------------
+
+
+@st.composite
+def random_normal_fans(draw):
+    """Normal fans of random full-dimensional polytopes in Z^2 and Z^3, some pulled."""
+    dim = draw(st.integers(2, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                           min_size=dim + 1, max_size=8, unique=True))
+    poly = convex_hull(points)
+    assume(poly.dim == dim)
+    fan = normal_fan(poly, dim)
+    return simplicial_refinement(fan) if draw(st.booleans()) else fan
+
+
+@given(random_normal_fans())
+@settings(max_examples=60, deadline=None)
+def test_simplicial_predicates_match_ranks(fan):
+    # is_simplicial and cone_faces read the rank of a cone's rays from its
+    # cached lattice; check them against rank_of and enumerated facets
+    ranks = [rank_of([fan.rays[i] for i in cone]) for cone in fan.maximal_cones]
+    assert is_simplicial(fan) == all(r == len(c) for r, c in zip(ranks, fan.maximal_cones))
+    for cone, rank in zip(fan.maximal_cones, ranks):
+        faces = cone_faces(fan, cone)
+        by_facets = cone_faces_by_facets([fan.rays[i] for i in cone])
+        assert faces == {tuple(cone[i] for i in face) for face in by_facets}
+        assert (len(faces) == 2 ** len(cone)) == (rank == len(cone))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -671,7 +699,7 @@ def test_orbit_zero_cone_identity():
     fan = fan_p2()
     support = simplex_support(2, 3)
     degs = degrees_of(fan, [support])
-    prob = orbit_problem(fan, (), [support], degs)
+    prob = orbit_problem(fan, (), restrict_supports(fan, (), [support], degs))
     assert prob.m == 2
     assert prob.supports == (tuple(sorted(support)),)
 
@@ -680,7 +708,7 @@ def test_orbit_cubic_edge():
     fan = fan_p2()
     support = simplex_support(2, 3)
     degs = degrees_of(fan, [support])
-    prob = orbit_problem(fan, (0,), [support], degs)
+    prob = orbit_problem(fan, (0,), restrict_supports(fan, (0,), [support], degs))
     assert prob.m == 1
     assert prob.supports == (((0,), (1,), (2,), (3,)),)
 
@@ -689,7 +717,7 @@ def test_orbit_maximal_cone_is_point():
     fan = fan_p2()
     support = simplex_support(2, 3)
     degs = degrees_of(fan, [support])
-    prob = orbit_problem(fan, (0, 1), [support], degs)
+    prob = orbit_problem(fan, (0, 1), restrict_supports(fan, (0, 1), [support], degs))
     assert prob.m == 0
     assert all(s == ((),) for s in prob.supports)
 
@@ -701,7 +729,7 @@ def test_orbit_character_lattice_keeps_index():
     fan = fan_p3()
     support = simplex_support(3, 2)
     degs = degrees_of(fan, [support])
-    prob = orbit_problem(fan, (0, 3), [support], degs)
+    prob = orbit_problem(fan, (0, 3), restrict_supports(fan, (0, 3), [support], degs))
     assert prob.m == 1
     assert prob.supports == (((0,), (1,), (2,)),)
 
@@ -716,6 +744,6 @@ def test_orbit_drops_identically_vanishing_restrictions():
     degs = degrees_of(fan, [support])
     cone = (0, 3)  # e1 together with e3
     assert restrict_supports(fan, cone, [support], degs) == [()]
-    prob = orbit_problem(fan, cone, [support], degs)
+    prob = orbit_problem(fan, cone, restrict_supports(fan, cone, [support], degs))
     assert prob.m == 1
     assert prob.supports == ()

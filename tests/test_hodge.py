@@ -280,6 +280,84 @@ def test_recursion_carries_vertices_and_skips_empty_orbits(monkeypatch):
             assert s == convex_hull(s).vertices
 
 
+def test_restrict_supports_runs_once_per_orbit(monkeypatch):
+    # _orbit_sum restricts each cone's supports once and hands the survivors
+    # to orbit_problem, which restricts nothing
+    import toric_hodge.fans as fans_mod
+    import toric_hodge.hodge as hodge_mod
+
+    counts = {"restrict": 0, "cones": 0, "orbits": 0}
+    restrict, orbit_sum, orbit = (
+        fans_mod.restrict_supports, hodge_mod._orbit_sum, hodge_mod.orbit_problem)
+
+    def counting_restrict(*args):
+        counts["restrict"] += 1
+        return restrict(*args)
+
+    def counting_orbit_sum(fan, cones, *args):
+        counts["cones"] += len(cones)
+        return orbit_sum(fan, cones, *args)
+
+    def counting_orbit(*args):
+        counts["orbits"] += 1
+        return orbit(*args)
+
+    for module in (fans_mod, hodge_mod):
+        monkeypatch.setattr(module, "restrict_supports", counting_restrict)
+    monkeypatch.setattr(hodge_mod, "_orbit_sum", counting_orbit_sum)
+    monkeypatch.setattr(hodge_mod, "orbit_problem", counting_orbit)
+    clear_epq_memo()
+    table = hodge_compact(fan_p2p1(), [product_support([(2, 2), (1, 1)])])
+    clear_epq_memo()
+    assert table.get(1, 1) > 0
+    assert counts["restrict"] == counts["cones"] > counts["orbits"] > 0
+
+
+def test_orbit_cone_cap_is_checked_before_sub_collections(monkeypatch):
+    # a two-equation system past the (lowered) cap exits before step 4
+    # solves either one-equation sub-collection
+    import toric_hodge.hodge as hodge_mod
+
+    seen = []
+    compute = hodge_mod._epq_c_ci_compute
+
+    def recording(problem, vertices):
+        seen.append(problem.k)
+        return compute(problem, vertices)
+
+    monkeypatch.setattr(hodge_mod, "_epq_c_ci_compute", recording)
+    monkeypatch.setattr(hodge_mod, "MAX_ORBIT_CONES", 3)
+    problem = TorusCIProblem(2, [((0, 0), (1, 0), (0, 1)), ((0, 0), (2, 0), (0, 1), (1, 1))])
+    clear_epq_memo()
+    with pytest.raises(ValueError, match="maximal cones"):
+        epq_c_ci(problem)
+    clear_epq_memo()
+    assert seen and set(seen) == {2}
+
+
+def test_consistency_error_names_the_subproblem(monkeypatch):
+    # break the row sums of the curves in (C*)^2 met as facet orbits of a
+    # surface in (C*)^3: the duality check fires one level down
+    import toric_hodge.hodge as hodge_mod
+
+    row_sums = hodge_mod._open_row_sums
+
+    def off_by_one_in_the_plane(m, n, levels):
+        return [v + (m == 2 and p == 0) for p, v in enumerate(row_sums(m, n, levels))]
+
+    monkeypatch.setattr(hodge_mod, "_open_row_sums", off_by_one_in_the_plane)
+    vertices = ((0, 0, 0), (0, 0, 2), (0, 2, 0), (2, 0, 0))
+    clear_epq_memo()
+    with pytest.raises(ConsistencyError) as info:
+        epq_c_ci(TorusCIProblem(3, [vertices]))
+    clear_epq_memo()
+    m, supports = info.value.subproblem
+    assert m == 2 and len(supports) == 1 and info.value.depth == 1
+    text = str(info.value)
+    assert text.startswith("duality mismatch in row 0")
+    assert f"m=2, supports {supports}; recursion depth 1" in text
+
+
 def test_hodge_compact_rejects_non_complete():
     fan = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
     with pytest.raises(ValueError, match="complete"):

@@ -26,16 +26,26 @@ from toric_hodge.lattice import (
     dot,
     extend_cascade,
     independent_rows,
+    mat_vec,
     minkowski_support,
     primitive,
     projection_levels,
     rank_of,
     row_lattice,
+    vec_add,
+    vec_mat,
+    vec_sub,
 )
 from toric_hodge.wps import wps_fan, wps_lattice_count
 
 from helpers import unimodular_matrix
-from oracles import _fm_coordinate_bounds, brute_box_points, brute_count, brute_extreme_rays
+from oracles import (
+    _fm_coordinate_bounds,
+    brute_box_points,
+    brute_count,
+    brute_extreme_rays,
+    hull_vertices_by_rank,
+)
 
 
 # --- integer elimination ----------------------------------------------------
@@ -216,6 +226,66 @@ def test_hull_invariants(points):
         if others:
             sub = convex_hull(others)
             assert not sub.contains(v)
+
+
+@st.composite
+def hull_point_sets(draw):
+    """Points on a random affine subspace of Z^1 .. Z^4, some of them repeated."""
+    dim = draw(st.integers(1, 4))
+    coords = st.tuples(*[st.integers(-3, 3)] * dim)
+    base = draw(coords)
+    directions = draw(st.lists(coords, max_size=dim))
+    points = [base]
+    for _ in range(draw(st.integers(0, 9))):
+        mix = [draw(st.integers(-2, 2)) for _ in directions]
+        points.append(tuple(x + sum(c * d[j] for c, d in zip(mix, directions))
+                            for j, x in enumerate(base)))
+    return points + draw(st.lists(st.sampled_from(points), max_size=3))
+
+
+@given(hull_point_sets())
+@settings(max_examples=200, deadline=None)
+@example([(0, 0), (1, 1), (2, 2), (1, 1)])
+@example([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (0, 0, 0)])
+@example([(2, 0, 0, 0), (-2, 0, 0, 0), (0, 2, 0, 0), (0, -2, 0, 0), (0, 0, 2, 0), (0, 0, -2, 0),
+          (0, 0, 0, 2), (0, 0, 0, -2), (1, 1, 0, 0)])
+def test_hull_vertices_and_facets_match_oracles(points):
+    # vertices against the rank test of the tight facet normals; facets of a
+    # full-dimensional hull against the enumerated rays of its dual cone.  An
+    # edge of the 4-D cross-polytope lies on four facets, so its midpoint is
+    # tight on `dim` facets without being a vertex
+    poly = convex_hull(points)
+    assert list(poly.vertices) == hull_vertices_by_rank(points, poly.facets)
+    if poly.dim == poly.ambient_dim:
+        rays = brute_extreme_rays([p + (1,) for p in points], poly.dim + 1)
+        assert sorted((r[:-1], -r[-1]) for r in rays) == list(poly.facets)
+
+
+def test_hull_reads_vertices_without_ranks(monkeypatch):
+    def forbidden(rows):
+        raise AssertionError("convex_hull called rank_of")
+
+    monkeypatch.setattr(lattice, "rank_of", forbidden)
+    quintic = [p for p in product(range(6), repeat=4) if sum(p) <= 5]
+    assert len(convex_hull(quintic).vertices) == 5
+    assert convex_hull([(0, 0, 0), (2, 2, 2), (1, 1, 1)]).vertices == ((0, 0, 0), (2, 2, 2))
+    assert convex_hull([(1, 2)]).dim == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dot((1, 2), (1, 2, 3)),
+        lambda: vec_add((1,), (1, 2)),
+        lambda: vec_sub((1, 2), (1,)),
+        lambda: mat_vec([(1, 2), (3, 4)], (1, 2, 3)),
+        lambda: vec_mat((1, 2, 3), [(1, 2), (3, 4)]),
+    ],
+    ids=["dot", "vec_add", "vec_sub", "mat_vec", "vec_mat"],
+)
+def test_kernel_helpers_reject_length_mismatch(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # --- lattice points ----------------------------------------------------------
