@@ -16,6 +16,7 @@ from operator import mul
 
 from .lattice import (
     Polytope,
+    _double_description,
     cone_extreme_rays,
     det_int,
     dot,
@@ -102,6 +103,12 @@ def cone_hrep(fan: Fan, cone: Cone):
     inequalities}; normals are primitive integer vectors.  Cached per ray
     vectors, so every fan that holds the same cone shares the answer.
     """
+    return _hrep(fan, cone)[:2]
+
+
+def _hrep(fan: Fan, cone: Cone):
+    """`cone_hrep` plus the facets' tight sets: the k-th holds the positions
+    in `cone` of the rays on which the k-th inequality is tight."""
     return _cone_hrep(fan.dim, tuple(tuple(fan.rays[i]) for i in cone))
 
 
@@ -116,11 +123,13 @@ def _cone_hrep(dim, rays):
     rank, right = span.rank, span.right
     eqs = [primitive(u) for u in span.kernel]
     reduced = [span.coord(r) for r in rays]
-    duals = cone_extreme_rays(reduced, rank)
-    ineqs = []
-    for a in duals:  # map stops after a's `rank` entries: U's first columns
-        ineqs.append(primitive(tuple([sum(map(mul, row, a)) for row in right])))
-    return tuple(eqs), tuple(sorted(ineqs))
+    facets = []
+    for a, mask in _double_description(reduced, rank).items():
+        # map stops after a's `rank` entries: U's first columns
+        normal = primitive(tuple([sum(map(mul, row, a)) for row in right]))
+        facets.append((normal, tuple(i for i in range(len(rays)) if mask >> i & 1)))
+    facets.sort()
+    return tuple(eqs), tuple(n for n, _ in facets), tuple(t for _, t in facets)
 
 
 def cone_contains(fan: Fan, cone: Cone, vector) -> bool:
@@ -134,15 +143,15 @@ def cone_facet_ray_sets(fan: Fan, cone: Cone):
     """Ray-index sets of the facets (maximal proper faces) of a cone."""
     if not cone:
         return []
-    _, ineqs = cone_hrep(fan, cone)
+    tights = _hrep(fan, cone)[2]
     out = []
     seen = set()
-    for n in ineqs:
-        tight = tuple(i for i in cone if dot(n, fan.rays[i]) == 0)
+    for positions in tights:
+        tight = tuple(cone[i] for i in positions)
         if tight not in seen:
             seen.add(tight)
             out.append(tight)
-    if not ineqs:
+    if not tights:
         # the cone is a linear subspace only when invalid; the zero face
         out.append(())
     return out
@@ -324,17 +333,17 @@ def is_complete(fan: Fan) -> bool:
     Full-dimensional cones form a complete fan iff every wall (facet of a
     maximal cone) lies in exactly two of them, on opposite sides, and one
     generic vector lies in exactly one of them (De Loera-Rambau-Santos,
-    *Triangulations*, 2010, ch. 4).  A wall is keyed by its ray indices; the
-    vector is the sum of the first cone's rays, interior to that cone.
+    *Triangulations*, 2010, ch. 4).  A wall is keyed by its ray indices,
+    read off the cone's facet incidences (`_hrep`); the vector is the sum
+    of the first cone's rays, interior to that cone.
     """
     walls = {}
     for cone in fan.maximal_cones:
-        eqs, ineqs = cone_hrep(fan, cone)
+        eqs, ineqs, tights = _hrep(fan, cone)
         if eqs:
             return False
-        for n in ineqs:
-            wall = tuple(i for i in cone if dot(n, fan.rays[i]) == 0)
-            walls.setdefault(wall, []).append(n)
+        for n, positions in zip(ineqs, tights):
+            walls.setdefault(tuple(cone[i] for i in positions), []).append(n)
     if any(len(ns) != 2 or ns[0] != tuple(-x for x in ns[1]) for ns in walls.values()):
         return False
     if not fan.maximal_cones:

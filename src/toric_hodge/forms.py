@@ -18,9 +18,11 @@ exactly modulo y^(pmax+1), and `y_truncated_expand` multiplies them into
 one expansion.  H(s) depends only on the divisor class of s, so exponents
 are class keys (`HilbertContext.class_key`), reduced after each sum.
 `chi_all` pairs the expansion with P(x) once: each term q x^a y^j adds
-q * H(-s), s of class a, to the value at p = j, with H taken once per class.
-So every p = 0 .. pmax comes from one expansion and one pairing, and
-`chi_alt` / `chi_sym` / `chi_tensor` read their p from it.
+q * H(-s), s of class a, to the value at p = j, with H taken once per class
+by `h_of_classes`, which fits H on the cosets that ask for many classes
+instead of walking each.  So every p = 0 .. pmax comes from one expansion
+and one pairing, and `chi_alt` / `chi_sym` / `chi_tensor` read their p
+from it.
 A second, independently coded evaluation path (`chi_alt_hilbert`) writes
 the alternating case as a nested sum of Hilbert values with binomial
 weights and is used as a cross-check.
@@ -32,40 +34,38 @@ from collections import Counter
 from itertools import accumulate, combinations
 from math import comb
 
-from .hilbert import HilbertContext, h_of_s
+from .hilbert import HilbertContext, choose, h_of_classes, h_of_s
 
 # --- series expansion -------------------------------------------------------
 
 
-def _binomial_coeff(e: int, j: int) -> int:
-    # coefficient of y^j in (1 + y)^e, for any integer e
-    if e >= 0:
-        return comb(e, j) if j <= e else 0
-    return (-1) ** j * comb(-e + j - 1, j)
-
-
-# Expansions with more class terms, and products that combine more pairs of
-# terms within the y-truncation, fail fast: the tensor series of (P^1)^3
-# passes the first cap at p = 80 after about 4 s, and one product of its
-# symmetric series at p = 80 combines 7.2 million such pairs.
-MAX_SERIES_TERMS = 500_000
+# Expansions that hold more key coordinates (terms times key length, so
+# that the cap bounds memory for keys of every length), and products that
+# combine more pairs of terms within the y-truncation, fail fast: the
+# tensor series of (P^1)^3 (three coordinates a key) passes the first cap
+# at p = 80, and one product of the symmetric series of P^1 x P^1 at
+# p = 240 combines 7.0 million such pairs.
+MAX_SERIES_COORDS = 500_000
 MAX_SERIES_PAIRS = 5_000_000
 
 
-def _check_terms(terms):
-    if len(terms) > MAX_SERIES_TERMS:
+def _check_terms(terms, width: int):
+    """Raise ValueError when the terms' keys of `width` coordinates pass
+    MAX_SERIES_COORDS in all."""
+    coords = len(terms) * max(width, 1)
+    if coords > MAX_SERIES_COORDS:
         raise ValueError(
-            f"series expansion has {len(terms)} terms so far; "
-            f"the supported maximum is {MAX_SERIES_TERMS}"
+            f"series expansion holds {coords} key coordinates ({len(terms)} terms) "
+            f"so far; the supported maximum is {MAX_SERIES_COORDS}"
         )
 
 
-def _multiply(a, b, p: int, reduce):
+def _multiply(a, b, p: int, reduce, width: int):
     """Product of two term dicts modulo y^(p+1), without zero terms.
 
-    Exponent sums go through `reduce`.  Raises ValueError past
-    MAX_SERIES_PAIRS pairs of terms whose y-powers sum to at most p, checked
-    first, or past MAX_SERIES_TERMS terms.
+    Exponent sums, of `width` coordinates, go through `reduce`.  Raises
+    ValueError past MAX_SERIES_PAIRS pairs of terms whose y-powers sum to
+    at most p, checked first, or past MAX_SERIES_COORDS key coordinates.
     """
     sizes = Counter(j for _, j in b)
     below = list(accumulate(sizes[j] for j in range(p + 1)))  # y-power <= j
@@ -81,7 +81,7 @@ def _multiply(a, b, p: int, reduce):
                 continue
             key = (reduce([x + y for x, y in zip(e1, e2)]), j)
             out[key] = out.get(key, 0) + c1 * c2
-        _check_terms(out)
+        _check_terms(out, width)
     return {k: v for k, v in out.items() if v}
 
 
@@ -101,7 +101,7 @@ def y_truncated_expand(factors, p: int, dim: int, reduce=tuple):
         raise ValueError(f"series exponents must have length {dim}")
     result = {((0,) * dim, 0): 1}
     for terms in factors:
-        result = _multiply(result, terms, p, reduce)
+        result = _multiply(result, terms, p, reduce, dim)
     return result
 
 
@@ -128,10 +128,10 @@ def _factors(ctx, degrees, kind: str, p: int):
     class keys (`ctx.class_key`, sums reduced by `ctx.reduce_class`).
     """
     rows = [ctx.class_key(d) for d in _checked_rows(ctx, degrees, p)]
-    # with p + 1 past the cap, `_multiply` fails anyway: fail before building
-    _check_terms(range(p + 1))
     m, r = ctx.fan.dim, ctx.r
     zero = ctx.class_key((0,) * r)
+    # with p + 1 terms past the cap, `_multiply` fails anyway: fail before building
+    _check_terms(range(p + 1), len(zero))
     units = [ctx.class_key(tuple(int(i == j) for i in range(r))) for j in range(r)]
 
     def binomial(c, j, e):
@@ -146,7 +146,7 @@ def _factors(ctx, degrees, kind: str, p: int):
 
     def scalar_power(c, e):
         # (1 + c y)^e for an integer e of either sign
-        return {(zero, j): _binomial_coeff(e, j) * c**j for j in range(p + 1)}
+        return {(zero, j): choose(e, j) * c**j for j in range(p + 1)}
 
     if kind == "alt":
         factors = [binomial(1, 1, u) for u in units]
@@ -170,9 +170,9 @@ def _factors(ctx, degrees, kind: str, p: int):
         power = {(zero, 0): 1}
         inverse = dict(power)
         for _ in range(p):
-            power = _multiply(power, y_form, p, ctx.reduce_class)
+            power = _multiply(power, y_form, p, ctx.reduce_class, len(zero))
             inverse.update(power)
-            _check_terms(inverse)
+            _check_terms(inverse, len(zero))
         return [binomial(-1, 0, d) for d in rows] + [inverse]
     raise ValueError(f"unknown form kind {kind!r}")
 
@@ -182,16 +182,19 @@ def chi_all(ctx: HilbertContext, degrees, kind: str, pmax: int) -> list:
 
     One expansion modulo y^(pmax+1) in class keys serves every p: each term
     q_{a,j} x^a y^j adds q_{a,j} * H(-ctx.class_divisor(a)) to the value at
-    p = j, and H is evaluated once per class.
+    p = j.  H is taken once per class, all classes in one `h_of_classes`
+    call: a coset of L Cl that asks for more classes than its fit has
+    samples is fitted, so at large p only the samples are walked.
     """
     factors = _factors(ctx, degrees, kind, pmax)
     dim = len(ctx.class_key((0,) * ctx.r))
     expanded = y_truncated_expand(factors, pmax, dim, ctx.reduce_class)
-    values, h = [0] * (pmax + 1), {}
+    classes = {a for a, _ in expanded}
+    dual = {a: ctx.class_key([-x for x in ctx.class_divisor(a)]) for a in classes}
+    h = h_of_classes(ctx, dual.values())
+    values = [0] * (pmax + 1)
     for (a, j), c in expanded.items():
-        if a not in h:
-            h[a] = h_of_s(ctx, tuple(-x for x in ctx.class_divisor(a)))
-        values[j] += c * h[a]
+        values[j] += c * h[dual[a]]
     return values
 
 

@@ -40,13 +40,15 @@ class, and every linearly equivalent s after the first is a memo hit.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from math import comb, lcm
 
 from .errors import ConsistencyError
 from .fans import Fan, validate, is_simplicial
 from .lattice import (
     _count_levels,
     cascade_is_bounded,
+    det_int,
     extend_cascade,
     row_lattice,
     vec_mat,
@@ -255,6 +257,91 @@ def h_of_s(ctx: HilbertContext, s) -> int:
     total = walk(0, ctx.c_table, 0, [{}] * dim)
     ctx._h_memo[key] = total
     return total
+
+
+def choose(e: int, j: int) -> int:
+    """C(e, j) = e (e - 1) ... (e - j + 1) / j!, the y^j coefficient of (1 + y)^e."""
+    if e >= 0:
+        return comb(e, j)
+    return (-1) ** j * comb(j - e - 1, j)
+
+
+def h_of_classes(ctx: HilbertContext, keys) -> dict:
+    """H at the class of every key in `keys` (`class_key`), as {key: H}.
+
+    A coset is the torsion part of a key with its free coordinates mod L.
+    On a simplicial fan a coset that asks for more classes than the
+    C(f + n, n) samples of its fit is fitted (`_fit_coset`); every other
+    class is walked by `h_of_s`, so no coset walks more classes than it
+    asks for.  L is computed only when some coset can pay.
+    """
+    keys = set(keys)
+    n, f = ctx.fan.dim, ctx.r - ctx.fan.dim
+    t = len(ctx._keep) - f  # torsion coordinates lead each key
+    samples = comb(f + n, n)
+    out = {}
+    if ctx.simplicial and len(keys) > samples:
+        period = lcm(*(abs(det_int(ctx.fan.ray_matrix(c))) for c in ctx.fan.maximal_cones))
+        cosets = {}
+        for key in keys:
+            coset = key[:t] + tuple(x % period for x in key[t:])
+            cosets.setdefault(coset, []).append(key)
+        for coset, members in cosets.items():
+            if len(members) > samples:
+                out.update(_fit_coset(ctx, coset[:t], coset[t:], period, members))
+    for key in keys - out.keys():
+        out[key] = h_of_s(ctx, ctx.class_divisor(key))
+    return out
+
+
+def _fit_coset(ctx: HilbertContext, torsion, rep, period, members) -> dict:
+    """H at the keys `members` of one coset, from a walk at C(f + n, n) samples.
+
+    H(base + period z) is an integer-valued polynomial of total degree at
+    most n in z in Z^f, so it is fixed by its values at the simplex
+    {z >= 0, |z| <= n}: with the mixed forward differences D_k at z = 0,
+    H = sum over |k| <= n of D_k C(z_1, k_1) ... C(z_f, k_f), exact for z
+    of either sign.  The simplex sits where the walks are cheap: its
+    centroid base + period n / (f + 1) goes to the coset point nearest
+    half the canonical key (the centre of Serre duality), rounded down;
+    on P^n the samples are the keys -(n + 1) .. -1.
+    """
+    n, f = ctx.fan.dim, len(rep)
+    anti = ctx.class_key((1,) * ctx.r)[len(torsion):]
+    # z0 = ceil(-num / den - 1/2) is the nearest integer to the exact
+    # offset -num / den of the centroid, ties rounded down
+    den = 2 * period * (f + 1)
+    base = []
+    for x, a in zip(rep, anti):
+        num = (a + 2 * x) * (f + 1) + 2 * period * n
+        base.append(x - period * ((2 * num + den) // (2 * den)))
+    points = [  # the simplex, as exponent vectors k with |k| <= n
+        tuple(map(axes.count, range(f)))
+        for d in range(n + 1)
+        for axes in combinations_with_replacement(range(f), d)
+    ]
+    diff = {}
+    for k in points:
+        key = torsion + tuple(b + period * z for b, z in zip(base, k))
+        diff[k] = h_of_s(ctx, ctx.class_divisor(key))
+    for i in range(f):  # forward differences along each axis in turn
+        order = sorted((k for k in points if k[i]), key=lambda k: -k[i])
+        for level in range(1, n + 1):
+            for k in order:
+                if k[i] >= level:
+                    diff[k] -= diff[k[:i] + (k[i] - 1,) + k[i + 1 :]]
+    terms = [(k, c) for k, c in diff.items() if c]
+    out = {}
+    for key in members:
+        z = [(y - b) // period for y, b in zip(key[len(torsion):], base)]
+        rows = [[choose(x, j) for j in range(n + 1)] for x in z]
+        total = 0
+        for k, c in terms:
+            for row, j in zip(rows, k):
+                c *= row[j]
+            total += c
+        out[key] = total
+    return out
 
 
 def chi_structure_sheaf(ctx: HilbertContext, degrees) -> int:

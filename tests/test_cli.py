@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import time
 from functools import cache
 from itertools import product
@@ -15,6 +16,7 @@ from toric_hodge import cli
 from toric_hodge.fans import normal_fan, simplicial_refinement
 from toric_hodge.lattice import minkowski_support
 
+from helpers import fan_projective, polygon_fan, simplex_support
 from oracles import brute_count
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -359,7 +361,7 @@ P1_CUBED = {"fan": {
 
 @pytest.mark.parametrize("kind", ["tensor", "sym"])
 def test_series_term_cap_fails_fast(kind, tmp_path, capsys):
-    from toric_hodge.forms import MAX_SERIES_TERMS
+    from toric_hodge.forms import MAX_SERIES_COORDS
 
     p = {"tensor": "80", "sym": "100"}[kind]
     doc = tmp_path / "p1_cubed.json"
@@ -370,20 +372,80 @@ def test_series_term_cap_fails_fast(kind, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert elapsed < 10
-    assert f"the supported maximum is {MAX_SERIES_TERMS}" in captured.err
+    assert f"the supported maximum is {MAX_SERIES_COORDS}" in captured.err
     assert "series expansion" in captured.err
     assert captured.out == ""
 
 
+def test_series_cap_counts_key_coordinates(tmp_path):
+    # keys of the 24-ray polygon fan have 22 coordinates: a cap on terms
+    # alone let this expansion grow to 456 MiB before it stopped
+    from toric_hodge.forms import MAX_SERIES_COORDS
+
+    fan = polygon_fan(24)
+    doc = tmp_path / "polygon24.json"
+    doc.write_text(json.dumps({"fan": {"rays": fan.rays, "max_cones": fan.maximal_cones}}))
+    script = (
+        "import resource, sys\n"
+        "from toric_hodge.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(HERE), "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "euler", "--kind", "sym", "-p", "8", str(doc)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert elapsed < 10
+    *message, maxrss_kib = proc.stderr.splitlines()
+    assert int(maxrss_kib) < 150 * 1024
+    assert f"the supported maximum is {MAX_SERIES_COORDS}" in message[-1]
+    assert "key coordinates" in message[-1]
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("kind,p", [("tensor", 100), ("alt", 60), ("sym", 40)])
+def test_quintic_fan_matches_the_residue_engine_at_high_p(kind, p, tmp_path, capsys, monkeypatch):
+    # every class of the series lies in one coset of P^4 (L = 1): H is fitted
+    # from 5 walks, where a walk per class took 52 s at tensor p = 100
+    import toric_hodge.hilbert as hilbert_mod
+
+    walks = []
+    h = hilbert_mod.h_of_s
+    monkeypatch.setattr(hilbert_mod, "h_of_s", lambda c, s: walks.append(s) or h(c, s))
+    fan = fan_projective(4)
+    doc = tmp_path / "quintic_fan.json"
+    doc.write_text(json.dumps({"fan": {"rays": fan.rays, "max_cones": fan.maximal_cones},
+                               "supports": [simplex_support(4, 5)]}))
+    argv = ["euler", "--kind", kind, "-p", str(p), str(doc)]
+    start = time.perf_counter()
+    assert cli.main(argv) == 0
+    elapsed = time.perf_counter() - start
+    fan_out = capsys.readouterr().out
+    assert len(walks) <= 5
+    assert elapsed < 10
+    wps_argv = ["wps", "euler", "--kind", kind, "-p", str(p), data("quintic.json")]
+    assert cli.main(wps_argv) == 0
+    assert fan_out == capsys.readouterr().out
+
+
 def test_series_pair_cap_fails_fast(tmp_path, capsys):
-    # one product of this expansion combines 7.2 million pairs of terms whose
-    # y-powers stay within the truncation
+    # one product of this expansion combines 7.0 million pairs of terms whose
+    # y-powers stay within the truncation, while it holds 0.2 million key
+    # coordinates
     from toric_hodge.forms import MAX_SERIES_PAIRS
 
-    doc = tmp_path / "p1_cubed.json"
-    doc.write_text(json.dumps(P1_CUBED))
+    doc = tmp_path / "p1_squared.json"
+    doc.write_text(json.dumps({"fan": {
+        "rays": [[-1, 0], [1, 0], [0, -1], [0, 1]],
+        "max_cones": [[0, 2], [0, 3], [1, 2], [1, 3]],
+    }}))
     start = time.perf_counter()
-    code = cli.main(["euler", "--kind", "sym", "-p", "80", str(doc)])
+    code = cli.main(["euler", "--kind", "sym", "-p", "240", str(doc)])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 3
@@ -406,7 +468,7 @@ def test_high_form_degree_on_the_cubic(kind, capsys):
 def test_huge_form_degree_fails_before_building_factors(kind, capsys):
     # p + 1 terms per factor already pass the cap; building them first took
     # 30 to 56 s and 2 to 3 GB
-    from toric_hodge.forms import MAX_SERIES_TERMS
+    from toric_hodge.forms import MAX_SERIES_COORDS
 
     start = time.perf_counter()
     code = cli.main(["euler", "--kind", kind, "-p", "3000000", data("p2_cubic.json")])
@@ -414,7 +476,7 @@ def test_huge_form_degree_fails_before_building_factors(kind, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert elapsed < 5
-    assert f"the supported maximum is {MAX_SERIES_TERMS}" in captured.err
+    assert f"the supported maximum is {MAX_SERIES_COORDS}" in captured.err
     assert captured.out == ""
 
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_hodge import forms, lattice
+from toric_hodge import forms, hilbert, lattice
 from toric_hodge.errors import ConsistencyError
-from toric_hodge.fans import Fan, degrees_of, normal_fan, simplicial_refinement
+from toric_hodge.fans import Fan, degrees_of, is_simplicial, normal_fan, simplicial_refinement
 from toric_hodge.hilbert import (
     HilbertContext,
     build_context,
@@ -358,10 +358,51 @@ def test_class_keys_with_a_unit_pivot_between_torsion_pivots():
 
 
 def test_class_memo_walks_each_degree_once(monkeypatch):
-    # on P^4 the class of s is sum(s): the series pairs one s per degree
+    # on P^4 the class of s is sum(s), and Cl = Z is one coset (L = 1): the
+    # series asks for 14 classes, which are read off a fit through the 5
+    # samples -5 .. -1, each walked once
     ctx = build_context(fan_projective(4))
     seen = []
-    h = forms.h_of_s
-    monkeypatch.setattr(forms, "h_of_s", lambda c, s: seen.append(s) or h(c, s))
+    h = hilbert.h_of_s
+    monkeypatch.setattr(hilbert, "h_of_s", lambda c, s: seen.append(s) or h(c, s))
     assert forms.chi_all(ctx, [(5, 0, 0, 0, 0)], "tensor", 3) == [0, 100, 600, 2700]
-    assert len(seen) == len(ctx._h_memo) == len({sum(s) for s in seen}) == 14
+    assert len(seen) == len(ctx._h_memo) == len({sum(s) for s in seen}) == 5
+    assert sorted(ctx._h_memo) == [(-5,), (-4,), (-3,), (-2,), (-1,)]
+
+
+# The simplicial fans of both lists above.  A key set that asks for more
+# classes of one coset than the fit has samples is fitted, so each example
+# asks for one to four more than that, all in one coset.
+FIT_FANS = tuple(dict.fromkeys(
+    [fan for fan in CLASS_FANS if is_simplicial(fan)] + [fan for fan, _ in QUASI_FANS]
+))
+
+
+@st.composite
+def coset_steps(draw, fan):
+    r, n = len(fan.rays), fan.dim
+    f = r - n
+    s = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    reach = 4 if f <= 2 else 2
+    steps = st.lists(st.integers(-reach, reach), min_size=f, max_size=f).map(tuple)
+    size = comb(f + n, n) + 1
+    return tuple(s), draw(st.lists(steps, min_size=size, max_size=size + 3, unique=True))
+
+
+@pytest.mark.parametrize("fan", FIT_FANS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_fitted_h_matches_the_walk(fan, data):
+    s, steps = data.draw(coset_steps(fan))
+    n, f = fan.dim, len(fan.rays) - fan.dim
+    period = lcm(*(abs(det_int([fan.rays[i] for i in cone])) for cone in fan.maximal_cones))
+    ctx, fresh = build_context(fan), build_context(fan)
+    start = ctx.class_key(s)
+    t = len(start) - f
+    # the far corners lie outside the sample simplex on both sides
+    steps += [(6,) * f, (-6,) * f]
+    keys = [start[:t] + tuple(x + period * z for x, z in zip(start[t:], step)) for step in steps]
+    fitted = hilbert.h_of_classes(ctx, keys)
+    assert len(ctx._h_memo) == comb(f + n, n)  # only the samples were walked
+    for key in keys:
+        assert fitted[key] == h_of_s(fresh, ctx.class_divisor(key)), key
