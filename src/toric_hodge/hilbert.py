@@ -23,7 +23,7 @@ degree rows d_1..d_k is the alternating sum of H over subset sums of the
 
 The sum is not taken over all 2^r ray sets.  `h_of_s` walks the cells of
 the arrangement of the hyperplanes <p_j, q> = -s_j depth first, deciding
-the rays in index order, and carries the c_S reduced to the rays not yet
+the rays in walk order, and carries the c_S reduced to the rays not yet
 decided together with the Fourier-Motzkin cascade of the constraints
 decided so far.  A child extends its parent's cascade by the one row it
 adds (`extend_cascade`), so no node eliminates from scratch (the reverse
@@ -36,19 +36,26 @@ H(s) depends only on the divisor class of s in Cl = Z^r / P Z^n, P the
 ray matrix: s + P u translates every region by u (Cox 1995).  The H memo
 of a context is therefore keyed by a canonical representative of the
 class, and every linearly equivalent s after the first is a memo hit.
+A walk runs on `class_divisor(class_key(s))`, a translate of s with the
+same cells and counts that is zero on the same rays (n of them, on most
+fans) for every class.  Those rays come first in the walk order, so the
+states after them (`HilbertContext.frontier`) are found once per context.
+Where dim >= 3 the coordinates are permuted too, so that the dim - 2 that
+`_count_levels` sweeps are the narrowest of {x : <p_j, x> >= -1}.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
 
 from .errors import ConsistencyError
-from .fans import Fan, validate, is_simplicial
+from .fans import Fan, _hrep, validate, is_simplicial
 from .lattice import (
     _count_levels,
     cascade_is_bounded,
-    det_int,
+    dot,
     extend_cascade,
     row_lattice,
     vec_mat,
@@ -61,10 +68,13 @@ MAX_CONES = 24
 class HilbertContext:
     """Per-fan precomputation enabling fast evaluation of H(s).
 
-    Immutable after construction apart from the H memo, which only caches
+    Immutable after construction apart from the H memo and the lazy
+    properties (`frontier`, `period`, `anticanonical_key`), which only cache
     deterministic values (safe for concurrent reuse: a duplicated
     computation always lands on the same result).  The memo is keyed by
-    the divisor class of s (`class_key`).
+    the divisor class of s (`class_key`).  The walk reads `_rays`, the rays
+    in walk order with their coordinates permuted, and `_bits`, their bits
+    in `c_table`.
     """
 
     def __init__(self, fan: Fan, c_table):
@@ -89,6 +99,57 @@ class HilbertContext:
         self._torsion = [(k, [lower[i][j] for j in torsion]) for k, i in enumerate(torsion)]
         self._torsion.reverse()
         self._key_rows = [reduction.right_inverse[i] for i in self._keep]
+        # walk order: first the rays on which every class_divisor vanishes,
+        # whose walk states are the same for every class (`frontier`)
+        zero = [j for j in range(self.r) if not any(row[j] for row in self._key_rows)]
+        self._order = order = zero + [j for j in range(self.r) if j not in zero]
+        self._depth = len(zero)
+        self._tail_rows = [[row[j] for j in order[len(zero) :]] for row in self._key_rows]
+        coords = self._coordinate_order() if self.simplicial and n >= 3 else range(n)
+        self._rays = [tuple(fan.rays[j][i] for i in coords) for j in order]
+        self._bits = [1 << j for j in order]  # c_table keeps the fan's bits
+
+    @cached_property
+    def _facets(self):
+        """Per maximal cone (simplicial), each facet's normal n_k and
+        c_k = <n_k, p_k>, p_k the one ray off the facet."""
+        out = []
+        for cone in self.fan.maximal_cones:
+            _, normals, tight = _hrep(self.fan, cone)
+            off = len(cone) * (len(cone) - 1) // 2  # minus a tight set: the ray off it
+            rays = [self.fan.rays[cone[off - sum(t)]] for t in tight]
+            out.append([(v, dot(v, ray)) for v, ray in zip(normals, rays)])
+        return out
+
+    @cached_property
+    def period(self) -> int:
+        """L = lcm of the c_k.  On a cone, <p_k, m> = -D_k has the solution
+        m = -sum_k D_k n_k / c_k, so L D is Cartier for every divisor D and
+        H is a polynomial on each coset of L Cl (Snapper)."""
+        return lcm(*(c for facets in self._facets for _, c in facets))
+
+    @cached_property
+    def anticanonical_key(self) -> tuple:
+        return self.class_key((1,) * self.r)
+
+    def _coordinate_order(self):
+        """The coordinates, narrowest first, of {x : <p_j, x> >= -1}, whose
+        vertices times L are the integer vectors -sum_k n_k L / c_k."""
+        n, period = self.fan.dim, self.period
+        vertices = [[-sum(v[i] * (period // c) for v, c in facets) for i in range(n)]
+                    for facets in self._facets]
+        widths = [max(x) - min(x) for x in zip(*vertices)]
+        return sorted(range(n), key=widths.__getitem__)
+
+    @cached_property
+    def frontier(self) -> list:
+        """The live walk states (table, mask, cascade) after the first `_depth`
+        rays, where every class_divisor is zero: each walk starts from them."""
+        states = [(self.c_table, 0, [{}] * self.fan.dim)]
+        zero = _halfspaces(self._rays[: self._depth], [0] * self._depth)
+        for bit, halfspace in zip(self._bits, zero):
+            states = [child for state in states for child in _children(*state, bit, halfspace)]
+        return states
 
     def class_key(self, s) -> tuple:
         """Canonical representative of the class of s in Z^r / P Z^n.
@@ -183,15 +244,26 @@ def build_context(fan: Fan) -> HilbertContext:
     return HilbertContext(fan, _intersection_coefficients(cone_masks))
 
 
-def _halfspaces(ctx: HilbertContext, s):
+def _halfspaces(rays, s):
     """Per ray j, the constraint for j in I and the one for j not in I.
 
     In I: <p_j, q> >= -s_j.  Not in I: <p_j, q> <= -s_j - 1.
     """
-    return [
-        ((tuple(ray), -s[j]), (tuple(-x for x in ray), s[j] + 1))
-        for j, ray in enumerate(ctx.fan.rays)
-    ]
+    return [((ray, -x), (tuple(-y for y in ray), x + 1)) for ray, x in zip(rays, s)]
+
+
+def _children(table, mask, levels, bit, halfspace):
+    """The children (table, mask, cascade) of a node deciding the ray `bit`
+    that neither have an empty table nor an empty extended cascade."""
+    out = []
+    for child, (normal, bound), child_mask in zip(
+        _split(table, bit), halfspace, (mask | bit, mask)
+    ):
+        if child:
+            child_levels = extend_cascade(levels, normal, bound)
+            if child_levels is not None:
+                out.append((child, child_mask, child_levels))
+    return out
 
 
 def _split(table, bit):
@@ -215,10 +287,12 @@ def _split(table, bit):
 def h_of_s(ctx: HilbertContext, s) -> int:
     """H(s) = sum over I with chi_I != 0 of chi_I * n_{I,s}.
 
-    Depth-first walk over the rays in index order.  A node at depth j has
-    decided for the rays before j whether they lie in I, and carries the
-    Fourier-Motzkin cascade of their constraints and the c_S reduced to
-    the undecided rays (`_split`).  An empty table means chi is zero on the
+    Depth-first walk over the rays in walk order, on the representative
+    `class_divisor(class_key(s))` and from the context's `frontier`.  A
+    node at depth j has decided for the rays before j whether they lie in
+    I, and carries the Fourier-Motzkin cascade of their constraints and
+    the c_S reduced to the undecided rays (`_split`).  An empty table
+    means chi is zero on the
     whole branch.  Every live child extends its parent's cascade by its
     one row and is dropped when the extension shows it empty.  At a leaf
     the table is {0: chi_I}, and the region is checked bounded and counted,
@@ -232,8 +306,9 @@ def h_of_s(ctx: HilbertContext, s) -> int:
     cached = ctx._h_memo.get(key)
     if cached is not None:
         return cached
-    r, dim = ctx.r, ctx.fan.dim
-    halfspaces = _halfspaces(ctx, s)
+    r, dim, depth, bits = ctx.r, ctx.fan.dim, ctx._depth, ctx._bits
+    # the representative class_divisor(key) on the rays after the frontier
+    halfspaces = [None] * depth + _halfspaces(ctx._rays[depth:], vec_mat(key, ctx._tail_rows))
 
     def walk(j, table, mask, levels):
         if j == r:
@@ -243,18 +318,12 @@ def h_of_s(ctx: HilbertContext, s) -> int:
                     f"unbounded region with nonzero chi for ray set {bin(mask)}"
                 )
             return table[0] * _count_levels([level.items() for level in levels], dim)
-        bit = 1 << j
         total = 0
-        for child, (normal, bound), child_mask in zip(
-            _split(table, bit), halfspaces[j], (mask | bit, mask)
-        ):
-            if child:
-                child_levels = extend_cascade(levels, normal, bound)
-                if child_levels is not None:
-                    total += walk(j + 1, child, child_mask, child_levels)
+        for child in _children(table, mask, levels, bits[j], halfspaces[j]):
+            total += walk(j + 1, *child)
         return total
 
-    total = walk(0, ctx.c_table, 0, [{}] * dim)
+    total = sum(walk(depth, *state) for state in ctx.frontier)
     ctx._h_memo[key] = total
     return total
 
@@ -273,7 +342,7 @@ def h_of_classes(ctx: HilbertContext, keys) -> dict:
     On a simplicial fan a coset that asks for more classes than the
     C(f + n, n) samples of its fit is fitted (`_fit_coset`); every other
     class is walked by `h_of_s`, so no coset walks more classes than it
-    asks for.  L is computed only when some coset can pay.
+    asks for.  L is the context's `period`.
     """
     keys = set(keys)
     n, f = ctx.fan.dim, ctx.r - ctx.fan.dim
@@ -281,7 +350,7 @@ def h_of_classes(ctx: HilbertContext, keys) -> dict:
     samples = comb(f + n, n)
     out = {}
     if ctx.simplicial and len(keys) > samples:
-        period = lcm(*(abs(det_int(ctx.fan.ray_matrix(c))) for c in ctx.fan.maximal_cones))
+        period = ctx.period
         cosets = {}
         for key in keys:
             coset = key[:t] + tuple(x % period for x in key[t:])
@@ -307,7 +376,7 @@ def _fit_coset(ctx: HilbertContext, torsion, rep, period, members) -> dict:
     on P^n the samples are the keys -(n + 1) .. -1.
     """
     n, f = ctx.fan.dim, len(rep)
-    anti = ctx.class_key((1,) * ctx.r)[len(torsion):]
+    anti = ctx.anticanonical_key[len(torsion):]
     # z0 = ceil(-num / den - 1/2) is the nearest integer to the exact
     # offset -num / den of the centroid, ties rounded down
     den = 2 * period * (f + 1)

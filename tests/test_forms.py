@@ -2,7 +2,7 @@
 
 import pytest
 
-from toric_hodge import forms
+from toric_hodge import forms, hilbert
 from toric_hodge.fans import degrees_of, Fan
 from toric_hodge.forms import (
     _factors,
@@ -207,21 +207,26 @@ INDEX_3 = Fan(2, ((2, -1), (-1, 2), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_class_coordinates_match_the_series_in_exponents(kind, monkeypatch):
+    # `chi_all` reaches H through `hilbert.h_of_classes`, which walks each
+    # class it needs, coset samples included, by `hilbert.h_of_s`
     seen = []
-    monkeypatch.setattr(forms, "h_of_s", lambda c, s: seen.append(s) or h_of_s(c, s))
+    monkeypatch.setattr(hilbert, "h_of_s", lambda c, s: seen.append(s) or h_of_s(c, s))
     cases = [(name, fan, degrees_of(fan, supports) if supports else [])
              for name, fan, supports in forms_fixture_corpus()]
     cases += [("index3_k0", INDEX_3, []), ("index3_torsion_row", INDEX_3, [(1, 0, 0)]),
               ("index3_conic", INDEX_3, degrees_of(INDEX_3, [simplex_support(2, 2)]))]
     for name, fan, degs in cases:
         ctx = build_context(fan)
-        expected = chi_forms_by_exponents(
-            ctx.r, fan.dim, degs, kind, 12, lambda s: h_of_s(ctx, s)
-        )
         seen.clear()
-        assert chi_all(ctx, degs, kind, 12) == expected, name
-        # sums of keys are reduced again, so H is paired once per class
-        assert len(seen) == len({ctx.class_key(s) for s in seen}), name
+        values = chi_all(ctx, degs, kind, 12)
+        # sums of keys are reduced again, so each class is walked at most once
+        assert seen and len(seen) == len({ctx.class_key(s) for s in seen}), name
+        assert len(seen) == len(ctx._h_memo), name
+        fresh = build_context(fan)
+        expected = chi_forms_by_exponents(
+            ctx.r, fan.dim, degs, kind, 12, lambda s: h_of_s(fresh, s)
+        )
+        assert values == expected, name
 
 
 def test_chi_all_checks_its_input():

@@ -2,7 +2,7 @@
 
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb, lcm
 
 import pytest
@@ -21,6 +21,7 @@ from toric_hodge.hilbert import (
 from toric_hodge.lattice import det_int, minkowski_support
 
 from helpers import (
+    apply_matrix,
     fan_octahedron,
     fan_p1,
     fan_p1p1,
@@ -32,6 +33,7 @@ from helpers import (
     fan_wps_1423,
     polygon_fan,
     simplex_support,
+    unimodular_matrix,
 )
 from oracles import brute_h, chi_table_by_definition, in_ray_image, recession_is_trivial
 
@@ -72,13 +74,20 @@ def test_p1p1_h_at_zero():
 
 def test_h_of_s_walk_keeps_the_unbounded_region_guard():
     # cannot happen on an honest complete fan: a forged coefficient makes chi
-    # nonzero on the unbounded region of the ray set {0}; the cell walk must
-    # reach it and raise
-    from toric_hodge.hilbert import HilbertContext
-
+    # nonzero on unbounded regions; the cell walk must reach one and raise,
+    # also when the forged ray is decided in the frontier
     forged = HilbertContext(fan_p2(), {0b001: 1})
+    assert forged._depth == 2 and forged.frontier
     with pytest.raises(ConsistencyError):
         h_of_s(forged, (0, 0, 0))
+    # P(1,2,3) with its weight-1 ray first: the walk decides rays 1 and 2 in
+    # the frontier, and the error names the rays by their bits in the fan
+    fan = Fan(2, ((-2, -3), (1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2)))
+    for table, mask in (({0b010: 1}, "0b110"), ({0b001: 1}, "0b11")):
+        forged = HilbertContext(fan, table)
+        assert forged._order == [1, 2, 0]
+        with pytest.raises(ConsistencyError, match=f"ray set {mask}$"):
+            h_of_s(forged, (2, -1, 3))
 
 
 def test_h_line_bundle_degrees_on_p1():
@@ -404,5 +413,96 @@ def test_fitted_h_matches_the_walk(fan, data):
     keys = [start[:t] + tuple(x + period * z for x, z in zip(start[t:], step)) for step in steps]
     fitted = hilbert.h_of_classes(ctx, keys)
     assert len(ctx._h_memo) == comb(f + n, n)  # only the samples were walked
+    for key in keys:
+        assert fitted[key] == h_of_s(fresh, ctx.class_divisor(key)), key
+
+
+# The walk starts from a frontier: the states after the rays on which every
+# class_divisor vanishes, found once per context.
+
+W11125 = Fan(
+    4,
+    ((-1, -1, -2, -5), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    tuple(combinations(range(5), 4)),
+)
+BRUTE_FANS = tuple(dict.fromkeys(CLASS_FANS + tuple(fan for fan, _ in QUASI_FANS)))
+
+
+@pytest.mark.parametrize("fan", BRUTE_FANS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_frontier_walk_matches_brute(fan, data):
+    s = data.draw(st.lists(st.integers(-3, 3), min_size=len(fan.rays), max_size=len(fan.rays)))
+    assert h_of_s(build_context(fan), s) == brute_h(fan, s)
+
+
+@pytest.mark.parametrize("fan,degree", [(fan_projective(4), 5), (W11125, 10)])
+def test_walks_pay_only_for_their_own_rays(fan, degree, monkeypatch):
+    # every class_divisor vanishes on n rays of these fans: the frontier
+    # decides them once, and each walk decides the one ray left
+    degrees = [(degree,) + (0,) * fan.dim]
+    expected = forms.chi_all(build_context(fan), degrees, "tensor", 3)
+    ctx = build_context(fan)
+    count = []
+    extend = hilbert.extend_cascade
+    monkeypatch.setattr(hilbert, "extend_cascade", lambda *a: count.append(0) or extend(*a))
+    assert ctx._depth == fan.dim and ctx.frontier
+    front = len(count)
+    assert front <= 10
+    assert forms.chi_all(ctx, degrees, "tensor", 3) == expected
+    assert 0 < len(count) - front <= 2 * len(ctx._h_memo)
+
+
+@pytest.mark.parametrize("fan", FIT_FANS)
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_h_is_invariant_under_unimodular_coordinates(fan, data):
+    # a permutation or shear of the lattice coordinates moves every region
+    # onto one with as many points, though it changes the swept order
+    s = data.draw(st.lists(st.integers(-3, 3), min_size=len(fan.rays), max_size=len(fan.rays)))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    mat = unimodular_matrix(fan.dim, rng)
+    perm = rng.sample(range(fan.dim), fan.dim)
+    moved = [mat, [[int(j == perm[i]) for j in range(fan.dim)] for i in range(fan.dim)]]
+    value = h_of_s(build_context(fan), s)
+    for m in moved:
+        rays = tuple(apply_matrix(m, ray) for ray in fan.rays)
+        assert h_of_s(build_context(Fan(fan.dim, rays, fan.maximal_cones)), s) == value
+
+
+def test_weighted_space_sweeps_its_narrow_coordinates():
+    # {x : <p_j, x> >= -1} on P(1,1,1,2,5) is x >= -1, x1 + x2 + 2 x3 + 5 x4 <= 1:
+    # its widths are 10, 10, 5 and 2, so x4 and x3 are swept and the
+    # weight-1 coordinates counted in closed form
+    ctx = build_context(W11125)
+    assert ctx.period == 10
+    assert ctx._coordinate_order() == [3, 2, 0, 1]
+    assert ctx._rays == [tuple(W11125.rays[j][i] for i in (3, 2, 0, 1)) for j in ctx._order]
+    # H(d e_0) counts the monomials of weighted degree d
+    monomials = [1] + [0] * 60
+    for w in (1, 1, 1, 2, 5):
+        for d in range(w, 61):
+            monomials[d] += monomials[d - w]
+    assert [h_of_s(ctx, (d, 0, 0, 0, 0)) for d in range(61)] == monomials
+
+
+# P^3 / (Z/2)^2: each maximal cone has |det| 4, but its rays' dual basis
+# has denominators 2, so 2 D is Cartier for every divisor D and the cosets
+# of 2 Cl are fitted
+TETRA = Fan(
+    3, ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)), tuple(combinations(range(4), 3))
+)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+@settings(max_examples=10, deadline=None)
+def test_period_is_the_cartier_index(s):
+    ctx, fresh = build_context(TETRA), build_context(TETRA)
+    assert ctx.period == 2
+    assert lcm(*(abs(det_int(TETRA.ray_matrix(c))) for c in TETRA.maximal_cones)) == 4
+    start = ctx.class_key(s)
+    keys = [start[:-1] + (start[-1] + 2 * z,) for z in range(-6, 7)]
+    fitted = hilbert.h_of_classes(ctx, keys)
+    assert len(ctx._h_memo) == 4  # the samples of one fit
     for key in keys:
         assert fitted[key] == h_of_s(fresh, ctx.class_divisor(key)), key

@@ -1,7 +1,11 @@
-"""The package imports nothing but the standard library and itself."""
+"""The package imports nothing but the standard library and itself, and
+none of the standard library's rational or decimal arithmetic: the lattice
+layer is integer-only."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -10,8 +14,13 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "toric_hodge"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
+# modules whose arithmetic the package must not use
+NOT_IMPORTED = ("fractions", "decimal")
+
+
 def _foreign_imports(path):
-    """Top-level names of the absolute imports that are neither stdlib nor ours."""
+    """Top-level names of the absolute imports that are neither stdlib nor ours,
+    or that are in NOT_IMPORTED."""
     foreign = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -22,7 +31,9 @@ def _foreign_imports(path):
             continue
         for name in names:
             top = name.partition(".")[0]
-            if top != "toric_hodge" and top not in sys.stdlib_module_names:
+            if top in NOT_IMPORTED or (
+                top != "toric_hodge" and top not in sys.stdlib_module_names
+            ):
                 foreign.append(name)
     return foreign
 
@@ -38,5 +49,18 @@ def test_module_imports_only_the_standard_library(path):
 
 def test_guard_flags_a_third_party_import(tmp_path):
     module = tmp_path / "module.py"
-    module.write_text("import os\nfrom . import lattice\nimport sympy.abc\n", encoding="utf-8")
-    assert _foreign_imports(module) == ["sympy.abc"]
+    module.write_text(
+        "import os\nfrom . import lattice\nimport sympy.abc\nfrom fractions import Fraction\n",
+        encoding="utf-8",
+    )
+    assert _foreign_imports(module) == ["sympy.abc", "fractions"]
+
+
+def test_importing_the_package_loads_no_rational_arithmetic():
+    # also through the standard library: every module, imported in a fresh process
+    names = ", ".join(f"toric_hodge.{p.stem}" for p in MODULES if p.stem != "__init__")
+    code = f"import sys, {names}; print(sorted(set(sys.modules) & {set(NOT_IMPORTED)!r}))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
