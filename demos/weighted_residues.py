@@ -13,7 +13,7 @@ Run:  python3 demos/weighted_residues.py
 from toric_hodge import (
     residue_infinity,
     residue_zero,
-    wps_chi,
+    wps_chi_all,
     wps_fan,
     wps_hilbert,
     wps_hodge,
@@ -46,7 +46,7 @@ def main():
     print(f"fan of P{w}: simplicial = {is_simplicial(fan)}, "
           f"smooth = {is_regular(fan)}")
     print("chi of the p-form sheaves of the ambient space:",
-          [wps_chi(w, [], p, "alt") for p in range(4)])
+          wps_chi_all(w, [], "alt", 3))
     print()
 
     print("degree-12 quasi-smooth surface in P(1,4,2,3):")

@@ -49,6 +49,7 @@ from .wps import (
     residue_infinity,
     residue_zero,
     wps_chi,
+    wps_chi_all,
     wps_fan,
     wps_hilbert,
     wps_hodge,
@@ -99,6 +100,7 @@ __all__ = [
     "simplicial_refinement",
     "validate",
     "wps_chi",
+    "wps_chi_all",
     "wps_fan",
     "wps_hilbert",
     "wps_hodge",

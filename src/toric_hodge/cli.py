@@ -33,10 +33,10 @@ from .fans import (
     validate,
 )
 from .forms import chi_all
-from .hilbert import build_context
+from .hilbert import HilbertContext, build_context
 from .hodge import epq_c_ci, hodge_compact
 from .hodge_tables import EPQTable
-from .wps import Weights, wps_chi, wps_hodge
+from .wps import Weights, wps_chi, wps_chi_all, wps_hodge
 
 
 @dataclass(frozen=True)
@@ -215,10 +215,27 @@ def cmd_fan_check(args) -> int:
     return 0
 
 
+# Hilbert contexts of the fans of recent `euler` commands, least recently
+# used first: commands on one fan share its validation, frontier and H memo.
+MAX_CONTEXTS = 8
+_contexts: dict = {}
+
+
+def _context(fan: Fan) -> HilbertContext:
+    """The context of `fan`, built on first use; a failed build is not kept."""
+    ctx = _contexts.pop(fan, None)
+    if ctx is None:
+        ctx = build_context(fan)
+        if len(_contexts) >= MAX_CONTEXTS:
+            del _contexts[next(iter(_contexts))]
+    _contexts[fan] = ctx
+    return ctx
+
+
 def cmd_euler(args) -> int:
     doc = load_document(args.file)
     _require(doc, "fan", "euler")
-    ctx = build_context(doc.fan)
+    ctx = _context(doc.fan)
     degrees = degrees_of(doc.fan, doc.supports) if doc.supports else []
     if args.p is not None:
         ps = [args.p]
@@ -262,8 +279,12 @@ def cmd_wps(args) -> int:
     weights = Weights(doc.weights)
     if args.action == "euler":
         n = weights.m - len(doc.degrees)
-        ps = [args.p] if args.p is not None else list(range(max(n, 0) + 1))
-        values = [wps_chi(weights, doc.degrees, p, args.kind) for p in ps]
+        if args.p is not None:
+            ps = [args.p]
+            values = [wps_chi(weights, doc.degrees, args.p, args.kind)]
+        else:
+            ps = list(range(max(n, 0) + 1))
+            values = wps_chi_all(weights, doc.degrees, args.kind, ps[-1])
         if args.json:
             _emit_json({"kind": args.kind, "ps": ps, "values": values})
         else:

@@ -410,14 +410,26 @@ def simplicial_refinement(fan: Fan) -> Fan:
 
 
 def degrees_of(fan: Fan, supports) -> DegreeMatrix:
-    """d[i][j] = -min over the i-th support of the pairing with ray j."""
+    """d[i][j] = -min over the i-th support of the pairing with ray j.
+
+    Each support is read by columns, and a ray adds c times a column only
+    for its nonzero coordinates c.
+    """
     rows = []
     for s in supports:
         if not s:
             raise ValueError("empty support set")
         if any(len(q) != fan.dim for q in s):
             raise ValueError("support point length must match the fan dimension")
-        rows.append(tuple(-min(sum(map(mul, ray, q)) for q in s) for ray in fan.rays))
+        columns = tuple(zip(*s))
+        row = []
+        for ray in fan.rays:
+            pairings = [0] * len(s)  # <ray, q> for every q in s
+            for c, column in zip(ray, columns):
+                if c:
+                    pairings = [v + c * x for v, x in zip(pairings, column)]
+            row.append(-min(pairings))
+        rows.append(tuple(row))
     return DegreeMatrix(tuple(rows))
 
 

@@ -73,6 +73,9 @@ from .lattice import (
 # took 6 s.
 MAX_ORBIT_CONES = 1024
 
+# Tables of solved problems, oldest first; past this many the oldest is
+# dropped.  The largest (C*)^6 systems under MAX_ORBIT_CONES store about 2,245.
+MAX_EPQ_MEMO = 4096
 _epq_memo: dict = {}
 
 
@@ -123,6 +126,8 @@ def epq_c_ci(problem: TorusCIProblem, *, vertices: bool = False) -> EPQTable:
         else:
             exc.depth += 1
         raise
+    if len(_epq_memo) >= MAX_EPQ_MEMO:
+        del _epq_memo[next(iter(_epq_memo))]
     _epq_memo[key] = table
     return table
 

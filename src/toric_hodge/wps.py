@@ -20,13 +20,14 @@ c(sum_j w_j s_j), and H(s) is the sum of the residues at 0 and at infinity.
 The same substitution x_j -> x^{w_j} turns the form-sheaf series into a
 power series in y whose coefficients are Laurent numerators over the same
 denominator; `wps_chi` applies both residues to its y^p slice to get the
-alternating / symmetric / tensor Euler characteristics.
+alternating / symmetric / tensor Euler characteristics, and `wps_chi_all`
+expands once modulo y^(pmax+1) and applies them to every slice.
 
 For a quasi-smooth complete intersection of dimension n in a weighted
 projective space, rational cohomology below the middle degree agrees with
 the ambient space, so h^{pq} = delta_{pq} off the anti-diagonal p+q = n and
 the anti-diagonal is recovered from the Euler numbers e^p = (-1)^p chi of
-the p-form sheaf (`wps_hodge`).
+the p-form sheaves, all from one series (`wps_hodge`).
 """
 
 from __future__ import annotations
@@ -170,6 +171,47 @@ def _series_mul(a, b, order):
 MAX_WPS_DEGREE = 100
 
 
+def _chis(w, degrees, kind: str, pmax: int, first: int) -> list:
+    """Both residues of the y^first .. y^pmax slices of one expansion
+    modulo y^(pmax+1), each times x^(-1) prod_i (1 - x^{d_i})."""
+    w = _as_weights(w)
+    degrees = [int(d) for d in degrees]
+    if any(d <= 0 for d in degrees):
+        raise ValueError("degrees must be positive")
+    if pmax < 0:
+        raise ValueError("negative form degree")
+    if pmax > MAX_WPS_DEGREE:
+        raise ValueError(f"form degree {pmax}; the supported maximum is {MAX_WPS_DEGREE}")
+
+    one = {0: 1}
+    if kind == "alt":
+        # 1/(1+y) * prod_j (1 + y x^{w_j}) * prod_i 1/(1 + y x^{d_i})
+        factors = [[{0: (-1) ** a} for a in range(pmax + 1)]]
+        factors += [[one, {wj: 1}] for wj in w.values]
+        factors += [[{a * d: (-1) ** a} for a in range(pmax + 1)] for d in degrees]
+    elif kind == "sym":
+        # (1-y) * prod_i (1 - y x^{d_i}) * prod_j 1/(1 - y x^{w_j})
+        factors = [[one, {0: -1}]]
+        factors += [[one, {d: -1}] for d in degrees]
+        factors += [[{a * wj: 1} for a in range(pmax + 1)] for wj in w.values]
+    elif kind == "tensor":
+        # 1/(1 - y lin), lin = sum_j x^{w_j} - sum_i x^{d_i} - 1
+        lin = Counter(w.values)
+        lin.subtract(degrees)
+        lin[0] -= 1
+        factors = [list(accumulate(repeat(lin, pmax), _mul, initial=one))]
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+
+    series = [one]
+    for factor in factors:
+        series = _series_mul(series, factor, pmax)
+    num = {-1: 1}  # x^(-1) * prod_i (1 - x^{d_i})
+    for d in degrees:
+        num = _mul(num, {0: 1, d: -1})
+    return [_residue_sum(_mul(piece, num), w) for piece in series[first:]]
+
+
 def wps_chi(w, degrees, p: int, kind: str) -> int:
     """Euler characteristic of a form sheaf on a weighted complete intersection.
 
@@ -179,42 +221,12 @@ def wps_chi(w, degrees, p: int, kind: str) -> int:
     residues at 0 and infinity in x.  `kind` selects alternating ("alt"),
     symmetric ("sym") or unconstrained tensor ("tensor") powers.
     """
-    w = _as_weights(w)
-    degrees = [int(d) for d in degrees]
-    if any(d <= 0 for d in degrees):
-        raise ValueError("degrees must be positive")
-    if p < 0:
-        raise ValueError("negative form degree")
-    if p > MAX_WPS_DEGREE:
-        raise ValueError(f"form degree {p}; the supported maximum is {MAX_WPS_DEGREE}")
+    return _chis(w, degrees, kind, p, p)[0]
 
-    one = {0: 1}
-    if kind == "alt":
-        # 1/(1+y) * prod_j (1 + y x^{w_j}) * prod_i 1/(1 + y x^{d_i})
-        factors = [[{0: (-1) ** a} for a in range(p + 1)]]
-        factors += [[one, {wj: 1}] for wj in w.values]
-        factors += [[{a * d: (-1) ** a} for a in range(p + 1)] for d in degrees]
-    elif kind == "sym":
-        # (1-y) * prod_i (1 - y x^{d_i}) * prod_j 1/(1 - y x^{w_j})
-        factors = [[one, {0: -1}]]
-        factors += [[one, {d: -1}] for d in degrees]
-        factors += [[{a * wj: 1} for a in range(p + 1)] for wj in w.values]
-    elif kind == "tensor":
-        # 1/(1 - y lin), lin = sum_j x^{w_j} - sum_i x^{d_i} - 1
-        lin = Counter(w.values)
-        lin.subtract(degrees)
-        lin[0] -= 1
-        factors = [list(accumulate(repeat(lin, p), _mul, initial=one))]
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
 
-    series = [one]
-    for factor in factors:
-        series = _series_mul(series, factor, p)
-    num = {-1: 1}  # x^(-1) * prod_i (1 - x^{d_i})
-    for d in degrees:
-        num = _mul(num, {0: 1, d: -1})
-    return _residue_sum(_mul(series[p], num), w)
+def wps_chi_all(w, degrees, kind: str, pmax: int) -> list:
+    """`wps_chi` for p = 0 .. pmax, from one expansion modulo y^(pmax+1)."""
+    return _chis(w, degrees, kind, pmax, 0)
 
 
 def wps_hodge(w, degrees) -> EPQTable:
@@ -231,8 +243,8 @@ def wps_hodge(w, degrees) -> EPQTable:
     if n < 0:
         raise ValueError("more equations than the dimension allows")
     h = [[1 if (p == q and p + q != n) else 0 for q in range(n + 1)] for p in range(n + 1)]
-    for p in range(n + 1):
-        ep = (-1) ** p * wps_chi(w, degrees, p, "alt")
+    for p, chi in enumerate(wps_chi_all(w, degrees, "alt", n)):
+        ep = (-1) ** p * chi
         off = 1 if 2 * p != n else 0
         h[p][n - p] = (-1) ** n * (ep - off)
     for p in range(n + 1):

@@ -550,3 +550,57 @@ def test_console_script_if_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout == golden("hodge_torus_line.txt")
+
+
+def test_euler_commands_on_one_fan_share_its_context(capsys, monkeypatch):
+    import toric_hodge.hilbert as hilbert_mod
+
+    monkeypatch.setattr(cli, "_contexts", {})
+    builds, steps = [], []
+    build, children = cli.build_context, hilbert_mod._children
+    monkeypatch.setattr(cli, "build_context", lambda fan: builds.append(fan) or build(fan))
+    monkeypatch.setattr(hilbert_mod, "_children", lambda *a: steps.append(a) or children(*a))
+    shared = []
+    for kind in ("alt", "sym", "tensor"):
+        before = len(steps)
+        assert cli.main(["euler", "--kind", kind, data("p3_quadric.json")]) == 0
+        shared.append(capsys.readouterr().out)
+        # the walks of H run only in the first command; the others hit the memo
+        assert (len(steps) > before) == (kind == "alt")
+    assert len(builds) == 1
+    for kind, out in zip(("alt", "sym", "tensor"), shared):
+        cli._contexts.clear()
+        assert cli.main(["euler", "--kind", kind, data("p3_quadric.json")]) == 0
+        assert capsys.readouterr().out == out
+    assert len(builds) == 4
+
+
+def test_context_table_evicts_the_least_recently_used_fan(monkeypatch):
+    from toric_hodge.wps import wps_fan
+
+    monkeypatch.setattr(cli, "_contexts", {})
+    fans = [wps_fan((1, 1, k)) for k in range(1, cli.MAX_CONTEXTS + 3)]
+    for fan in fans[: cli.MAX_CONTEXTS]:
+        cli._context(fan)
+    first = cli._context(fans[0])  # now the most recently used
+    assert cli._context(fans[0]) is first
+    cli._context(fans[cli.MAX_CONTEXTS])
+    assert list(cli._contexts) == fans[2 : cli.MAX_CONTEXTS] + [fans[0], fans[cli.MAX_CONTEXTS]]
+    cli._context(fans[cli.MAX_CONTEXTS + 1])
+    assert len(cli._contexts) == cli.MAX_CONTEXTS
+    assert fans[2] not in cli._contexts and fans[0] in cli._contexts
+
+
+def test_failed_context_builds_are_not_kept(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_contexts", {})
+    rays = [[0, 2, 1]] + [[i, i * i, 1] for i in range(-12, 13)]
+    cones = [[0, j, j + 1] for j in range(1, 25)]
+    doc = tmp_path / "chain.json"
+    doc.write_text(json.dumps({"fan": {"rays": rays, "max_cones": cones}, "supports": []}))
+    for _ in range(2):
+        assert cli.main(["euler", str(doc)]) == 3
+        assert "fan has 26 rays; the supported maximum is 24" in capsys.readouterr().err
+    for _ in range(2):
+        assert cli.main(["euler", data("open_cone.json")]) == 3
+        assert "error:" in capsys.readouterr().err
+    assert cli._contexts == {}

@@ -256,6 +256,20 @@ def test_quintic_diamond_from_dense_or_vertex_supports():
     assert from_dense.get(1, 1) == 1 and from_dense.get(2, 1) == 101
 
 
+def test_epq_memo_keeps_at_most_its_cap(monkeypatch):
+    import toric_hodge.hodge as hodge_mod
+
+    fan, supports = fan_projective(4), [simplex_support(4, 2), simplex_support(4, 3)]
+    clear_epq_memo()
+    uncapped = hodge_compact(fan, supports)
+    assert len(hodge_mod._epq_memo) > 3
+    clear_epq_memo()
+    monkeypatch.setattr(hodge_mod, "MAX_EPQ_MEMO", 3)
+    assert hodge_compact(fan, supports) == uncapped
+    assert len(hodge_mod._epq_memo) <= 3
+    clear_epq_memo()
+
+
 def test_recursion_carries_vertices_and_skips_empty_orbits(monkeypatch):
     # every call below the quintic's 126-point support sees vertex sets only,
     # and no orbit whose table is zero by step 1 reaches the recursion

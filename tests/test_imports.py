@@ -64,3 +64,24 @@ def test_importing_the_package_loads_no_rational_arithmetic():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_traced_entry_points_stay_plain_functions():
+    # the layer tracer of benchmark/tracing.py wraps only plain functions and
+    # counts epq memo misses by the growth of a dict; a cache decorator on
+    # any of these would leave it untraced without an error
+    import types
+
+    from toric_hodge import cli, fans, hilbert, hodge, wps
+
+    for fn in (
+        hilbert.build_context,
+        cli.cmd_euler,
+        fans.degrees_of,
+        wps.wps_chi,
+        wps.wps_chi_all,
+        wps.wps_hodge,
+        hodge.epq_c_ci,
+    ):
+        assert isinstance(fn, types.FunctionType), fn
+    assert type(hodge._epq_memo) is dict

@@ -1,5 +1,6 @@
 """Residues, weighted fans, weighted diamonds."""
 
+import os
 import random
 
 import pytest
@@ -10,10 +11,12 @@ from toric_hodge.fans import DegreeMatrix, is_complete, is_regular, is_simplicia
 from toric_hodge.forms import chi_alt, chi_sym, chi_tensor
 from toric_hodge.hilbert import build_context, h_of_s
 from toric_hodge.wps import (
+    MAX_WPS_DEGREE,
     Weights,
     residue_infinity,
     residue_zero,
     wps_chi,
+    wps_chi_all,
     wps_fan,
     wps_hilbert,
     wps_hodge,
@@ -223,3 +226,40 @@ def test_wps_hodge_symmetries():
 def test_wps_hodge_rejects_overdetermined():
     with pytest.raises(ValueError):
         wps_hodge((1, 1), [2, 2])
+
+
+@pytest.mark.parametrize("kind", ["alt", "sym", "tensor"])
+@pytest.mark.parametrize(
+    "w,degrees", [((1, 1, 1), [3]), ((1, 4, 2, 3), [12]), ((1, 1, 2), []), ((1, 1, 1, 1, 1), [2, 3])]
+)
+def test_wps_chi_all_matches_wps_chi_at_every_p(w, degrees, kind):
+    pmax = 6
+    assert wps_chi_all(w, degrees, kind, pmax) == [
+        wps_chi(w, degrees, p, kind) for p in range(pmax + 1)
+    ]
+
+
+def test_wps_euler_expands_once_for_all_p(monkeypatch):
+    import toric_hodge.wps as wps_mod
+    from toric_hodge import cli
+
+    quintic = os.path.join(os.path.dirname(__file__), "data", "quintic.json")
+    residues = []
+    residue_sum = wps_mod._residue_sum
+    monkeypatch.setattr(wps_mod, "_residue_sum", lambda *a: residues.append(a) or residue_sum(*a))
+    for kind in ("alt", "sym", "tensor"):
+        residues.clear()
+        assert cli.main(["wps", "euler", "--kind", kind, "-p", "2", quintic]) == 0
+        assert len(residues) == 1
+        residues.clear()
+        assert cli.main(["wps", "euler", "--kind", kind, quintic]) == 0
+        assert len(residues) == 3 + 1  # n = 3: p = 0 .. 3
+
+
+def test_wps_chi_all_checks_its_degree():
+    with pytest.raises(ValueError, match="negative form degree"):
+        wps_chi_all((1, 1, 1), [3], "alt", -1)
+    with pytest.raises(ValueError, match="supported maximum"):
+        wps_chi_all((1, 1, 1), [3], "alt", MAX_WPS_DEGREE + 1)
+    with pytest.raises(ValueError, match="unknown kind"):
+        wps_chi_all((1, 1, 1), [3], "wedge", 2)
