@@ -1,6 +1,6 @@
 """Exact Hodge-theoretic invariants of toric complete intersections.
 
-The package computes, over arbitrary-precision rationals, Euler
+The package computes, in exact arbitrary-precision integer arithmetic, Euler
 characteristics of sheaves of (alternating, symmetric, tensor) differential
 forms and Hodge numbers of quasi-smooth complete intersections in complete
 simplicial toric varieties, starting from purely combinatorial data: a fan

@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .errors import ConsistencyError, InputError
@@ -39,14 +39,11 @@ from .hodge_tables import EPQTable
 from .wps import Weights, wps_chi, wps_chi_all, wps_hodge
 
 
-@dataclass(frozen=True)
-class ProblemDocument:
-    kind: str  # "fan" | "torus" | "wps"
-    fan: Fan | None = None
-    supports: tuple = ()
-    dim: int | None = None
-    weights: tuple = ()
-    degrees: tuple = ()
+ProblemDocument = namedtuple(  # kind is "fan", "torus" or "wps"
+    "ProblemDocument",
+    "kind fan supports dim weights degrees",
+    defaults=(None, (), None, (), ()),
+)
 
 
 # --- parsing -----------------------------------------------------------------

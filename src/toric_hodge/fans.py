@@ -9,7 +9,7 @@ reduction of a support system to a torus orbit all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, lru_cache
 from itertools import combinations
 from operator import mul
@@ -29,63 +29,60 @@ from .lattice import (
 Cone = tuple  # sorted tuple of ray indices into the parent fan's ray list
 
 
-@dataclass(frozen=True)
-class Fan:
-    """Complete combinatorial description of a fan in Z^dim."""
+class Fan(namedtuple("Fan", "dim rays maximal_cones")):
+    """Complete combinatorial description of a fan in Z^dim.
 
-    dim: int
-    rays: tuple  # tuple of primitive integer vectors
-    maximal_cones: tuple  # tuple of sorted index tuples
+    `rays` is a tuple of primitive integer vectors, `maximal_cones` a tuple
+    of sorted index tuples.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(map(tuple, self.rays)))
-        object.__setattr__(
-            self, "maximal_cones", tuple(tuple(sorted(c)) for c in self.maximal_cones)
+    __slots__ = ()
+
+    def __new__(cls, dim, rays, maximal_cones):
+        return super().__new__(
+            cls, dim, tuple(map(tuple, rays)), tuple(tuple(sorted(c)) for c in maximal_cones)
         )
 
     def ray_matrix(self, cone):
         return [list(self.rays[i]) for i in cone]
 
 
-@dataclass(frozen=True)
-class DegreeMatrix:
-    """Per-equation, per-ray integers d[i][j] = -min <ray_j, M_i>."""
+class DegreeMatrix(tuple):
+    """Per-equation, per-ray integers d[i][j] = -min <ray_j, M_i>: a tuple of
+    int tuples, one row per equation."""
 
-    rows: tuple  # tuple of int tuples, one row per equation
+    __slots__ = ()
 
-    def __iter__(self):
-        return iter(self.rows)
+    def __new__(cls, rows):
+        return super().__new__(cls, rows)
 
-    def __len__(self):
-        return len(self.rows)
+    def __repr__(self):
+        return f"DegreeMatrix(rows={tuple(self)!r})"
 
-    def __getitem__(self, i):
-        return self.rows[i]
+    @property
+    def rows(self):
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class TorusCIProblem:
+class TorusCIProblem(namedtuple("TorusCIProblem", "m supports")):
     """A complete-intersection problem inside a torus (C*)^m.
 
-    Only the supports matter: all invariants computed downstream are those
-    of a system with generic coefficients on these supports.
+    `supports` is a tuple of tuples of lattice points in Z^m.  Only the
+    supports matter: all invariants computed downstream are those of a
+    system with generic coefficients on these supports.
     """
 
-    m: int
-    supports: tuple  # tuple of tuples of lattice points in Z^m
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "supports",
-            tuple(tuple(sorted(set(tuple(q) for q in s))) for s in self.supports),
-        )
-        for s in self.supports:
+    def __new__(cls, m, supports):
+        supports = tuple(tuple(sorted(set(map(tuple, s)))) for s in supports)
+        for s in supports:
             if not s:
                 raise ValueError("empty support set in torus problem")
             for q in s:
-                if len(q) != self.m:
+                if len(q) != m:
                     raise ValueError("support point of wrong dimension")
+        return super().__new__(cls, m, supports)
 
     @property
     def k(self):
@@ -191,11 +188,12 @@ def all_cones(fan: Fan):
 # validation and predicates
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    problems: tuple
-    complete: bool = False  # ok, and the wall certificate of `is_complete` held
+class ValidationReport(
+    namedtuple("ValidationReport", "ok problems complete", defaults=(False,))
+):
+    """`complete`: ok, and the wall certificate of `is_complete` held."""
+
+    __slots__ = ()
 
     @property
     def first_violation(self):
@@ -453,10 +451,7 @@ def _tight_points(rays, support, row):
     )
 
 
-@dataclass(frozen=True)
-class AdaptedSubfan:
-    per_cone: dict  # cone tuple -> bool
-    whole_fan: bool
+AdaptedSubfan = namedtuple("AdaptedSubfan", "per_cone whole_fan")  # per_cone: cone -> bool
 
 
 def adapted_subfan(fan: Fan, supports) -> AdaptedSubfan:

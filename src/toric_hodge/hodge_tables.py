@@ -7,24 +7,26 @@ Euler tables e^{pq} ("ordinary"), their compactly supported variants
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 VALID_KINDS = ("ordinary", "compact", "hodge")
 
 
-@dataclass(frozen=True)
-class EPQTable:
-    entries: tuple  # square tuple-of-tuples of ints; may be empty
-    kind: str
+class EPQTable(namedtuple("EPQTable", "entries kind")):
+    """`entries`: a square tuple of int tuples, possibly empty."""
 
-    def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise ValueError(f"unknown table kind {self.kind!r}")
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+    __slots__ = ()
+
+    def __new__(cls, entries, kind):
+        if kind not in VALID_KINDS:
+            raise ValueError(f"unknown table kind {kind!r}")
+        rows = tuple(map(tuple, entries))
         for row in rows:
             if len(row) != len(rows):
                 raise ValueError("table must be square")
-        object.__setattr__(self, "entries", rows)
+            if not all(type(x) is int for x in row):  # type, not isinstance, to refuse bool
+                raise ValueError("table entries must be integers")
+        return super().__new__(cls, rows, kind)
 
     @property
     def size(self) -> int:

@@ -30,7 +30,7 @@ Discretely*, ch. 1 and 8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import product
 from math import gcd
@@ -157,8 +157,7 @@ def det_int(mat) -> int:
 # saturations and kernels: one unimodular column reduction
 
 
-@dataclass(frozen=True)
-class RowLattice:
+class RowLattice(namedtuple("RowLattice", "dim rank right right_inverse kernel")):
     """Integer rows R (n x dim) reduced by one unimodular U, read two ways.
 
     R * U = [L | 0] with L in column echelon form, of `rank` columns.
@@ -170,11 +169,7 @@ class RowLattice:
     (`kernel_coord`).
     """
 
-    dim: int
-    rank: int
-    right: tuple
-    right_inverse: tuple
-    kernel: tuple
+    __slots__ = ()
 
     def coord(self, v):
         full = vec_mat(v, self.right)
@@ -633,8 +628,7 @@ def _count_levels(levels, dim):
 # polytopes
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(namedtuple("Polytope", "vertices facets dim ambient_dim")):
     """Bounded polyhedron with both representations.
 
     `facets` lists (normal, bound) constraints meaning normal.x >= bound,
@@ -643,10 +637,7 @@ class Polytope:
     opposite inequalities.  `dim` is the affine dimension.
     """
 
-    vertices: tuple
-    facets: tuple
-    dim: int
-    ambient_dim: int
+    __slots__ = ()
 
     def contains(self, point) -> bool:
         return all(dot(n, point) >= b for n, b in self.facets)
@@ -777,10 +768,7 @@ def projection_levels(top, vertices, supports):
 # affine lattice reduction
 
 
-@dataclass(frozen=True)
-class AffineReduction:
-    rank: int
-    supports: tuple  # supports rewritten in Z^rank
+AffineReduction = namedtuple("AffineReduction", "rank supports")  # supports in Z^rank
 
 
 def affine_lattice_reduction(supports) -> AffineReduction:

@@ -32,8 +32,7 @@ the p-form sheaves, all from one series (`wps_hodge`).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate, combinations, repeat
 from math import gcd
 
@@ -81,20 +80,17 @@ def residue_infinity(num: dict, weights) -> int:
 # --- weights and the fan -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Weights:
-    values: tuple
+class Weights(namedtuple("Weights", "values")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = tuple(int(w) for w in self.values)
-        if not vals or any(w <= 0 for w in vals):
+    def __new__(cls, values):
+        values = tuple(values)
+        # type, not isinstance, to refuse bool
+        if not values or not all(type(w) is int and w > 0 for w in values):
             raise ValueError("weights must be positive integers")
-        g = 0
-        for w in vals:
-            g = gcd(g, w)
-        if g != 1:
+        if gcd(*values) != 1:
             raise ValueError("weights must be globally coprime")
-        object.__setattr__(self, "values", vals)
+        return super().__new__(cls, values)
 
     @property
     def m(self):
@@ -102,7 +98,7 @@ class Weights:
 
 
 def _as_weights(w) -> Weights:
-    return w if isinstance(w, Weights) else Weights(tuple(w))
+    return w if isinstance(w, Weights) else Weights(w)
 
 
 def wps_fan(w) -> Fan:
@@ -175,7 +171,9 @@ def _chis(w, degrees, kind: str, pmax: int, first: int) -> list:
     """Both residues of the y^first .. y^pmax slices of one expansion
     modulo y^(pmax+1), each times x^(-1) prod_i (1 - x^{d_i})."""
     w = _as_weights(w)
-    degrees = [int(d) for d in degrees]
+    degrees = list(degrees)
+    if not all(type(d) is int for d in degrees):  # type, not isinstance, to refuse bool
+        raise ValueError("degrees must be integers")
     if any(d <= 0 for d in degrees):
         raise ValueError("degrees must be positive")
     if pmax < 0:
@@ -238,7 +236,7 @@ def wps_hodge(w, degrees) -> EPQTable:
     symmetry before returning.
     """
     w = _as_weights(w)
-    degrees = [int(d) for d in degrees]
+    degrees = tuple(degrees)
     n = w.m - len(degrees)
     if n < 0:
         raise ValueError("more equations than the dimension allows")

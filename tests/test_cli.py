@@ -1,22 +1,34 @@
 """Golden-file and exit-code tests for the command line."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 from functools import cache
 from itertools import product
 from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_hodge import cli
 from toric_hodge.fans import normal_fan, simplicial_refinement
 from toric_hodge.lattice import minkowski_support
 
-from helpers import fan_projective, polygon_fan, simplex_support
+from helpers import (
+    fan_octahedron,
+    fan_p1p1,
+    fan_projective,
+    fan_wps_1423,
+    polygon_fan,
+    simplex_support,
+)
 from oracles import brute_count
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -604,3 +616,97 @@ def test_failed_context_builds_are_not_kept(tmp_path, capsys, monkeypatch):
         assert cli.main(["euler", data("open_cone.json")]) == 3
         assert "error:" in capsys.readouterr().err
     assert cli._contexts == {}
+
+
+# --- fuzz: small random documents, well-formed and malformed ----------------
+
+_FUZZ_FANS = [fan_projective(m) for m in (1, 2, 3)] + [
+    fan_p1p1(), fan_wps_1423(), fan_octahedron(), polygon_fan(4), polygon_fan(6)
+]
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def _points(dim):
+    return st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim), min_size=1, max_size=4)
+
+
+@st.composite
+def _fuzz_fan_doc(draw):
+    if draw(st.booleans()):  # a complete fan, so the engines run
+        fan = draw(st.sampled_from(_FUZZ_FANS))
+        dim, rays, cones = fan.dim, list(map(list, fan.rays)), list(map(list, fan.maximal_cones))
+    else:
+        dim = draw(st.integers(0, 3))
+        ray = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+        rays = draw(st.lists(ray, min_size=1, max_size=6))
+        index = st.integers(0, len(rays))  # one past the end is a missing ray
+        cones = draw(st.lists(st.lists(index, max_size=dim + 1), max_size=6))
+    supports = draw(st.lists(_points(dim), max_size=dim))
+    return {"fan": {"rays": rays, "max_cones": cones}, "supports": supports}
+
+
+_FUZZ_DOCS = {
+    "fan": _fuzz_fan_doc(),
+    "torus": st.integers(0, 3).flatmap(
+        lambda m: st.fixed_dictionaries(
+            {"dim": st.just(m), "supports": st.lists(_points(m), max_size=3)}
+        )
+    ),
+    "wps": st.fixed_dictionaries(
+        {
+            "weights": st.lists(st.integers(-1, 5), max_size=5),
+            "degrees": st.lists(st.integers(-1, 8), max_size=3),
+        }
+    ),
+}
+
+
+def _euler(*command):
+    kinds = st.sampled_from(["alt", "sym", "tensor"])
+    form_degree = st.just([]) | st.integers(-1, 4).map(lambda p: ["-p", str(p)])
+    return st.builds(lambda kind, p: [*command, "--kind", kind, *p], kinds, form_degree)
+
+
+_FUZZ_COMMANDS = {
+    "fan": st.sampled_from([["fan-check"], ["hodge"]]) | _euler("euler"),
+    "torus": st.just(["hodge-torus"]),
+    "wps": st.just(["wps", "hodge"]) | _euler("wps", "euler"),
+}
+_FIELDS = ("fan", "rays", "max_cones", "supports", "dim", "weights", "degrees")
+
+
+@st.composite
+def _fuzz_cases(draw):
+    shape = draw(st.sampled_from(sorted(_FUZZ_DOCS)))
+    doc = draw(_FUZZ_DOCS[shape])
+    # now and then: another shape's command, a junk field or a junk document
+    command = draw(_FUZZ_COMMANDS[draw(st.sampled_from([shape] * 4 + sorted(_FUZZ_DOCS)))])
+    damage = draw(st.sampled_from(("none",) * 6 + _FIELDS + ("document",)))
+    if damage == "document":
+        doc = draw(_JUNK)
+    elif damage in ("rays", "max_cones"):
+        if shape == "fan":
+            doc["fan"][damage] = draw(_JUNK)
+    elif damage != "none":
+        doc[damage] = draw(_JUNK)
+    return [*command, "--json"] if draw(st.booleans()) else command, doc
+
+
+@given(_fuzz_cases())
+@settings(max_examples=300, deadline=5000)
+def test_fuzz_every_command_exits_cleanly(case):
+    command, doc = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([*command, path])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert code == 0 or out.getvalue() == ""
