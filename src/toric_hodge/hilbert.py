@@ -42,6 +42,12 @@ fans) for every class.  Those rays come first in the walk order, so the
 states after them (`HilbertContext.frontier`) are found once per context.
 Where dim >= 3 the coordinates are permuted too, so that the dim - 2 that
 `_count_levels` sweeps are the narrowest of {x : <p_j, x> >= -1}.
+
+On a simplicial fan the walk follows one branch, I = all rays, when s is
+nef, and I = {} when -1 - s is: for nef D, chi_{I(m)} is 1 on P_D and 0
+at every other m (Demazure vanishing and Serre duality; Cox-Little-Schenck,
+Toric Varieties, 9.1-9.2).  Nefness is D . V(tau) >= 0 on every wall tau
+(CLS 6.4), read off integer wall forms built once per context (`_walls`).
 """
 
 from __future__ import annotations
@@ -77,10 +83,11 @@ class HilbertContext:
     in `c_table`.
     """
 
-    def __init__(self, fan: Fan, c_table):
+    def __init__(self, fan: Fan, c_table, nerve=False):
         self.fan = fan
         self.r = len(fan.rays)
         self.c_table = c_table  # dict: ray bitmask -> nonzero integer coefficient
+        self.nerve = nerve  # c_table is the nerve of a complete fan (build_context)
         self.simplicial = is_simplicial(fan)
         self._h_memo = {}  # class_key(s) -> H(s)
         rows = list(zip(*fan.rays))  # P^T
@@ -111,14 +118,14 @@ class HilbertContext:
 
     @cached_property
     def _facets(self):
-        """Per maximal cone (simplicial), each facet's normal n_k and
-        c_k = <n_k, p_k>, p_k the one ray off the facet."""
+        """Per maximal cone (simplicial), each facet's normal n_k,
+        c_k = <n_k, p_k> and k, p_k the one ray off the facet."""
         out = []
         for cone in self.fan.maximal_cones:
             _, normals, tight = _hrep(self.fan, cone)
             off = len(cone) * (len(cone) - 1) // 2  # minus a tight set: the ray off it
-            rays = [self.fan.rays[cone[off - sum(t)]] for t in tight]
-            out.append([(v, dot(v, ray)) for v, ray in zip(normals, rays)])
+            ks = [cone[off - sum(t)] for t in tight]
+            out.append([(v, dot(v, self.fan.rays[k]), k) for v, k in zip(normals, ks)])
         return out
 
     @cached_property
@@ -126,7 +133,41 @@ class HilbertContext:
         """L = lcm of the c_k.  On a cone, <p_k, m> = -D_k has the solution
         m = -sum_k D_k n_k / c_k, so L D is Cartier for every divisor D and
         H is a polynomial on each coset of L Cl (Snapper)."""
-        return lcm(*(c for facets in self._facets for _, c in facets))
+        return lcm(*(c for facets in self._facets for _, c, _ in facets))
+
+    @cached_property
+    def _walls(self):
+        """Per wall tau = sigma & sigma' (simplicial), the sparse integer form
+        w with <w, s> = L (D_s . V(tau)), and its sum: L on the ray p_j of
+        sigma' off tau, -(L / c_i) <n_i, p_j> on each ray p_i of sigma.  It
+        is L (s_j + <m_sigma, p_j>), the step of the support function across
+        tau, so it vanishes on P Z^n (CLS, Toric Varieties, 6.4)."""
+        rays, period, seen, walls = self.fan.rays, self.period, {}, []
+        for cone, facets in zip(self.fan.maximal_cones, self._facets):
+            mask = sum(1 << i for i in cone)
+            for _, _, j in facets:
+                facet = mask ^ (1 << j)
+                other = seen.pop(facet, None)
+                if other is None:
+                    seen[facet] = facets
+                    continue
+                w = [(i, -(period // c) * dot(v, rays[j])) for v, c, i in other]
+                w = [(i, x) for i, x in w + [(j, period)] if x]
+                walls.append((w, sum(x for _, x in w)))
+        return walls
+
+    def nef_side(self, s):
+        """True if s is nef, False if -1 - s is, None if neither or the fan
+        is not simplicial: nef means D_s . V(tau) >= 0 on every wall."""
+        if not self.simplicial:
+            return None
+        nef = dual = True
+        for w, total in self._walls:
+            x = sum(c * s[i] for i, c in w)
+            nef, dual = nef and x >= 0, dual and x <= -total
+            if not (nef or dual):
+                return None
+        return nef
 
     @cached_property
     def anticanonical_key(self) -> tuple:
@@ -136,7 +177,7 @@ class HilbertContext:
         """The coordinates, narrowest first, of {x : <p_j, x> >= -1}, whose
         vertices times L are the integer vectors -sum_k n_k L / c_k."""
         n, period = self.fan.dim, self.period
-        vertices = [[-sum(v[i] * (period // c) for v, c in facets) for i in range(n)]
+        vertices = [[-sum(v[i] * (period // c) for v, c, _ in facets) for i in range(n)]
                     for facets in self._facets]
         widths = [max(x) - min(x) for x in zip(*vertices)]
         return sorted(range(n), key=widths.__getitem__)
@@ -241,7 +282,7 @@ def build_context(fan: Fan) -> HilbertContext:
         for i in cone:
             m |= 1 << i
         cone_masks.append(m)
-    return HilbertContext(fan, _intersection_coefficients(cone_masks))
+    return HilbertContext(fan, _intersection_coefficients(cone_masks), nerve=True)
 
 
 def _halfspaces(rays, s):
@@ -252,17 +293,17 @@ def _halfspaces(rays, s):
     return [((ray, -x), (tuple(-y for y in ray), x + 1)) for ray, x in zip(rays, s)]
 
 
-def _children(table, mask, levels, bit, halfspace):
+def _children(table, mask, levels, bit, halfspace, sides=(0, 1)):
     """The children (table, mask, cascade) of a node deciding the ray `bit`
-    that neither have an empty table nor an empty extended cascade."""
+    that neither have an empty table nor an empty extended cascade, on the
+    given sides (0: the ray in I, 1: not in I)."""
+    tables, masks = _split(table, bit), (mask | bit, mask)
     out = []
-    for child, (normal, bound), child_mask in zip(
-        _split(table, bit), halfspace, (mask | bit, mask)
-    ):
-        if child:
-            child_levels = extend_cascade(levels, normal, bound)
+    for k in sides:
+        if tables[k]:
+            child_levels = extend_cascade(levels, *halfspace[k])
             if child_levels is not None:
-                out.append((child, child_mask, child_levels))
+                out.append((tables[k], masks[k], child_levels))
     return out
 
 
@@ -296,7 +337,10 @@ def h_of_s(ctx: HilbertContext, s) -> int:
     whole branch.  Every live child extends its parent's cascade by its
     one row and is dropped when the extension shows it empty.  At a leaf
     the table is {0: chi_I}, and the region is checked bounded and counted,
-    both from the carried cascade.  H is memoized per divisor class of s
+    both from the carried cascade.  When s or -1 - s is nef (`nef_side`,
+    on contexts from `build_context`), the walk starts from the frontier
+    state with every ray in I (or none) and keeps that side at every ray:
+    no other region has chi != 0.  H is memoized per divisor class of s
     (`class_key`), so linearly equivalent s are walked once.
     """
     s = tuple(s)
@@ -309,6 +353,12 @@ def h_of_s(ctx: HilbertContext, s) -> int:
     r, dim, depth, bits = ctx.r, ctx.fan.dim, ctx._depth, ctx._bits
     # the representative class_divisor(key) on the rays after the frontier
     halfspaces = [None] * depth + _halfspaces(ctx._rays[depth:], vec_mat(key, ctx._tail_rows))
+    states, sides = ctx.frontier, (0, 1)
+    nef = ctx.nef_side(s) if ctx.nerve else None
+    if nef is not None:  # chi != 0 only on I = all rays (nef s) or I = {} (nef -1 - s)
+        full = sum(bits[:depth]) if nef else 0
+        states = [state for state in states if state[1] == full]
+        sides = (0,) if nef else (1,)
 
     def walk(j, table, mask, levels):
         if j == r:
@@ -319,11 +369,11 @@ def h_of_s(ctx: HilbertContext, s) -> int:
                 )
             return table[0] * _count_levels([level.items() for level in levels], dim)
         total = 0
-        for child in _children(table, mask, levels, bits[j], halfspaces[j]):
+        for child in _children(table, mask, levels, bits[j], halfspaces[j], sides):
             total += walk(j + 1, *child)
         return total
 
-    total = sum(walk(depth, *state) for state in ctx.frontier)
+    total = sum(walk(depth, *state) for state in states)
     ctx._h_memo[key] = total
     return total
 

@@ -159,6 +159,26 @@ def in_ray_image(rays, v):
     return all(sum(a * b for a, b in zip(ray, u)) == x for ray, x in zip(rays, v))
 
 
+def is_nef_by_cones(fan, s):
+    """Whether the divisor sum s_j D_j of a complete simplicial fan is nef.
+
+    For every maximal cone, m_sigma with <m_sigma, p_i> = -s_i on its rays
+    is solved by Cramer's rule over Fractions, and must satisfy
+    <m_sigma, p_j> >= -s_j on every ray: the support function is then
+    concave (Cox-Little-Schenck, Toric Varieties, 6.1 and 6.4).
+    """
+    for cone in fan.maximal_cones:
+        rows = [list(fan.rays[i]) for i in cone]
+        det = _det(rows)
+        m = [
+            Fraction(_det([row[:k] + [-s[i]] + row[k + 1 :] for row, i in zip(rows, cone)]), det)
+            for k in range(fan.dim)
+        ]
+        if any(sum(a * b for a, b in zip(m, ray)) < -x for ray, x in zip(fan.rays, s)):
+            return False
+    return True
+
+
 def brute_box_points(cons, dim, radius):
     """All integer points of a box satisfying n.x >= b constraints."""
     pts = []

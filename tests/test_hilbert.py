@@ -35,7 +35,13 @@ from helpers import (
     simplex_support,
     unimodular_matrix,
 )
-from oracles import brute_h, chi_table_by_definition, in_ray_image, recession_is_trivial
+from oracles import (
+    brute_h,
+    chi_table_by_definition,
+    in_ray_image,
+    is_nef_by_cones,
+    recession_is_trivial,
+)
 
 
 def _chi_dict(ctx):
@@ -506,3 +512,104 @@ def test_period_is_the_cartier_index(s):
     assert len(ctx._h_memo) == 4  # the samples of one fit
     for key in keys:
         assert fitted[key] == h_of_s(fresh, ctx.class_divisor(key)), key
+
+
+# The nef branch: where s or -1 - s is nef, chi is nonzero on one region
+# only, and the walk follows one branch (Demazure vanishing and Serre
+# duality).  NEF_FANS holds the simplicial CLASS_FANS (the index-3 torsion
+# fan and the negative-pivot fan among them), the QUASI_FANS and REFINED_14.
+NEF_FANS = FIT_FANS + (REFINED_14,)
+
+
+@st.composite
+def nef_relatives(draw, fan):
+    """An s of one of four kinds: t_j = -min over a few lattice points v of
+    <p_j, v>, its Serre dual -1 - t, a translate t + P u, or an
+    unconstrained s.  t is nef when the fan refines the normal fan of the
+    points' hull; on REFINED_14 it often is not, and is then an ordinary s."""
+    n, r = fan.dim, len(fan.rays)
+    point = st.tuples(*[st.integers(-2, 2)] * n)
+    points = draw(st.lists(point, min_size=1, max_size=4))
+    t = [-min(sum(a * b for a, b in zip(ray, v)) for v in points) for ray in fan.rays]
+    kind = draw(st.sampled_from(("nef", "dual", "translate", "free")))
+    if kind == "dual":
+        return [-1 - x for x in t]
+    if kind == "translate":
+        u = draw(point)
+        return [x + sum(a * b for a, b in zip(ray, u)) for x, ray in zip(t, fan.rays)]
+    if kind == "free":
+        return draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+    return t
+
+
+@pytest.mark.parametrize("fan", NEF_FANS)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_nef_branch_equals_the_walk(fan, data):
+    s = data.draw(nef_relatives(fan))
+    value = h_of_s(build_context(fan), s)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(HilbertContext, "nef_side", lambda ctx, s: None)
+        assert h_of_s(build_context(fan), s) == value
+
+
+@lru_cache(maxsize=None)
+def _nef_context(fan):
+    return build_context(fan)
+
+
+@pytest.mark.parametrize("fan", NEF_FANS)
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_nef_side_matches_the_cone_by_cone_criterion(fan, data):
+    s = data.draw(nef_relatives(fan))
+    nef, dual = is_nef_by_cones(fan, s), is_nef_by_cones(fan, [-1 - x for x in s])
+    ctx = _nef_context(fan)
+    assert ctx.nef_side(s) == (True if nef else False if dual else None)
+    assert ctx.nef_side([-1 - x for x in s]) == (True if dual else False if nef else None)
+
+
+def _count_extensions(monkeypatch):
+    count = []
+    extend = hilbert.extend_cascade
+    monkeypatch.setattr(hilbert, "extend_cascade", lambda *a: count.append(0) or extend(*a))
+    return count
+
+
+def test_nef_branch_decides_each_ray_once(monkeypatch):
+    # a nef s and its dual each extend the cascade at most once per ray
+    # after the frontier; a walk of the same fan extends it hundreds of times
+    fan = polygon_fan(14)
+    count = _count_extensions(monkeypatch)
+    ctx = build_context(fan)
+    assert ctx.frontier
+    nef = [-min(a * x + b * y for x, y in ((0, 0), (2, 1), (-1, 2))) for a, b in fan.rays]
+    dual = [-1 - x for x in nef]
+    values = []
+    for s, side in ((nef, True), (dual, False)):
+        assert ctx.nef_side(s) is side
+        before = len(count)
+        values.append(h_of_s(ctx, s))
+        assert 0 < len(count) - before <= ctx.r - ctx._depth
+    assert values[0] == values[1] == sum(  # Serre duality, and the points of P_D
+        all(a * x + b * y >= -t for (a, b), t in zip(fan.rays, nef))
+        for x in range(-5, 6) for y in range(-5, 6)
+    )
+    s = [1, -2, 0, 3, -1, 2, 0, -3, 1, 2, -2, 0, 1, -1]
+    assert ctx.nef_side(s) is None
+    before = len(count)
+    h_of_s(ctx, s)
+    assert len(count) - before >= 100
+
+
+def test_non_simplicial_fans_keep_the_walk(monkeypatch):
+    # the octahedron's fan is not simplicial: even a nef s is walked
+    fan = fan_octahedron()
+    ctx = build_context(fan)
+    assert not ctx.simplicial and ctx.frontier
+    count = _count_extensions(monkeypatch)
+    for s in ((1,) * 8, (0,) * 8, (-2,) * 8):
+        assert ctx.nef_side(s) is None
+        before = len(count)
+        assert h_of_s(ctx, s) == brute_h(fan, s)
+        assert len(count) - before > ctx.r - ctx._depth
