@@ -43,11 +43,9 @@ states after them (`HilbertContext.frontier`) are found once per context.
 Where dim >= 3 the coordinates are permuted too, so that the dim - 2 that
 `_count_levels` sweeps are the narrowest of {x : <p_j, x> >= -1}.
 
-On a simplicial fan the walk follows one branch, I = all rays, when s is
-nef, and I = {} when -1 - s is: for nef D, chi_{I(m)} is 1 on P_D and 0
-at every other m (Demazure vanishing and Serre duality; Cox-Little-Schenck,
-Toric Varieties, 9.1-9.2).  Nefness is D . V(tau) >= 0 on every wall tau
-(CLS 6.4), read off integer wall forms built once per context (`_walls`).
+On a simplicial fan the walk follows one branch, I = all rays or I = {},
+when s or -1 - s is nef (Demazure vanishing and Serre duality: Cox-Little-
+Schenck, Toric Varieties, 9.1-9.2), tested by the wall forms `_walls` (6.4).
 """
 
 from __future__ import annotations
@@ -75,19 +73,18 @@ class HilbertContext:
     """Per-fan precomputation enabling fast evaluation of H(s).
 
     Immutable after construction apart from the H memo and the lazy
-    properties (`frontier`, `period`, `anticanonical_key`), which only cache
-    deterministic values (safe for concurrent reuse: a duplicated
-    computation always lands on the same result).  The memo is keyed by
-    the divisor class of s (`class_key`).  The walk reads `_rays`, the rays
-    in walk order with their coordinates permuted, and `_bits`, their bits
-    in `c_table`.
+    properties (`frontier`, `period`, `anticanonical_key`, `_walls`), which
+    only cache deterministic values (safe for concurrent reuse: a duplicated
+    computation always lands on the same result).  The memo is keyed by the
+    divisor class of s (`class_key`).  The walk reads `_rays`, the rays in
+    walk order with their coordinates permuted, and `_bits`, their bits in
+    `c_table`.
     """
 
-    def __init__(self, fan: Fan, c_table, nerve=False):
+    def __init__(self, fan: Fan, c_table):
         self.fan = fan
         self.r = len(fan.rays)
         self.c_table = c_table  # dict: ray bitmask -> nonzero integer coefficient
-        self.nerve = nerve  # c_table is the nerve of a complete fan (build_context)
         self.simplicial = is_simplicial(fan)
         self._h_memo = {}  # class_key(s) -> H(s)
         rows = list(zip(*fan.rays))  # P^T
@@ -137,23 +134,18 @@ class HilbertContext:
 
     @cached_property
     def _walls(self):
-        """Per wall tau = sigma & sigma' (simplicial), the sparse integer form
-        w with <w, s> = L (D_s . V(tau)), and its sum: L on the ray p_j of
-        sigma' off tau, -(L / c_i) <n_i, p_j> on each ray p_i of sigma.  It
-        is L (s_j + <m_sigma, p_j>), the step of the support function across
-        tau, so it vanishes on P Z^n (CLS, Toric Varieties, 6.4)."""
+        """Per wall tau = sigma & sigma', the sparse form w with <w, s> =
+        L (D_s . V(tau)) and its sum: L on the ray p_j of sigma' off tau,
+        -(L / c_i) <n_i, p_j> on each ray p_i of sigma; zero on P Z^n."""
         rays, period, seen, walls = self.fan.rays, self.period, {}, []
         for cone, facets in zip(self.fan.maximal_cones, self._facets):
             mask = sum(1 << i for i in cone)
             for _, _, j in facets:
-                facet = mask ^ (1 << j)
-                other = seen.pop(facet, None)
-                if other is None:
-                    seen[facet] = facets
-                    continue
-                w = [(i, -(period // c) * dot(v, rays[j])) for v, c, i in other]
-                w = [(i, x) for i, x in w + [(j, period)] if x]
-                walls.append((w, sum(x for _, x in w)))
+                other = seen.setdefault(mask ^ (1 << j), facets)
+                if other is not facets:  # the second cone on this wall
+                    w = [(i, -(period // c) * dot(v, rays[j])) for v, c, i in other]
+                    w = [(i, x) for i, x in w + [(j, period)] if x]
+                    walls.append((w, sum(x for _, x in w)))
         return walls
 
     def nef_side(self, s):
@@ -282,7 +274,7 @@ def build_context(fan: Fan) -> HilbertContext:
         for i in cone:
             m |= 1 << i
         cone_masks.append(m)
-    return HilbertContext(fan, _intersection_coefficients(cone_masks), nerve=True)
+    return HilbertContext(fan, _intersection_coefficients(cone_masks))
 
 
 def _halfspaces(rays, s):
@@ -333,15 +325,13 @@ def h_of_s(ctx: HilbertContext, s) -> int:
     node at depth j has decided for the rays before j whether they lie in
     I, and carries the Fourier-Motzkin cascade of their constraints and
     the c_S reduced to the undecided rays (`_split`).  An empty table
-    means chi is zero on the
-    whole branch.  Every live child extends its parent's cascade by its
-    one row and is dropped when the extension shows it empty.  At a leaf
-    the table is {0: chi_I}, and the region is checked bounded and counted,
-    both from the carried cascade.  When s or -1 - s is nef (`nef_side`,
-    on contexts from `build_context`), the walk starts from the frontier
-    state with every ray in I (or none) and keeps that side at every ray:
-    no other region has chi != 0.  H is memoized per divisor class of s
-    (`class_key`), so linearly equivalent s are walked once.
+    means chi is zero on the whole branch.  Every live child extends its
+    parent's cascade by its one row and is dropped when the extension shows
+    it empty.  At a leaf the table is {0: chi_I}, and the region is checked
+    bounded and counted, both from the carried cascade.  When s or -1 - s
+    is nef (`nef_side`), only the branch with every ray in I (or none) is
+    walked: no other region has chi != 0.  H is memoized per divisor class
+    of s (`class_key`), so linearly equivalent s are walked once.
     """
     s = tuple(s)
     if len(s) != ctx.r:
@@ -354,11 +344,10 @@ def h_of_s(ctx: HilbertContext, s) -> int:
     # the representative class_divisor(key) on the rays after the frontier
     halfspaces = [None] * depth + _halfspaces(ctx._rays[depth:], vec_mat(key, ctx._tail_rows))
     states, sides = ctx.frontier, (0, 1)
-    nef = ctx.nef_side(s) if ctx.nerve else None
+    nef = ctx.nef_side(s)
     if nef is not None:  # chi != 0 only on I = all rays (nef s) or I = {} (nef -1 - s)
-        full = sum(bits[:depth]) if nef else 0
+        full, sides = (sum(bits[:depth]), (0,)) if nef else (0, (1,))
         states = [state for state in states if state[1] == full]
-        sides = (0,) if nef else (1,)
 
     def walk(j, table, mask, levels):
         if j == r:

@@ -81,19 +81,23 @@ def test_p1p1_h_at_zero():
 def test_h_of_s_walk_keeps_the_unbounded_region_guard():
     # cannot happen on an honest complete fan: a forged coefficient makes chi
     # nonzero on unbounded regions; the cell walk must reach one and raise,
-    # also when the forged ray is decided in the frontier
+    # also when the forged ray is decided in the frontier.  Neither s nor
+    # -1 - s is nef here, so the whole walk runs (a nef s trusts the table
+    # and follows one branch, as the coset fits of h_of_classes trust it)
     forged = HilbertContext(fan_p2(), {0b001: 1})
     assert forged._depth == 2 and forged.frontier
+    assert forged.nef_side((-1, 0, 0)) is None
     with pytest.raises(ConsistencyError):
-        h_of_s(forged, (0, 0, 0))
+        h_of_s(forged, (-1, 0, 0))
     # P(1,2,3) with its weight-1 ray first: the walk decides rays 1 and 2 in
     # the frontier, and the error names the rays by their bits in the fan
     fan = Fan(2, ((-2, -3), (1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2)))
     for table, mask in (({0b010: 1}, "0b110"), ({0b001: 1}, "0b11")):
         forged = HilbertContext(fan, table)
         assert forged._order == [1, 2, 0]
+        assert forged.nef_side((2, -1, -1)) is None
         with pytest.raises(ConsistencyError, match=f"ray set {mask}$"):
-            h_of_s(forged, (2, -1, 3))
+            h_of_s(forged, (2, -1, -1))
 
 
 def test_h_line_bundle_degrees_on_p1():
