@@ -5,7 +5,8 @@ recomputes the inclusion-exclusion coefficients straight from their
 alternating-count definition and scans boxes found by its own small
 Fourier-Motzkin routine; the chi_y oracle for complete intersections in
 projective space is sympy series extraction from a closed generating
-function.
+function; the weighted series oracle multiplies written-out truncated
+series term by term.
 """
 
 from fractions import Fraction
@@ -455,6 +456,51 @@ def chi_forms_by_exponents(r, m, degrees, kind, pmax, h):
     for (e, j), c in product_.items():
         values[j] += c * h(tuple(-x for x in e))
     return values
+
+
+# --- weighted form-sheaf series, written out -----------------------------------
+
+
+def wps_series_by_factors(weights, degrees, kind, pmax):
+    """Slices y^0..y^pmax of the weighted form-sheaf series, each times
+    x^(-1) prod_i (1 - x^{d_i}): {exponent: coefficient} numerators over
+    prod_j (1 - x^{w_j}).
+
+    The factorizations of the `wps` module docstring, each written out
+    modulo y^(pmax+1) (geometric series term by term, 1/(1 - y L) as the
+    sum of the powers of y L) and multiplied with `_series_product` on
+    exponents of length one.
+    """
+    js = range(pmax + 1)
+
+    def linear(c, e):  # 1 + c y x^e
+        return {((0,), 0): 1, ((e,), 1): c}
+
+    def geometric(c, e):  # 1 / (1 - c y x^e)
+        return {((j * e,), j): c**j for j in js}
+
+    if kind == "alt":
+        factors = [geometric(-1, 0)] + [linear(1, w) for w in weights]
+        factors += [geometric(-1, d) for d in degrees]
+    elif kind == "sym":
+        factors = [linear(-1, 0)] + [linear(-1, d) for d in degrees]
+        factors += [geometric(1, w) for w in weights]
+    else:  # 1 / (1 - y L), L = sum_j x^{w_j} - sum_i x^{d_i} - 1
+        y_form = {}
+        for e, c in [(w, 1) for w in weights] + [(d, -1) for d in degrees] + [(0, -1)]:
+            y_form[((e,), 1)] = y_form.get(((e,), 1), 0) + c
+        inverse = power = {((0,), 0): 1}
+        for _ in range(pmax):
+            power = _series_product(power, y_form, pmax)
+            inverse = {**inverse, **power}
+        factors = [inverse]
+    product_ = {((-1,), 0): 1}
+    for factor in factors + [{((0,), 0): 1, ((d,), 0): -1} for d in degrees]:
+        product_ = _series_product(product_, factor, pmax)
+    slices = [{} for _ in js]
+    for ((e,), j), c in product_.items():
+        slices[j][e] = c
+    return slices
 
 
 # --- Hirzebruch-style chi_y for complete intersections in P^m ----------------

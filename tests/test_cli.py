@@ -509,6 +509,35 @@ def test_wps_form_degree_cap_fails_fast(kind, capsys):
     assert cli.main(["wps", "euler", "--kind", kind, "-p", p, data("k3.json")]) == 0
 
 
+AT_THE_WPS_CAP = {  # chi at p = 100 on P(1,2,3,5,7,11)[29,17]
+    "alt": -1,
+    "sym": 46296192718,
+    "tensor": 2176328833665173902100716805518458153299900376169816260,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AT_THE_WPS_CAP))
+def test_wps_euler_at_the_degree_cap_is_fast(kind, capsys):
+    # a budget of 1 s: multiplying written-out series took 1.6 s for alt and sym
+    start = time.perf_counter()
+    argv = ["wps", "euler", "--kind", kind, "-p", "100", data("wps_123571_29_17.json")]
+    assert cli.main(argv) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == f"p=100: {AT_THE_WPS_CAP[kind]}\n"
+    assert elapsed < 1
+
+
+def test_wps_refuses_weights_that_are_not_well_formed(tmp_path, capsys):
+    # gcd(3, 3) = 3; `wps hodge` used to exit 4 on an asymmetric table
+    doc = tmp_path / "w343.json"
+    doc.write_text(json.dumps({"weights": [3, 4, 3], "degrees": [8]}))
+    for argv in (["wps", "hodge"], ["wps", "euler"], ["wps", "euler", "-p", "1"]):
+        assert cli.main([*argv, str(doc)]) == 3
+        captured = capsys.readouterr()
+        assert "not well-formed" in captured.err
+        assert captured.out == ""
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc

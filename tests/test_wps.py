@@ -2,6 +2,7 @@
 
 import os
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from oracles import (
     hodge_from_chi_y_lefschetz,
     laurent_residues,
     maximal_minors_gcd,
+    wps_series_by_factors,
 )
 
 
@@ -124,6 +126,19 @@ def test_weights_validation():
         Weights((0, 1))
     with pytest.raises(ValueError):
         wps_fan((1, 2, 2))  # not well-formed
+    # well formed: every m of the m+1 weights are coprime; gcd(2, 2) = gcd(3, 3) > 1
+    for w in [(1, 2, 2), (3, 4, 3)]:
+        with pytest.raises(ValueError, match="not well-formed"):
+            Weights(w)
+        for call in [
+            lambda: wps_chi(w, [8], 1, "alt"),
+            lambda: wps_chi_all(w, [8], "sym", 1),
+            lambda: wps_hodge(w, [8]),
+            lambda: wps_hilbert(w, (0, 0, 0)),
+            lambda: wps_lattice_count(w, (0, 0, 0)),
+        ]:
+            with pytest.raises(ValueError, match="not well-formed"):
+                call()
 
 
 # --- counting -----------------------------------------------------------------
@@ -237,6 +252,23 @@ def test_wps_chi_all_matches_wps_chi_at_every_p(w, degrees, kind):
     assert wps_chi_all(w, degrees, kind, pmax) == [
         wps_chi(w, degrees, p, kind) for p in range(pmax + 1)
     ]
+
+
+def _well_formed(w):
+    return all(gcd(*w[:j], *w[j + 1 :]) == 1 for j in range(len(w)))
+
+
+@given(
+    st.lists(st.integers(1, 7), min_size=2, max_size=6).filter(_well_formed),
+    st.lists(st.integers(1, 12), max_size=2),
+    st.sampled_from(["alt", "sym", "tensor"]),
+    st.integers(0, 15),
+)
+@settings(max_examples=200, deadline=None)
+def test_wps_chi_all_matches_the_written_out_series(weights, degrees, kind, pmax):
+    slices = wps_series_by_factors(weights, degrees, kind, pmax)
+    expected = [residue_zero(s, weights) + residue_infinity(s, weights) for s in slices]
+    assert wps_chi_all(weights, degrees, kind, pmax) == expected
 
 
 def test_wps_euler_expands_once_for_all_p(monkeypatch):
