@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
+        print(f"{exc.check}: internal consistency failure: {exc}", file=sys.stderr)
         return 4
     except (RecursionError, MemoryError) as exc:  # RecursionError is a RuntimeError
         resource = "recursion depth" if isinstance(exc, RecursionError) else "memory"

@@ -8,8 +8,14 @@ class InputError(Exception):
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed; the computation cannot be trusted."""
 
+    CHECKS = ("duality", "symmetry", "nonnegativity", "unbounded region", "refined fan",
+              "orbit dimension")  # the checks that `check` names
     subproblem = None  # (m, supports) of the e_c recursion's problem whose check fired
     depth = 0  # recursive epq_c_ci calls above that problem
+
+    def __init__(self, check: str, message: str):
+        super().__init__(message)
+        self.check = check
 
     def __str__(self):
         if self.subproblem is None:

@@ -181,20 +181,19 @@ def chi_all(ctx: HilbertContext, degrees, kind: str, pmax: int) -> list:
     """Euler characteristics of the p-forms of `kind` for p = 0 .. pmax.
 
     One expansion modulo y^(pmax+1) in class keys serves every p: each term
-    q_{a,j} x^a y^j adds q_{a,j} * H(-ctx.class_divisor(a)) to the value at
-    p = j.  H is taken once per class, all classes in one `h_of_classes`
-    call: a coset of L Cl that asks for more classes than its fit has
-    samples is fitted, so at large p only the samples are walked.
+    q_{a,j} x^a y^j adds q_{a,j} * H(-a) to the value at p = j (-a by
+    `reduce_class`).  H is taken once per class, all keys in one
+    `h_of_classes` call: a coset of L Cl that asks for more classes than
+    its fit has samples is fitted, so at large p only the samples are walked.
     """
     factors = _factors(ctx, degrees, kind, pmax)
     dim = len(ctx.class_key((0,) * ctx.r))
     expanded = y_truncated_expand(factors, pmax, dim, ctx.reduce_class)
-    classes = {a for a, _ in expanded}
-    dual = {a: ctx.class_key([-x for x in ctx.class_divisor(a)]) for a in classes}
-    h = h_of_classes(ctx, dual.values())
+    minus = {a: ctx.reduce_class([-x for x in a]) for a in {a for a, _ in expanded}}
+    h = h_of_classes(ctx, minus.values())
     values = [0] * (pmax + 1)
     for (a, j), c in expanded.items():
-        values[j] += c * h[dual[a]]
+        values[j] += c * h[minus[a]]
     return values
 
 

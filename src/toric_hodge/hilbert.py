@@ -33,12 +33,12 @@ the constraints without a rational solution.  The regions of a fixed
 dimension m meet O(r^m) cells, far fewer than 2^r.
 
 H(s) depends only on the divisor class of s in Cl = Z^r / P Z^n, P the
-ray matrix: s + P u translates every region by u (Cox 1995).  The H memo
-of a context is therefore keyed by a canonical representative of the
-class, and every linearly equivalent s after the first is a memo hit.
-A walk runs on `class_divisor(class_key(s))`, a translate of s with the
-same cells and counts that is zero on the same rays (n of them, on most
-fans) for every class.  Those rays come first in the walk order, so the
+ray matrix: s + P u translates every region by u (Cox 1995).  So H is
+evaluated, and memoized, at a canonical key of the class (`class_key`),
+and of two Serre-dual classes only one is walked.  A walk runs on
+`class_divisor(key)`, a translate of s with the same cells and counts
+that is zero on the same rays (n of them, on most fans) for every
+class.  Those rays come first in the walk order, so the
 states after them (`HilbertContext.frontier`) are found once per context.
 Where dim >= 3 the coordinates are permuted too, so that the dim - 2 that
 `_count_levels` sweeps are the narrowest of {x : <p_j, x> >= -1}.
@@ -67,6 +67,7 @@ from .lattice import (
 
 MAX_RAYS = 24
 MAX_CONES = 24
+MAX_WALK_EXTENSIONS = 100_000  # cascade extensions of one H walk
 
 
 class HilbertContext:
@@ -181,7 +182,8 @@ class HilbertContext:
         states = [(self.c_table, 0, [{}] * self.fan.dim)]
         zero = _halfspaces(self._rays[: self._depth], [0] * self._depth)
         for bit, halfspace in zip(self._bits, zero):
-            states = [child for state in states for child in _children(*state, bit, halfspace)]
+            states = [child for state in states
+                      for child in _children(*state, bit, halfspace, (0, 1), [0])]
         return states
 
     def class_key(self, s) -> tuple:
@@ -285,14 +287,18 @@ def _halfspaces(rays, s):
     return [((ray, -x), (tuple(-y for y in ray), x + 1)) for ray, x in zip(rays, s)]
 
 
-def _children(table, mask, levels, bit, halfspace, sides=(0, 1)):
+def _children(table, mask, levels, bit, halfspace, sides, spent):
     """The children (table, mask, cascade) of a node deciding the ray `bit`
     that neither have an empty table nor an empty extended cascade, on the
-    given sides (0: the ray in I, 1: not in I)."""
+    given sides (0: the ray in I, 1: not in I).  spent[0] counts the
+    extensions, which may not pass MAX_WALK_EXTENSIONS (ValueError)."""
     tables, masks = _split(table, bit), (mask | bit, mask)
     out = []
     for k in sides:
         if tables[k]:
+            spent[0] += 1
+            if spent[0] > MAX_WALK_EXTENSIONS:
+                raise ValueError(f"H walk passed MAX_WALK_EXTENSIONS = {MAX_WALK_EXTENSIONS}")
             child_levels = extend_cascade(levels, *halfspace[k])
             if child_levels is not None:
                 out.append((tables[k], masks[k], child_levels))
@@ -318,53 +324,60 @@ def _split(table, bit):
 
 
 def h_of_s(ctx: HilbertContext, s) -> int:
-    """H(s) = sum over I with chi_I != 0 of chi_I * n_{I,s}.
-
-    Depth-first walk over the rays in walk order, on the representative
-    `class_divisor(class_key(s))` and from the context's `frontier`.  A
-    node at depth j has decided for the rays before j whether they lie in
-    I, and carries the Fourier-Motzkin cascade of their constraints and
-    the c_S reduced to the undecided rays (`_split`).  An empty table
-    means chi is zero on the whole branch.  Every live child extends its
-    parent's cascade by its one row and is dropped when the extension shows
-    it empty.  At a leaf the table is {0: chi_I}, and the region is checked
-    bounded and counted, both from the carried cascade.  When s or -1 - s
-    is nef (`nef_side`), only the branch with every ray in I (or none) is
-    walked: no other region has chi != 0.  H is memoized per divisor class
-    of s (`class_key`), so linearly equivalent s are walked once.
-    """
+    """H(s) = sum over I with chi_I != 0 of chi_I * n_{I,s}: `_h_of_key` at
+    the class of s (`class_key`), so linearly equivalent s share one value."""
     s = tuple(s)
     if len(s) != ctx.r:
         raise ValueError("s-vector length must match the number of rays")
-    key = ctx.class_key(s)
-    cached = ctx._h_memo.get(key)
-    if cached is not None:
-        return cached
+    return _h_of_key(ctx, ctx.class_key(s))
+
+
+def _h_of_key(ctx: HilbertContext, key) -> int:
+    """H at the class `key`, memoized per class.  On a simplicial fan a miss
+    reads the memo at the Serre-dual class of -1 - s first: H(-1 - s) =
+    (-1)^n H(s) (CLS 9.2).  Else a depth-first walk over the rays in walk
+    order, on the representative `class_divisor(key)` and from the context's
+    `frontier`.  A node at depth j has decided for the rays before j whether
+    they lie in I, and carries the Fourier-Motzkin cascade of their
+    constraints and the c_S reduced to the undecided rays (`_split`).  An
+    empty table means chi is zero on the whole branch.  Every live child
+    extends its parent's cascade by its one row and is dropped when the
+    extension shows it empty.  At a leaf the table is {0: chi_I}, and the
+    region is checked bounded and counted, both from the carried cascade.
+    When s or -1 - s is nef (`nef_side`), only the branch with every ray in
+    I (or none) is walked: no other region has chi != 0.
+    """
+    memo = ctx._h_memo
+    if key not in memo and ctx.simplicial:
+        dual = ctx.reduce_class([-a - x for a, x in zip(ctx.anticanonical_key, key)])
+        if dual in memo:
+            memo[key] = (-1) ** ctx.fan.dim * memo[dual]
+    if key in memo:
+        return memo[key]
     r, dim, depth, bits = ctx.r, ctx.fan.dim, ctx._depth, ctx._bits
     # the representative class_divisor(key) on the rays after the frontier
     halfspaces = [None] * depth + _halfspaces(ctx._rays[depth:], vec_mat(key, ctx._tail_rows))
     states, sides = ctx.frontier, (0, 1)
-    nef = ctx.nef_side(s)
+    nef = ctx.nef_side(ctx.class_divisor(key))
     if nef is not None:  # chi != 0 only on I = all rays (nef s) or I = {} (nef -1 - s)
         full, sides = (sum(bits[:depth]), (0,)) if nef else (0, (1,))
         states = [state for state in states if state[1] == full]
+    spent = [0]
 
     def walk(j, table, mask, levels):
         if j == r:
             if not cascade_is_bounded(levels):
                 # completeness bounds every region with nonzero chi
-                raise ConsistencyError(
-                    f"unbounded region with nonzero chi for ray set {bin(mask)}"
-                )
+                msg = f"unbounded region with nonzero chi for ray set {bin(mask)}"
+                raise ConsistencyError("unbounded region", msg)
             return table[0] * _count_levels([level.items() for level in levels], dim)
         total = 0
-        for child in _children(table, mask, levels, bits[j], halfspaces[j], sides):
+        for child in _children(table, mask, levels, bits[j], halfspaces[j], sides, spent):
             total += walk(j + 1, *child)
         return total
 
-    total = sum(walk(depth, *state) for state in states)
-    ctx._h_memo[key] = total
-    return total
+    memo[key] = sum(walk(depth, *state) for state in states)
+    return memo[key]
 
 
 def choose(e: int, j: int) -> int:
@@ -380,8 +393,8 @@ def h_of_classes(ctx: HilbertContext, keys) -> dict:
     A coset is the torsion part of a key with its free coordinates mod L.
     On a simplicial fan a coset that asks for more classes than the
     C(f + n, n) samples of its fit is fitted (`_fit_coset`); every other
-    class is walked by `h_of_s`, so no coset walks more classes than it
-    asks for.  L is the context's `period`.
+    class is evaluated by key (`_h_of_key`), so no coset walks more classes
+    than it asks for.  L is the context's `period`.
     """
     keys = set(keys)
     n, f = ctx.fan.dim, ctx.r - ctx.fan.dim
@@ -398,7 +411,7 @@ def h_of_classes(ctx: HilbertContext, keys) -> dict:
             if len(members) > samples:
                 out.update(_fit_coset(ctx, coset[:t], coset[t:], period, members))
     for key in keys - out.keys():
-        out[key] = h_of_s(ctx, ctx.class_divisor(key))
+        out[key] = _h_of_key(ctx, key)
     return out
 
 
@@ -430,8 +443,7 @@ def _fit_coset(ctx: HilbertContext, torsion, rep, period, members) -> dict:
     ]
     diff = {}
     for k in points:
-        key = torsion + tuple(b + period * z for b, z in zip(base, k))
-        diff[k] = h_of_s(ctx, ctx.class_divisor(key))
+        diff[k] = _h_of_key(ctx, torsion + tuple(b + period * z for b, z in zip(base, k)))
     for i in range(f):  # forward differences along each axis in turn
         order = sorted((k for k in points if k[i]), key=lambda k: -k[i])
         for level in range(1, n + 1):
@@ -461,13 +473,9 @@ def chi_structure_sheaf(ctx: HilbertContext, degrees) -> int:
     for row in rows:
         if len(row) != ctx.r:
             raise ValueError("degree row length must match the number of rays")
-    k = len(rows)
     total = 0
-    for tau in range(k + 1):
-        for pick in combinations(range(k), tau):
-            shift = [0] * ctx.r
-            for i in pick:
-                for j in range(ctx.r):
-                    shift[j] -= rows[i][j]
-            total += (-1) ** tau * h_of_s(ctx, tuple(shift))
+    for tau in range(len(rows) + 1):
+        for pick in combinations(rows, tau):
+            shift = [-sum(col) for col in zip((0,) * ctx.r, *pick)]
+            total += (-1) ** tau * h_of_s(ctx, shift)
     return total

@@ -119,7 +119,8 @@ def epq_c_ci(problem: TorusCIProblem, *, vertices: bool = False) -> EPQTable:
     try:
         table = _epq_c_ci_compute(problem, vertices)
         if not table.is_symmetric():
-            raise ConsistencyError("compactly supported table lost (p,q)-symmetry")
+            msg = "compactly supported table lost (p,q)-symmetry"
+            raise ConsistencyError("symmetry", msg)
     except ConsistencyError as exc:  # name the subproblem whose check fired
         if exc.subproblem is None:
             exc.subproblem = key
@@ -165,9 +166,8 @@ def _epq_c_ci_compute(problem: TorusCIProblem, vertices: bool) -> EPQTable:
         )
     report = validate(fan)
     if not report.complete:
-        raise ConsistencyError(
-            f"refined normal fan is invalid: {report.first_violation or 'not complete'}"
-        )
+        why = report.first_violation or "not complete"
+        raise ConsistencyError("refined fan", f"refined normal fan is invalid: {why}")
 
     # 4. ordinary values below the middle
     torus = epq_torus(m, "ordinary")
@@ -205,10 +205,10 @@ def _epq_c_ci_compute(problem: TorusCIProblem, vertices: bool) -> EPQTable:
     closure = [sums[p] + sum(b[p]) for p in range(n + 1)]
     for p in range(n + 1):
         if closure[p] != closure[n - p]:
-            raise ConsistencyError(
+            raise ConsistencyError("duality", (
                 f"duality mismatch in row {p}: the closure has e^{p} = {closure[p]} "
                 f"but e^{n - p} = {closure[n - p]}"
-            )
+            ))
     return EPQTable(tuple(tuple(r) for r in e_c), "compact")
 
 
@@ -251,7 +251,8 @@ def _orbit_sum(fan: Fan, cones, supports, degrees, size: int) -> list:
         survivors = [s for s in restrict_supports(fan, cone, supports, degrees) if s]
         dim = fan.dim - len(cone)
         if dim - len(survivors) >= size:
-            raise ConsistencyError("boundary orbit exceeds the expected dimension")
+            msg = "boundary orbit exceeds the expected dimension"
+            raise ConsistencyError("orbit dimension", msg)
         if len(survivors) > dim or any(len(s) == 1 for s in survivors):
             continue
         piece = epq_c_ci(orbit_problem(fan, cone, survivors), vertices=True)
@@ -285,16 +286,16 @@ def hodge_compact(fan: Fan, supports) -> EPQTable:
     acc = _orbit_sum(fan, all_cones(fan), supports, degrees, fan.dim + 1)
     if any(map(any, acc[n + 1 :])):  # acc is symmetric
         raise ConsistencyError(
-            "orbit decomposition carries mass above the expected dimension"
+            "orbit dimension", "orbit decomposition carries mass above the expected dimension"
         )
     h = [[0] * (n + 1) for _ in range(n + 1)]
     for p in range(n + 1):
         for q in range(n + 1):
             val = (-1) ** (p + q) * acc[p][q]
             if val < 0:
-                raise ConsistencyError(f"negative Hodge number at {(p, q)}")
+                raise ConsistencyError("nonnegativity", f"negative Hodge number at {(p, q)}")
             h[p][q] = val
     table = EPQTable(tuple(tuple(r) for r in h), "hodge")
     if not table.is_symmetric():
-        raise ConsistencyError("Hodge table is not symmetric")
+        raise ConsistencyError("symmetry", "Hodge table is not symmetric")
     return table

@@ -248,7 +248,7 @@ def wps_hodge(w, degrees) -> EPQTable:
     for p in range(n + 1):
         for q in range(n + 1):
             if h[p][q] < 0:
-                raise ConsistencyError(f"negative Hodge number at {(p, q)}")
+                raise ConsistencyError("nonnegativity", f"negative Hodge number at {(p, q)}")
             if h[p][q] != h[q][p]:
-                raise ConsistencyError("Hodge table is not symmetric")
+                raise ConsistencyError("symmetry", "Hodge table is not symmetric")
     return EPQTable(tuple(tuple(row) for row in h), "hodge")

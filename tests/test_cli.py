@@ -205,7 +205,41 @@ def test_exit_code_internal_consistency(capsys, monkeypatch):
     code = cli.main(["hodge-torus", data("torus_line.json")])
     hodge_mod.clear_epq_memo()
     assert code == 4
-    assert "duality mismatch" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("duality: ") and "duality mismatch" in err
+
+
+# inputs outside the documented scope that end in a consistency check, named
+# first on stderr: P^1 x P^1 with a support its fan is not adapted to, and a
+# conic in P(1,1,3), which is not quasi-smooth
+NAMED_CHECKS = [
+    ({"fan": {"rays": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+              "max_cones": [[0, 2], [0, 3], [1, 2], [1, 3]]},
+      "supports": [[[0, 0], [3, 3]]]}, ["hodge"], "nonnegativity",
+     "negative Hodge number at (0, 0)"),
+    ({"weights": [1, 1, 3], "degrees": [2]}, ["wps", "hodge"], "symmetry",
+     "Hodge table is not symmetric"),
+]
+
+
+@pytest.mark.parametrize("doc,argv,check,message", NAMED_CHECKS, ids=["hodge", "wps"])
+def test_exit_4_names_the_check(doc, argv, check, message, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([*argv, str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{check}: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_walk_budget_exits_3(capsys, monkeypatch):
+    from toric_hodge import hilbert
+
+    monkeypatch.setattr(cli, "_contexts", {})
+    monkeypatch.setattr(hilbert, "MAX_WALK_EXTENSIONS", 1)
+    assert cli.main(["euler", data("p2_cubic.json")]) == 3
+    captured = capsys.readouterr()
+    assert "MAX_WALK_EXTENSIONS" in captured.err and captured.out == ""
 
 
 # Torus hypersurfaces whose pulled normal fans exceed the 24-cone cap of a

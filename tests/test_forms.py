@@ -13,7 +13,7 @@ from toric_hodge.forms import (
     chi_tensor,
     y_truncated_expand,
 )
-from toric_hodge.hilbert import build_context, chi_structure_sheaf, h_of_s
+from toric_hodge.hilbert import HilbertContext, build_context, chi_structure_sheaf, h_of_s
 
 from helpers import (
     fan_octahedron,
@@ -207,10 +207,11 @@ INDEX_3 = Fan(2, ((2, -1), (-1, 2), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_class_coordinates_match_the_series_in_exponents(kind, monkeypatch):
-    # `chi_all` reaches H through `hilbert.h_of_classes`, which walks each
-    # class it needs, coset samples included, by `hilbert.h_of_s`
+    # `chi_all` reaches H through `hilbert.h_of_classes`, which evaluates each
+    # class it needs, coset samples included, by `hilbert._h_of_key`
     seen = []
-    monkeypatch.setattr(hilbert, "h_of_s", lambda c, s: seen.append(s) or h_of_s(c, s))
+    evaluate = hilbert._h_of_key
+    monkeypatch.setattr(hilbert, "_h_of_key", lambda c, key: seen.append(key) or evaluate(c, key))
     cases = [(name, fan, degrees_of(fan, supports) if supports else [])
              for name, fan, supports in forms_fixture_corpus()]
     cases += [("index3_k0", INDEX_3, []), ("index3_torsion_row", INDEX_3, [(1, 0, 0)]),
@@ -219,14 +220,34 @@ def test_class_coordinates_match_the_series_in_exponents(kind, monkeypatch):
         ctx = build_context(fan)
         seen.clear()
         values = chi_all(ctx, degs, kind, 12)
-        # sums of keys are reduced again, so each class is walked at most once
-        assert seen and len(seen) == len({ctx.class_key(s) for s in seen}), name
-        assert len(seen) == len(ctx._h_memo), name
+        # sums of keys are reduced again, so each class is evaluated at most once
+        assert seen and len(seen) == len(set(seen)) == len(ctx._h_memo), name
+        assert all(ctx.class_key(ctx.class_divisor(key)) == key for key in seen), name
         fresh = build_context(fan)
         expected = chi_forms_by_exponents(
             ctx.r, fan.dim, degs, kind, 12, lambda s: h_of_s(fresh, s)
         )
         assert values == expected, name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_chi_all_keys_each_ray_and_degree_row_once(kind, monkeypatch):
+    # the series and H work on class keys from start to end: `class_key` runs
+    # on the r unit vectors, the k degree rows, the zero vector twice and
+    # the anticanonical class, however many classes H is taken at
+    calls, asked = [], []
+    key, classes = HilbertContext.class_key, forms.h_of_classes
+    monkeypatch.setattr(HilbertContext, "class_key", lambda c, s: calls.append(s) or key(c, s))
+    monkeypatch.setattr(forms, "h_of_classes", lambda c, k: asked.append(len(k)) or classes(c, k))
+    total = 0
+    for name, fan, supports in forms_fixture_corpus():
+        degs = degrees_of(fan, supports) if supports else []
+        ctx = build_context(fan)
+        calls.clear()
+        chi_all(ctx, degs, kind, 8)
+        assert len(calls) == ctx.r + len(degs) + 3, name
+        total += len(calls)
+    assert sum(asked) > 3 * total  # the classes outnumber the calls
 
 
 def test_chi_all_checks_its_input():

@@ -87,8 +87,9 @@ def test_h_of_s_walk_keeps_the_unbounded_region_guard():
     forged = HilbertContext(fan_p2(), {0b001: 1})
     assert forged._depth == 2 and forged.frontier
     assert forged.nef_side((-1, 0, 0)) is None
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError) as info:
         h_of_s(forged, (-1, 0, 0))
+    assert info.value.check == "unbounded region"
     # P(1,2,3) with its weight-1 ray first: the walk decides rays 1 and 2 in
     # the frontier, and the error names the rays by their bits in the fan
     fan = Fan(2, ((-2, -3), (1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2)))
@@ -239,7 +240,8 @@ def test_serre_duality_at_the_ray_cap():
     rng = random.Random(24)
     for s in ((2,) * 24, tuple(rng.randint(-2, 2) for _ in range(24))):
         dual = tuple(-1 - x for x in s)
-        assert h_of_s(ctx, s) == h_of_s(ctx, dual)
+        # on a fresh context, so that the dual is walked, not read off the memo
+        assert h_of_s(ctx, s) == h_of_s(build_context(fan), dual)
 
 
 def test_h_zero_is_one_on_corpus():
@@ -376,17 +378,27 @@ def test_class_keys_with_a_unit_pivot_between_torsion_pivots():
             assert ctx.class_key(ctx.class_divisor(keys[t])) == keys[t]
 
 
+def _record_walks(monkeypatch):
+    # the H evaluator builds a class's divisor only to walk it
+    walked = []
+    divisor = HilbertContext.class_divisor
+    monkeypatch.setattr(
+        HilbertContext, "class_divisor", lambda ctx, key: walked.append(key) or divisor(ctx, key)
+    )
+    return walked
+
+
 def test_class_memo_walks_each_degree_once(monkeypatch):
     # on P^4 the class of s is sum(s), and Cl = Z is one coset (L = 1): the
     # series asks for 14 classes, which are read off a fit through the 5
-    # samples -5 .. -1, each walked once
+    # samples -5 .. -1.  The anticanonical class is 5, so -4 / -1 and -3 / -2
+    # are Serre-dual pairs: -5, -4 and -3 are walked, each once, and -2 and
+    # -1 are read off their duals
     ctx = build_context(fan_projective(4))
-    seen = []
-    h = hilbert.h_of_s
-    monkeypatch.setattr(hilbert, "h_of_s", lambda c, s: seen.append(s) or h(c, s))
+    walked = _record_walks(monkeypatch)
     assert forms.chi_all(ctx, [(5, 0, 0, 0, 0)], "tensor", 3) == [0, 100, 600, 2700]
-    assert len(seen) == len(ctx._h_memo) == len({sum(s) for s in seen}) == 5
     assert sorted(ctx._h_memo) == [(-5,), (-4,), (-3,), (-2,), (-1,)]
+    assert sorted(walked) == [(-5,), (-4,), (-3,)]
 
 
 # The simplicial fans of both lists above.  A key set that asks for more
@@ -581,20 +593,22 @@ def _count_extensions(monkeypatch):
 
 
 def test_nef_branch_decides_each_ray_once(monkeypatch):
-    # a nef s and its dual each extend the cascade at most once per ray
-    # after the frontier; a walk of the same fan extends it hundreds of times
+    # a nef s and its dual, each on a context of its own, extend the cascade
+    # at most once per ray after the frontier; a walk of the same fan extends
+    # it hundreds of times.  On the context of s the dual costs nothing
     fan = polygon_fan(14)
     count = _count_extensions(monkeypatch)
     ctx = build_context(fan)
-    assert ctx.frontier
     nef = [-min(a * x + b * y for x, y in ((0, 0), (2, 1), (-1, 2))) for a, b in fan.rays]
     dual = [-1 - x for x in nef]
     values = []
-    for s, side in ((nef, True), (dual, False)):
-        assert ctx.nef_side(s) is side
+    for s, side, own in ((nef, True, ctx), (dual, False, build_context(fan))):
+        assert own.nef_side(s) is side and own.frontier
         before = len(count)
-        values.append(h_of_s(ctx, s))
+        values.append(h_of_s(own, s))
         assert 0 < len(count) - before <= ctx.r - ctx._depth
+    before = len(count)
+    assert h_of_s(ctx, dual) == values[1] and len(count) == before
     assert values[0] == values[1] == sum(  # Serre duality, and the points of P_D
         all(a * x + b * y >= -t for (a, b), t in zip(fan.rays, nef))
         for x in range(-5, 6) for y in range(-5, 6)
@@ -617,3 +631,58 @@ def test_non_simplicial_fans_keep_the_walk(monkeypatch):
         before = len(count)
         assert h_of_s(ctx, s) == brute_h(fan, s)
         assert len(count) - before > ctx.r - ctx._depth
+
+
+# Serre duality, H(-1 - s) = (-1)^n H(s): on a simplicial fan the dual of an
+# evaluated class is read off the memo, not walked
+DUAL_FANS = FIT_FANS + (REFINED_14, TETRA)
+
+
+@pytest.mark.parametrize("fan", DUAL_FANS)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_serre_dual_class_is_not_walked_again(fan, data):
+    r, n = len(fan.rays), fan.dim
+    s = data.draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r))
+    dual = [-1 - x for x in s]
+    ctx = build_context(fan)
+    value = h_of_s(ctx, s)
+    walked = h_of_s(build_context(fan), dual)
+    assert walked == (-1) ** n * value
+    if fan in BRUTE_FANS:
+        assert value == brute_h(fan, s) and walked == brute_h(fan, dual)
+    with pytest.MonkeyPatch.context() as patch:
+        count = _count_extensions(patch)
+        assert h_of_s(ctx, dual) == walked and count == []
+
+
+def test_non_simplicial_fans_walk_the_serre_dual(monkeypatch):
+    # on the octahedron's fan H(-1 - s) = (-1)^n H(s) fails, so nothing is shared
+    fan = fan_octahedron()
+    ctx = build_context(fan)
+    assert ctx.frontier
+    count = _count_extensions(monkeypatch)
+    rng = random.Random(8)
+    for _ in range(4):
+        s = [rng.randint(-2, 2) for _ in range(ctx.r)]
+        dual = [-1 - x for x in s]
+        assert h_of_s(ctx, s) == brute_h(fan, s)
+        before = len(count)
+        assert h_of_s(ctx, dual) == brute_h(fan, dual)
+        assert len(count) > before
+
+
+def test_walk_budget(monkeypatch):
+    # a walk past MAX_WALK_EXTENSIONS cascade extensions fails by name and
+    # stores nothing; the same s walks to the end under the real cap
+    ctx = build_context(REFINED_14)
+    s = (1, -2, 0, 3, -1, 2, 0, -3, 1, 2, -2, 0, 1, -1)
+    assert ctx.nef_side(s) is None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hilbert, "MAX_WALK_EXTENSIONS", 50)
+        with pytest.raises(ValueError, match="MAX_WALK_EXTENSIONS = 50"):
+            h_of_s(ctx, s)
+    assert ctx._h_memo == {}
+    count = _count_extensions(monkeypatch)
+    assert h_of_s(ctx, s) == h_of_s(build_context(REFINED_14), s)
+    assert 50 < len(count) <= hilbert.MAX_WALK_EXTENSIONS

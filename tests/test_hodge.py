@@ -368,8 +368,26 @@ def test_consistency_error_names_the_subproblem(monkeypatch):
     m, supports = info.value.subproblem
     assert m == 2 and len(supports) == 1 and info.value.depth == 1
     text = str(info.value)
+    assert info.value.check == "duality"
     assert text.startswith("duality mismatch in row 0")
     assert f"m=2, supports {supports}; recursion depth 1" in text
+
+
+def test_every_consistency_check_is_named():
+    # each raise site passes the name of its check, one of CHECKS
+    import ast
+    import pathlib
+
+    from toric_hodge import errors
+
+    package = pathlib.Path(errors.__file__).parent
+    names = []
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if getattr(node.exc.func, "id", None) == "ConsistencyError":
+                    names.append(node.exc.args[0].value)
+    assert len(names) == 10 and set(names) == set(ConsistencyError.CHECKS)
 
 
 def test_hodge_compact_rejects_non_complete():
