@@ -31,7 +31,6 @@ from .forms import (
     chi_alt_hilbert,
     chi_sym,
     chi_tensor,
-    y_truncated_expand,
 )
 from .hilbert import HilbertContext, build_context, chi_structure_sheaf, h_of_s
 from .hodge import clear_epq_memo, epq_c_ci, epq_torus, hodge_compact
@@ -105,6 +104,5 @@ __all__ = [
     "wps_hilbert",
     "wps_hodge",
     "wps_lattice_count",
-    "y_truncated_expand",
     "zero_table",
 ]

@@ -13,16 +13,19 @@ series P(x) with an explicit rational factorization:
   tensor:       P(x) * prod_i (1 - x^{d_i})
                      / (1 - y (x_1 + .. + x_r + m - r - sum_i x^{d_i}))
 
-Each factor is a term dict {(x-exponent, y-power): coeff}, written out
-exactly modulo y^(pmax+1), and `y_truncated_expand` multiplies them into
-one expansion.  H(s) depends only on the divisor class of s, so exponents
-are class keys (`HilbertContext.class_key`), reduced after each sum.
-`chi_all` pairs the expansion with P(x) once: each term q x^a y^j adds
-q * H(-s), s of class a, to the value at p = j, with H taken once per class
+The series is kept as its slices y^0 .. y^pmax, each {class key: coeff}:
+H(s) depends only on the divisor class of s, so exponents are class keys
+(`HilbertContext.class_key`), and every sum of keys is reduced
+(`reduce_class`).  Slice 0 starts as prod_i (1 - x^{d_i}), and each factor
+1 + y q or 1 / (1 - y q) is applied in place (`_apply`): slice k gains q
+times slice k-1, for k = pmax..1 when multiplying and k = 1..pmax when
+dividing.  `chi_all` pairs the slices with P(x) once: each term c x^a of
+slice j adds c * H(-a) to the value at p = j, with H taken once per class
 by `h_of_classes`, which fits H on the cosets that ask for many classes
-instead of walking each.  So every p = 0 .. pmax comes from one expansion
+instead of walking each.  So every p = 0 .. pmax comes from one series
 and one pairing, and `chi_alt` / `chi_sym` / `chi_tensor` read their p
-from it.
+from it.  `wps` codes the same recurrence on its own, so that the fan and
+residue engines stay independent of each other.
 A second, independently coded evaluation path (`chi_alt_hilbert`) writes
 the alternating case as a nested sum of Hilbert values with binomial
 weights and is used as a cross-check.
@@ -31,78 +34,57 @@ weights and is used as a cross-check.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 
-from .hilbert import HilbertContext, choose, h_of_classes, h_of_s
+from .hilbert import HilbertContext, h_of_classes, h_of_s
 
 # --- series expansion -------------------------------------------------------
 
 
-# Expansions that hold more key coordinates (terms times key length, so
-# that the cap bounds memory for keys of every length), and products that
-# combine more pairs of terms within the y-truncation, fail fast: the
-# tensor series of (P^1)^3 (three coordinates a key) passes the first cap
-# at p = 80, and one product of the symmetric series of P^1 x P^1 at
-# p = 240 combines 7.0 million such pairs.
+# An expansion that holds more key coordinates (terms times key length, so
+# that the cap bounds memory for keys of every length) fails fast: the
+# tensor series of (P^1)^3 (three coordinates a key) passes it at p = 80.
 MAX_SERIES_COORDS = 500_000
-MAX_SERIES_PAIRS = 5_000_000
 
 
-def _check_terms(terms, width: int):
-    """Raise ValueError when the terms' keys of `width` coordinates pass
+def _check_terms(terms: int, width: int):
+    """Raise ValueError when `terms` keys of `width` coordinates pass
     MAX_SERIES_COORDS in all."""
-    coords = len(terms) * max(width, 1)
+    coords = terms * max(width, 1)
     if coords > MAX_SERIES_COORDS:
         raise ValueError(
-            f"series expansion holds {coords} key coordinates ({len(terms)} terms) "
+            f"series expansion holds {coords} key coordinates ({terms} terms) "
             f"so far; the supported maximum is {MAX_SERIES_COORDS}"
         )
 
 
-def _multiply(a, b, p: int, reduce, width: int):
-    """Product of two term dicts modulo y^(p+1), without zero terms.
+def _apply(series, q: dict, divide: bool, reduce, width: int):
+    """Multiply the slices by 1 + y q, or divide them by 1 - y q, in place.
 
-    Exponent sums, of `width` coordinates, go through `reduce`.  Raises
-    ValueError past MAX_SERIES_PAIRS pairs of terms whose y-powers sum to
-    at most p, checked first, or past MAX_SERIES_COORDS key coordinates.
+    `series[k]` is the y^k slice {class key: coeff}, without zero
+    coefficients, and q is {class key: coeff}.  Slice k gains q times slice
+    k-1: the old slice to multiply (k runs down), the new one to divide (k
+    runs up).  Key sums go through `reduce`.  Slice k takes len(q) times
+    len(slice k-1) additions, and the terms held are checked against
+    MAX_SERIES_COORDS after each slice, so the work between two checks is
+    at most len(q) times the terms held: with a one-term q, at most the
+    terms already held.
     """
-    sizes = Counter(j for _, j in b)
-    below = list(accumulate(sizes[j] for j in range(p + 1)))  # y-power <= j
-    pairs = sum(below[p - j] for _, j in a if j <= p)
-    if pairs > MAX_SERIES_PAIRS:
-        msg = f"series product combines {pairs} pairs of terms"
-        raise ValueError(f"{msg}; the supported maximum is {MAX_SERIES_PAIRS}")
-    out = {}
-    for (e1, j1), c1 in a.items():
-        for (e2, j2), c2 in b.items():
-            j = j1 + j2
-            if j > p:
-                continue
-            key = (reduce([x + y for x, y in zip(e1, e2)]), j)
-            out[key] = out.get(key, 0) + c1 * c2
-        _check_terms(out, width)
-    return {k: v for k, v in out.items() if v}
-
-
-def y_truncated_expand(factors, p: int, dim: int, reduce=tuple):
-    """Exact product of all factors modulo y^(p+1).
-
-    Each factor and the result are sparse Laurent polynomials
-    {(x-exponent tuple, y-power): int}, in Z^dim with `reduce` = tuple, or
-    in class keys with a Hilbert context's `reduce_class`.  Every exponent
-    must have length dim (ValueError): `_multiply` adds exponents with a
-    plain zip, which would cut a longer one short.
-    """
-    if p < 0:
-        raise ValueError("negative truncation order")
-    factors = list(factors)
-    if any(len(e) != dim for terms in factors for e, _ in terms):
-        raise ValueError(f"series exponents must have length {dim}")
-    result = {((0,) * dim, 0): 1}
-    for terms in factors:
-        result = _multiply(result, terms, p, reduce, dim)
-    return result
+    held = sum(map(len, series))
+    for k in range(1, len(series)) if divide else range(len(series) - 1, 0, -1):
+        acc, before = series[k], len(series[k])
+        for e, c in q.items():
+            shift = any(e)
+            for f, a in series[k - 1].items():
+                key = reduce([x + y for x, y in zip(e, f)]) if shift else f
+                v = acc.get(key, 0) + c * a
+                if v:
+                    acc[key] = v
+                else:
+                    del acc[key]
+        held += len(acc) - before
+        _check_terms(held, width)
 
 
 # --- the three form types ---------------------------------------------------
@@ -121,80 +103,63 @@ def _checked_rows(ctx, degrees, p):
     return rows
 
 
-def _factors(ctx, degrees, kind: str, p: int):
-    """The series factors of one form type ("alt", "sym" or "tensor").
+def _series(ctx, degrees, kind: str, pmax: int) -> list:
+    """Slices y^0 .. y^pmax of the series of one form type ("alt", "sym" or
+    "tensor"), each {class key: coeff} without zero coefficients.
 
-    Each factor is a term dict written out modulo y^(p+1), its exponents
-    class keys (`ctx.class_key`, sums reduced by `ctx.reduce_class`).
+    Slice 0 starts as prod_i (1 - x^{d_i}); every factor in y is then
+    applied in place by `_apply`, its sums reduced by `ctx.reduce_class`.
     """
-    rows = [ctx.class_key(d) for d in _checked_rows(ctx, degrees, p)]
+    rows = [ctx.class_key(d) for d in _checked_rows(ctx, degrees, pmax)]
     m, r = ctx.fan.dim, ctx.r
     zero = ctx.class_key((0,) * r)
-    # with p + 1 terms past the cap, `_multiply` fails anyway: fail before building
-    _check_terms(range(p + 1), len(zero))
+    width, reduce = len(zero), ctx.reduce_class
+    _check_terms(pmax + 1, width)  # fail before allocating when one term a slice passes
     units = [ctx.class_key(tuple(int(i == j) for i in range(r))) for j in range(r)]
-
-    def binomial(c, j, e):
-        # 1 + c y^j x^e; with j = 0 and e = 0 the two terms share one key
-        out = {(zero, 0): 1}
-        out[(e, j)] = out.get((e, j), 0) + c
-        return out
-
-    def geometric(c, e):
-        # 1 / (1 - c y x^e)
-        return {(tuple(j * x for x in e), j): c**j for j in range(p + 1)}
-
-    def scalar_power(c, e):
-        # (1 + c y)^e for an integer e of either sign
-        return {(zero, j): choose(e, j) * c**j for j in range(p + 1)}
-
     if kind == "alt":
-        factors = [binomial(1, 1, u) for u in units]
-        factors.append(scalar_power(1, m - r))
-        for d in rows:
-            factors += [binomial(-1, 0, d), geometric(-1, d)]
-        return factors
-    if kind == "sym":
-        factors = []
-        for d in rows:
-            factors += [binomial(-1, 0, d), binomial(-1, 1, d)]
-        factors.append(scalar_power(-1, r - m))
-        factors += [geometric(1, u) for u in units]
-        return factors
-    if kind == "tensor":
-        # 1 / (1 - y L(x)) = sum_j (y L(x))^j, with yL as a term dict
-        y_form = {}
-        terms = [(u, 1) for u in units] + [(zero, m - r)] + [(d, -1) for d in rows]
-        for e, c in terms:
-            y_form[(e, 1)] = y_form.get((e, 1), 0) + c
-        power = {(zero, 0): 1}
-        inverse = dict(power)
-        for _ in range(p):
-            power = _multiply(power, y_form, p, ctx.reduce_class, len(zero))
-            inverse.update(power)
-            _check_terms(inverse, len(zero))
-        return [binomial(-1, 0, d) for d in rows] + [inverse]
-    raise ValueError(f"unknown form kind {kind!r}")
+        # prod_j (1 + y x_j) / (1 + y)^(r-m) / prod_i (1 + y x^{d_i})
+        steps = [({u: 1}, False) for u in units] + [({zero: -1}, True)] * (r - m)
+        steps += [({d: -1}, True) for d in rows]
+    elif kind == "sym":
+        # prod_i (1 - y x^{d_i}) * (1 - y)^(r-m) / prod_j (1 - y x_j)
+        steps = [({d: -1}, False) for d in rows] + [({zero: -1}, False)] * (r - m)
+        steps += [({u: 1}, True) for u in units]
+    elif kind == "tensor":
+        # 1 / (1 - y L), L = sum_j x_j + m - r - sum_i x^{d_i}
+        lin = Counter(units)
+        lin[zero] += m - r
+        lin.subtract(rows)
+        steps = [({e: c for e, c in lin.items() if c}, True)]
+    else:
+        raise ValueError(f"unknown form kind {kind!r}")
+    base = {zero: 1}
+    for d in rows:
+        for e, a in list(base.items()):
+            key = reduce([x + y for x, y in zip(e, d)])
+            v = base.get(key, 0) - a
+            if v:
+                base[key] = v
+            else:
+                del base[key]
+    series = [base] + [{} for _ in range(pmax)]
+    for q, divide in steps:
+        _apply(series, q, divide, reduce, width)
+    return series
 
 
 def chi_all(ctx: HilbertContext, degrees, kind: str, pmax: int) -> list:
     """Euler characteristics of the p-forms of `kind` for p = 0 .. pmax.
 
-    One expansion modulo y^(pmax+1) in class keys serves every p: each term
-    q_{a,j} x^a y^j adds q_{a,j} * H(-a) to the value at p = j (-a by
+    One series modulo y^(pmax+1) in class keys serves every p: each term
+    q_a x^a of slice j adds q_a * H(-a) to the value at p = j (-a by
     `reduce_class`).  H is taken once per class, all keys in one
     `h_of_classes` call: a coset of L Cl that asks for more classes than
     its fit has samples is fitted, so at large p only the samples are walked.
     """
-    factors = _factors(ctx, degrees, kind, pmax)
-    dim = len(ctx.class_key((0,) * ctx.r))
-    expanded = y_truncated_expand(factors, pmax, dim, ctx.reduce_class)
-    minus = {a: ctx.reduce_class([-x for x in a]) for a in {a for a, _ in expanded}}
+    series = _series(ctx, degrees, kind, pmax)
+    minus = {a: ctx.reduce_class([-x for x in a]) for a in set().union(*series)}
     h = h_of_classes(ctx, minus.values())
-    values = [0] * (pmax + 1)
-    for (a, j), c in expanded.items():
-        values[j] += c * h[minus[a]]
-    return values
+    return [sum(c * h[minus[a]] for a, c in piece.items()) for piece in series]
 
 
 def chi_alt(ctx: HilbertContext, degrees, p: int) -> int:

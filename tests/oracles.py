@@ -404,14 +404,14 @@ def _series_product(a, b, p):
     return {k: c for k, c in out.items() if c}
 
 
-def chi_forms_by_exponents(r, m, degrees, kind, pmax, h):
-    """chi of the p-forms of `kind` for p = 0..pmax, from the series in Z^r.
+def _forms_series_in_exponents(r, m, degrees, kind, pmax):
+    """The form-sheaf series of `kind` modulo y^(pmax+1), {(s, j): coeff}
+    with s in Z^r.
 
     The factorizations of the `forms` module docstring, each written out
-    with x-exponents in Z^r modulo y^(pmax+1) and multiplied term by term;
-    every term q x^s y^j of the product adds q * h(-s) to the value at p = j.
-    `h` is the Hilbert function of the fan, m its dimension and r its ray
-    count.
+    with x-exponents in Z^r (geometric series term by term, 1/(1 - y L) as
+    the sum of the powers of y L) and multiplied term by term; m is the
+    dimension of the fan and r its ray count.
     """
     zero = (0,) * r
     units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
@@ -452,10 +452,33 @@ def chi_forms_by_exponents(r, m, degrees, kind, pmax, h):
     product_ = {(zero, 0): 1}
     for factor in factors:
         product_ = _series_product(product_, factor, pmax)
+    return product_
+
+
+def chi_forms_by_exponents(r, m, degrees, kind, pmax, h):
+    """chi of the p-forms of `kind` for p = 0..pmax, from the series in Z^r:
+    every term q x^s y^j adds q * h(-s) to the value at p = j.  `h` is the
+    Hilbert function of the fan, m its dimension and r its ray count.
+    """
     values = [0] * (pmax + 1)
-    for (e, j), c in product_.items():
+    for (e, j), c in _forms_series_in_exponents(r, m, degrees, kind, pmax).items():
         values[j] += c * h(tuple(-x for x in e))
     return values
+
+
+def forms_series_by_factors(ctx, degrees, kind, pmax):
+    """Slices y^0..y^pmax of the form-sheaf series of `kind` on the fan of
+    the Hilbert context `ctx`, each {class key: coeff} without zero
+    coefficients.
+
+    The product of the written-out factors in Z^r, each of its terms keyed
+    by `ctx.class_key` on its own, so no sum of keys is ever reduced.
+    """
+    slices = [{} for _ in range(pmax + 1)]
+    for (e, j), c in _forms_series_in_exponents(ctx.r, ctx.fan.dim, degrees, kind, pmax).items():
+        key = ctx.class_key(e)
+        slices[j][key] = slices[j].get(key, 0) + c
+    return [{a: c for a, c in piece.items() if c} for piece in slices]
 
 
 # --- weighted form-sheaf series, written out -----------------------------------

@@ -479,12 +479,9 @@ def test_quintic_fan_matches_the_residue_engine_at_high_p(kind, p, tmp_path, cap
     assert fan_out == capsys.readouterr().out
 
 
-def test_series_pair_cap_fails_fast(tmp_path, capsys):
-    # one product of this expansion combines 7.0 million pairs of terms whose
-    # y-powers stay within the truncation, while it holds 0.2 million key
-    # coordinates
-    from toric_hodge.forms import MAX_SERIES_PAIRS
-
+def test_symmetric_forms_of_p1_squared_at_high_p(tmp_path, capsys):
+    # Sym^p of the cotangent sheaf of P^1 x P^1 is the sum of the
+    # O(-2i, -2(p - i)), so chi = sum_i (1 - 2i)(1 - 2(p - i))
     doc = tmp_path / "p1_squared.json"
     doc.write_text(json.dumps({"fan": {
         "rays": [[-1, 0], [1, 0], [0, -1], [0, 1]],
@@ -494,10 +491,11 @@ def test_series_pair_cap_fails_fast(tmp_path, capsys):
     code = cli.main(["euler", "--kind", "sym", "-p", "240", str(doc)])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
-    assert code == 3
+    assert code == 0, captured.err
     assert elapsed < 5
-    assert f"the supported maximum is {MAX_SERIES_PAIRS}" in captured.err
-    assert captured.out == ""
+    expected = sum((1 - 2 * i) * (1 - 2 * (240 - i)) for i in range(241))
+    assert expected == 9100401
+    assert captured.out == f"p=240: {expected}\n"
 
 
 @pytest.mark.parametrize("kind", ["tensor", "sym"])
@@ -512,8 +510,8 @@ def test_high_form_degree_on_the_cubic(kind, capsys):
 
 @pytest.mark.parametrize("kind", ["alt", "sym"])
 def test_huge_form_degree_fails_before_building_factors(kind, capsys):
-    # p + 1 terms per factor already pass the cap; building them first took
-    # 30 to 56 s and 2 to 3 GB
+    # one term in each of the p + 1 slices already passes the cap, so this
+    # fails before any slice is allocated
     from toric_hodge.forms import MAX_SERIES_COORDS
 
     start = time.perf_counter()

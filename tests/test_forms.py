@@ -5,13 +5,13 @@ import pytest
 from toric_hodge import forms, hilbert
 from toric_hodge.fans import degrees_of, Fan
 from toric_hodge.forms import (
-    _factors,
+    _apply,
+    _series,
     chi_all,
     chi_alt,
     chi_alt_hilbert,
     chi_sym,
     chi_tensor,
-    y_truncated_expand,
 )
 from toric_hodge.hilbert import HilbertContext, build_context, chi_structure_sheaf, h_of_s
 
@@ -22,55 +22,67 @@ from helpers import (
     fan_p2,
     fan_p3,
     forms_fixture_corpus,
+    polygon_fan,
     simplex_support,
 )
-from oracles import chi_forms_by_exponents
+from oracles import chi_forms_by_exponents, forms_series_by_factors
+
+KINDS = ("alt", "sym", "tensor")
+
+# the index-3 fan of tests/test_hilbert.py: its rays span an index-3
+# sublattice of Z^2, so Cl = Z + Z/3
+INDEX_3 = Fan(2, ((2, -1), (-1, 2), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
 
 
-def _x0_yp_coefficient(ctx, expanded, p):
-    """x^0 y^p coefficient of P(x) times an expansion: its y^p terms against H."""
+def _x0_yp_coefficient(ctx, series, p):
+    """x^0 y^p coefficient of P(x) times a series: its y^p slice against H."""
     return sum(
-        c * h_of_s(ctx, tuple(-x for x in e)) for (e, j), c in expanded.items() if j == p
+        c * h_of_s(ctx, tuple(-x for x in ctx.class_divisor(a))) for a, c in series[p].items()
     )
 
 
 def test_expand_single_binomial():
-    # 1 + y x_1
-    out = y_truncated_expand([{((0, 0), 0): 1, ((1, 0), 1): 1}], 1, 2)
-    assert out == {((0, 0), 0): 1, ((1, 0), 1): 1}
-    assert y_truncated_expand([{((0, 0), 0): 1, ((1, 0), 1): 1}], 0, 2) == {
-        ((0, 0), 0): 1
-    }
+    # 1 + y x_1, modulo y^2 and modulo y
+    series = [{(0, 0): 1}, {}]
+    _apply(series, {(1, 0): 1}, False, tuple, 2)
+    assert series == [{(0, 0): 1}, {(1, 0): 1}]
+    series = [{(0, 0): 1}]
+    _apply(series, {(1, 0): 1}, False, tuple, 2)
+    assert series == [{(0, 0): 1}]
 
 
 def test_expand_geometric_series():
-    # 1 / (1 + y x^2), written out to y^3 and truncated at y^2
-    geometric = {((2 * j,), j): (-1) ** j for j in range(4)}
-    out = y_truncated_expand([geometric], 2, 1)
-    assert out == {((0,), 0): 1, ((2,), 1): -1, ((4,), 2): 1}
+    # 1 / (1 + y x^2) modulo y^3
+    series = [{(0,): 1}, {}, {}]
+    _apply(series, {(2,): -1}, True, tuple, 1)
+    assert series == [{(0,): 1}, {(2,): -1}, {(4,): 1}]
+    # 1 / (1 - y x_1) in class keys: the sums j x_1 are reduced to the keys
+    # of (j, 0, 0), whose torsion part runs through Z/3
+    ctx = build_context(INDEX_3)
+    keys = [ctx.class_key((j, 0, 0)) for j in range(7)]
+    series = [{keys[0]: 1}] + [{} for _ in range(6)]
+    _apply(series, {keys[1]: 1}, True, ctx.reduce_class, len(keys[0]))
+    assert series == [{key: 1} for key in keys]
+    assert len(set(keys)) == 7
 
 
 def test_expand_cancellation():
-    # (1 - y)^{-1} (1 - y) = 1
-    inverse = {((0,), j): 1 for j in range(6)}
-    out = y_truncated_expand([inverse, {((0,), 0): 1, ((0,), 1): -1}], 5, 1)
-    assert out == {((0,), 0): 1}
-
-
-@pytest.mark.parametrize("exponent", [(1,), (1, 0, 0)])
-def test_expand_rejects_exponents_of_another_length(exponent):
-    # a short or long exponent in any factor, even one the truncation drops
-    factors = [{((0, 0), 0): 1}, {((1, 0), 0): 1, (exponent, 2): 1}]
-    with pytest.raises(ValueError, match="length 2"):
-        y_truncated_expand(factors, 1, 2)
-    with pytest.raises(ValueError, match="length 2"):
-        y_truncated_expand(iter(factors[::-1]), 1, 2)
+    # (1 - y)^{-1} (1 - y) = 1, with no zero coefficients left behind
+    series = [{(0,): 1}] + [{} for _ in range(5)]
+    _apply(series, {(0,): 1}, True, tuple, 1)
+    assert series == [{(0,): 1} for _ in range(6)]
+    _apply(series, {(0,): -1}, False, tuple, 1)
+    assert series == [{(0,): 1}] + [{} for _ in range(5)]
 
 
 def test_coeff_empty_factorization():
     ctx = build_context(fan_p2())
-    assert y_truncated_expand([], 0, ctx.r) == {((0, 0, 0), 0): 1}
-    assert _x0_yp_coefficient(ctx, y_truncated_expand([], 0, ctx.r), 0) == 1
+    zero = ctx.class_key((0, 0, 0))
+    for kind in KINDS:
+        assert _series(ctx, [], kind, 0) == [{zero: 1}] == forms_series_by_factors(
+            ctx, [], kind, 0
+        ), kind
+    assert _x0_yp_coefficient(ctx, [{zero: 1}], 0) == 1
 
 
 def test_coeff_cubic_structure_sheaf():
@@ -78,25 +90,21 @@ def test_coeff_cubic_structure_sheaf():
     ctx = build_context(fan)
     degs = degrees_of(fan, [simplex_support(2, 3)])
     (row,) = degs.rows
-    expanded = y_truncated_expand([{((0, 0, 0), 0): 1, (row, 0): -1}], 0, ctx.r)
-    assert _x0_yp_coefficient(ctx, expanded, 0) == 0
+    series = _series(ctx, degs, "alt", 0)
+    assert series == [{ctx.class_key((0, 0, 0)): 1, ctx.class_key(row): -1}]
+    assert series == forms_series_by_factors(ctx, degs, "alt", 0)
+    assert _x0_yp_coefficient(ctx, series, 0) == 0
     assert chi_all(ctx, degs, "alt", 0) == [0]
 
 
 def test_coeff_cotangent_line():
+    # (1 + y x_1)(1 + y x_2) / (1 + y) on P^1, where x_1 and x_2 share a class
     ctx = build_context(fan_p1())
-    factors = [
-        {((0, 0), 0): 1, ((1, 0), 1): 1},
-        {((0, 0), 0): 1, ((0, 1), 1): 1},
-        {((0, 0), j): (-1) ** j for j in range(2)},  # (1 + y)^(1 - 2)
-    ]
-    assert _x0_yp_coefficient(ctx, y_truncated_expand(factors, 1, ctx.r), 1) == -1
-    # `_factors` writes the same factors with class keys as exponents
-    in_classes = [{(ctx.class_key(e), j): c for (e, j), c in f.items()} for f in factors]
-    dim = len(ctx.class_key((0, 0)))
-    assert y_truncated_expand(in_classes, 1, dim, ctx.reduce_class) == (
-        y_truncated_expand(_factors(ctx, [], "alt", 1), 1, dim, ctx.reduce_class)
-    )
+    zero, point = ctx.class_key((0, 0)), ctx.class_key((1, 0))
+    series = _series(ctx, [], "alt", 1)
+    assert series == [{zero: 1}, {point: 2, zero: -1}]
+    assert series == forms_series_by_factors(ctx, [], "alt", 1)
+    assert _x0_yp_coefficient(ctx, series, 1) == -1
     assert chi_all(ctx, [], "alt", 1)[1] == -1
 
 
@@ -180,29 +188,35 @@ def test_chi_alt_vanishes_above_dimension():
             assert chi_alt(ctx, degs, p) == 0, (name, p)
 
 
-# --- chi_all: one expansion for every p ---------------------------------------
+# --- chi_all: one series for every p ------------------------------------------
 
-KINDS = ("alt", "sym", "tensor")
+
+def _class_cases():
+    """(name, fan, degrees): the forms corpus and the torsion fan INDEX_3."""
+    cases = [(name, fan, degrees_of(fan, supports) if supports else [])
+             for name, fan, supports in forms_fixture_corpus()]
+    return cases + [
+        ("index3_k0", INDEX_3, []),
+        ("index3_torsion_row", INDEX_3, [(1, 0, 0)]),
+        ("index3_conic", INDEX_3, degrees_of(INDEX_3, [simplex_support(2, 2)])),
+    ]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_expansion_truncates_consistently(kind):
-    for name, fan, supports in forms_fixture_corpus():
+    # every truncation of the series equals the written-out product of the
+    # factors, keyed term by term, up to p = dim + 2
+    octagon = polygon_fan(8)
+    cases = _class_cases() + [
+        ("polygon8_k0", octagon, []),
+        ("polygon8_row", octagon, [(1, 1, 0, 2, 0, 0, 1, 0)]),
+    ]
+    for name, fan, degs in cases:
         ctx = build_context(fan)
-        degs = degrees_of(fan, supports) if supports else []
-        n = fan.dim
-        factors = _factors(ctx, degs, kind, n)
-        dim = len(ctx.class_key((0,) * ctx.r))
-        full = y_truncated_expand(factors, n, dim, ctx.reduce_class)
-        for p in range(n + 1):
-            low = {key: c for key, c in full.items() if key[1] <= p}
-            truncated = y_truncated_expand(factors, p, dim, ctx.reduce_class)
-            assert low == truncated, (name, p)
-
-
-# the index-3 fan of tests/test_hilbert.py: its rays span an index-3
-# sublattice of Z^2, so Cl = Z + Z/3
-INDEX_3 = Fan(2, ((2, -1), (-1, 2), (-1, -1)), ((0, 1), (0, 2), (1, 2)))
+        pmax = fan.dim + 2
+        expected = forms_series_by_factors(ctx, degs, kind, pmax)
+        for p in range(pmax + 1):
+            assert _series(ctx, degs, kind, p) == expected[: p + 1], (name, p)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -212,11 +226,7 @@ def test_class_coordinates_match_the_series_in_exponents(kind, monkeypatch):
     seen = []
     evaluate = hilbert._h_of_key
     monkeypatch.setattr(hilbert, "_h_of_key", lambda c, key: seen.append(key) or evaluate(c, key))
-    cases = [(name, fan, degrees_of(fan, supports) if supports else [])
-             for name, fan, supports in forms_fixture_corpus()]
-    cases += [("index3_k0", INDEX_3, []), ("index3_torsion_row", INDEX_3, [(1, 0, 0)]),
-              ("index3_conic", INDEX_3, degrees_of(INDEX_3, [simplex_support(2, 2)]))]
-    for name, fan, degs in cases:
+    for name, fan, degs in _class_cases():
         ctx = build_context(fan)
         seen.clear()
         values = chi_all(ctx, degs, kind, 12)
@@ -233,8 +243,8 @@ def test_class_coordinates_match_the_series_in_exponents(kind, monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_chi_all_keys_each_ray_and_degree_row_once(kind, monkeypatch):
     # the series and H work on class keys from start to end: `class_key` runs
-    # on the r unit vectors, the k degree rows, the zero vector twice and
-    # the anticanonical class, however many classes H is taken at
+    # on the r unit vectors, the k degree rows, the zero vector and the
+    # anticanonical class, however many classes H is taken at
     calls, asked = [], []
     key, classes = HilbertContext.class_key, forms.h_of_classes
     monkeypatch.setattr(HilbertContext, "class_key", lambda c, s: calls.append(s) or key(c, s))
@@ -245,7 +255,7 @@ def test_chi_all_keys_each_ray_and_degree_row_once(kind, monkeypatch):
         ctx = build_context(fan)
         calls.clear()
         chi_all(ctx, degs, kind, 8)
-        assert len(calls) == ctx.r + len(degs) + 3, name
+        assert len(calls) == ctx.r + len(degs) + 2, name
         total += len(calls)
     assert sum(asked) > 3 * total  # the classes outnumber the calls
 
