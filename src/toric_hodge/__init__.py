@@ -10,7 +10,6 @@ and the Newton supports of the defining equations.
 from .errors import ConsistencyError, InputError
 from .fans import (
     AdaptedSubfan,
-    DegreeMatrix,
     Fan,
     TorusCIProblem,
     adapted_subfan,
@@ -61,7 +60,6 @@ __all__ = [
     "AdaptedSubfan",
     "AffineReduction",
     "ConsistencyError",
-    "DegreeMatrix",
     "EPQTable",
     "Fan",
     "HilbertContext",

@@ -63,9 +63,13 @@ def _load_json(path):
         raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _int_vector(obj, what):
+def _is_int_list(obj):
     # type, not isinstance: JSON true and false are bools, a subclass of int
-    if not isinstance(obj, list) or not all(type(x) is int for x in obj):
+    return isinstance(obj, list) and all(type(x) is int for x in obj)
+
+
+def _int_vector(obj, what):
+    if not _is_int_list(obj):
         raise InputError(f"{what} must be an array of integers")
     return tuple(obj)
 
@@ -73,7 +77,9 @@ def _int_vector(obj, what):
 def _vector_list(obj, what):
     if not isinstance(obj, list):
         raise InputError(f"{what} must be an array")
-    return tuple(_int_vector(v, f"{what} entry") for v in obj)
+    if not all(map(_is_int_list, obj)):
+        raise InputError(f"{what} entry must be an array of integers")
+    return tuple(map(tuple, obj))
 
 
 def _parse_fan(obj, base_dir):
@@ -233,7 +239,7 @@ def cmd_euler(args) -> int:
     doc = load_document(args.file)
     _require(doc, "fan", "euler")
     ctx = _context(doc.fan)
-    degrees = degrees_of(doc.fan, doc.supports) if doc.supports else []
+    degrees = degrees_of(doc.fan, doc.supports)
     if args.p is not None:
         ps = [args.p]
         values = chi_all(ctx, degrees, args.kind, args.p)[args.p:]

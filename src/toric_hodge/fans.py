@@ -47,23 +47,6 @@ class Fan(namedtuple("Fan", "dim rays maximal_cones")):
         return [list(self.rays[i]) for i in cone]
 
 
-class DegreeMatrix(tuple):
-    """Per-equation, per-ray integers d[i][j] = -min <ray_j, M_i>: a tuple of
-    int tuples, one row per equation."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows):
-        return super().__new__(cls, rows)
-
-    def __repr__(self):
-        return f"DegreeMatrix(rows={tuple(self)!r})"
-
-    @property
-    def rows(self):
-        return tuple(self)
-
-
 class TorusCIProblem(namedtuple("TorusCIProblem", "m supports")):
     """A complete-intersection problem inside a torus (C*)^m.
 
@@ -407,48 +390,46 @@ def simplicial_refinement(fan: Fan) -> Fan:
 # supports, degrees, adaptedness, orbit reduction
 
 
-def degrees_of(fan: Fan, supports) -> DegreeMatrix:
-    """d[i][j] = -min over the i-th support of the pairing with ray j.
-
-    Each support is read by columns, and a ray adds c times a column only
-    for its nonzero coordinates c.
-    """
-    rows = []
-    for s in supports:
-        if not s:
-            raise ValueError("empty support set")
-        if any(len(q) != fan.dim for q in s):
-            raise ValueError("support point length must match the fan dimension")
-        columns = tuple(zip(*s))
-        row = []
-        for ray in fan.rays:
-            pairings = [0] * len(s)  # <ray, q> for every q in s
-            for c, column in zip(ray, columns):
-                if c:
-                    pairings = [v + c * x for v, x in zip(pairings, column)]
-            row.append(-min(pairings))
-        rows.append(tuple(row))
-    return DegreeMatrix(tuple(rows))
+def degrees_of(fan: Fan, supports) -> tuple:
+    """d[i][j] = -min over the i-th support of the pairing with ray j: one
+    tuple of ints per support."""
+    return tuple(
+        tuple(d for d, _ in _pairing_table(fan.dim, fan.rays, tuple(map(tuple, s))))
+        for s in supports
+    )
 
 
-def restrict_supports(fan: Fan, cone: Cone, supports, degrees: DegreeMatrix):
-    """Facial restriction: points attaining the minimum on every ray of the cone.
-
-    Each support's minimizers on each ray are found once per fan.
-    """
+def restrict_supports(fan: Fan, cone: Cone, supports):
+    """Facial restriction: points attaining the minimum on every ray of the cone."""
     out = []
-    for i, s in enumerate(supports):
+    for s in supports:
         s = tuple(map(tuple, s))
-        tight = _tight_points(fan.rays, s, tuple(degrees[i]))
-        out.append(tuple(sorted(set(s).intersection(*(tight[j] for j in cone)))))
+        table = _pairing_table(fan.dim, fan.rays, s)
+        out.append(tuple(sorted(set(s).intersection(*(table[j][1] for j in cone)))))
     return out
 
 
 @lru_cache(maxsize=4096)
-def _tight_points(rays, support, row):
-    return tuple(
-        frozenset(q for q in support if dot(ray, q) == -d) for ray, d in zip(rays, row)
-    )
+def _pairing_table(dim, rays, support):
+    """Per ray: (d, the points q of `support` with <ray, q> = -d), d = -min.
+
+    The support is read by columns, and a ray adds c times a column only
+    for its nonzero coordinates c.
+    """
+    if not support:
+        raise ValueError("empty support set")
+    if any(len(q) != dim for q in support):
+        raise ValueError("support point length must match the fan dimension")
+    columns = tuple(zip(*support))
+    table = []
+    for ray in rays:
+        pairings = [0] * len(support)  # <ray, q> for every q in support
+        for c, column in zip(ray, columns):
+            if c:
+                pairings = [v + c * x for v, x in zip(pairings, column)]
+        low = min(pairings)
+        table.append((-low, frozenset(q for q, v in zip(support, pairings) if v == low)))
+    return tuple(table)
 
 
 AdaptedSubfan = namedtuple("AdaptedSubfan", "per_cone whole_fan")  # per_cone: cone -> bool
@@ -461,10 +442,9 @@ def adapted_subfan(fan: Fan, supports) -> AdaptedSubfan:
     passing to a face.  The whole fan is adapted exactly when all maximal
     cones are.
     """
-    degrees = degrees_of(fan, supports)
     per_cone = {}
     for cone in all_cones(fan):
-        restricted = restrict_supports(fan, cone, supports, degrees)
+        restricted = restrict_supports(fan, cone, supports)
         per_cone[cone] = all(len(r) > 0 for r in restricted)
     whole = all(per_cone[c] for c in fan.maximal_cones)
     return AdaptedSubfan(per_cone=per_cone, whole_fan=whole)

@@ -625,6 +625,32 @@ def test_console_script_if_installed():
     assert proc.stdout == golden("hodge_torus_line.txt")
 
 
+def test_console_script_entry_point_runs_from_the_checkout(capsys):
+    # the script that an install would put on PATH, read from pyproject.toml
+    tomllib = pytest.importorskip("tomllib")
+    import importlib
+
+    with open(os.path.join(HERE, os.pardir, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["toric-hodge"]
+    module, _, attr = target.partition(":")
+    main = getattr(importlib.import_module(module), attr)
+    assert main is cli.main
+    assert main(["hodge-torus", data("torus_line.json")]) == 0
+    assert capsys.readouterr().out == golden("hodge_torus_line.txt")
+
+
+def test_euler_kinds_on_one_document_pair_its_supports_once(capsys):
+    import toric_hodge.fans as fans_mod
+
+    fans_mod._pairing_table.cache_clear()
+    misses = []
+    for kind in ("alt", "sym", "tensor"):
+        assert cli.main(["euler", "--kind", kind, data("p3_quadric.json")]) == 0
+        misses.append(fans_mod._pairing_table.cache_info().misses)
+    capsys.readouterr()
+    assert misses == [1, 1, 1]  # p3_quadric.json has one support
+
+
 def test_euler_commands_on_one_fan_share_its_context(capsys, monkeypatch):
     import toric_hodge.hilbert as hilbert_mod
 

@@ -569,7 +569,7 @@ def test_wall_certificate_on_overlapping_fans(fan):
 def test_degrees_p1_interval():
     fan = fan_p1()
     degs = degrees_of(fan, [[(q,) for q in range(4)]])
-    assert degs.rows == ((0, 3),)
+    assert degs == ((0, 3),)
 
 
 def test_degrees_reject_bad_supports():
@@ -584,7 +584,7 @@ def test_degrees_reject_bad_supports():
 def test_degrees_singleton():
     fan = fan_p2()
     degs = degrees_of(fan, [[(2, 5)]])
-    assert degs.rows == ((-2, -5, 7),)
+    assert degs == ((-2, -5, 7),)
 
 
 def test_degrees_weighted_row():
@@ -592,39 +592,71 @@ def test_degrees_weighted_row():
     from helpers import wps_support_1423
 
     degs = degrees_of(fan, [wps_support_1423(12)])
-    assert degs.rows == ((12, 0, 0, 0),)
+    assert degs == ((12, 0, 0, 0),)
 
 
 def test_restrict_zero_cone_is_identity():
     fan = fan_p2()
     support = simplex_support(2, 3)
-    degs = degrees_of(fan, [support])
-    assert restrict_supports(fan, (), [support], degs) == [tuple(sorted(support))]
+    assert restrict_supports(fan, (), [support]) == [tuple(sorted(support))]
 
 
 def test_restrict_p1():
     fan = fan_p1()
-    degs = degrees_of(fan, [[(0,), (1,)]])
-    assert restrict_supports(fan, (0,), [[(0,), (1,)]], degs) == [((0,),)]
+    assert restrict_supports(fan, (0,), [[(0,), (1,)]]) == [((0,),)]
 
 
 def test_restrict_empty_on_far_cone():
     fan = fan_p2()
     support = [(0, 0), (1, 0)]
-    degs = degrees_of(fan, [support])
     # the cone spanned by e1 and -e1-e2 sees no common minimizer
-    assert restrict_supports(fan, (0, 2), [support], degs) == [()]
+    assert restrict_supports(fan, (0, 2), [support]) == [()]
 
 
 def test_restriction_monotone_under_faces():
     fan = fan_p2()
     support = simplex_support(2, 3)
-    degs = degrees_of(fan, [support])
     for cone in all_cones(fan):
-        big = set(restrict_supports(fan, cone, [support], degs)[0])
+        big = set(restrict_supports(fan, cone, [support])[0])
         for face in combinations(cone, max(len(cone) - 1, 0)):
-            small = set(restrict_supports(fan, tuple(face), [support], degs)[0])
+            small = set(restrict_supports(fan, tuple(face), [support])[0])
             assert big <= small
+
+
+_PAIRING_FANS = [fan_p2(), fan_p1p1(), fan_wps_1423(), fan_octahedron()]
+
+
+@st.composite
+def fans_with_supports(draw):
+    fan = draw(st.sampled_from(_PAIRING_FANS))
+    point = st.tuples(*[st.integers(-4, 4)] * fan.dim)
+    supports = draw(st.lists(st.lists(point, min_size=1, max_size=8), min_size=1, max_size=3))
+    return fan, supports
+
+
+@given(fans_with_supports())
+@settings(max_examples=120, deadline=None)
+def test_degrees_and_restrictions_match_brute_force(case):
+    fan, supports = case
+
+    def pair(j, q):
+        return sum(a * b for a, b in zip(fan.rays[j], q))
+
+    lows = [[min(pair(j, q) for q in s) for j in range(len(fan.rays))] for s in supports]
+    assert degrees_of(fan, supports) == tuple(tuple(-x for x in row) for row in lows)
+    for cone in all_cones(fan):
+        expected = [
+            tuple(sorted({q for q in s if all(pair(j, q) == low[j] for j in cone)}))
+            for s, low in zip(supports, lows)
+        ]
+        assert restrict_supports(fan, cone, supports) == expected
+
+
+def test_restrict_rejects_bad_supports():
+    with pytest.raises(ValueError, match="^empty support set$"):
+        restrict_supports(fan_p2(), (0,), [[(0, 0)], []])
+    with pytest.raises(ValueError, match="^support point length must match the fan dimension$"):
+        restrict_supports(fan_p2(), (0, 1), [[(0, 0), (1, 0, 0)]])
 
 
 def test_adapted_k0_everywhere():
@@ -698,8 +730,7 @@ def test_normal_fan_of_unit_simplex_matches_projective(m):
 def test_orbit_zero_cone_identity():
     fan = fan_p2()
     support = simplex_support(2, 3)
-    degs = degrees_of(fan, [support])
-    prob = orbit_problem(fan, (), restrict_supports(fan, (), [support], degs))
+    prob = orbit_problem(fan, (), restrict_supports(fan, (), [support]))
     assert prob.m == 2
     assert prob.supports == (tuple(sorted(support)),)
 
@@ -707,8 +738,7 @@ def test_orbit_zero_cone_identity():
 def test_orbit_cubic_edge():
     fan = fan_p2()
     support = simplex_support(2, 3)
-    degs = degrees_of(fan, [support])
-    prob = orbit_problem(fan, (0,), restrict_supports(fan, (0,), [support], degs))
+    prob = orbit_problem(fan, (0,), restrict_supports(fan, (0,), [support]))
     assert prob.m == 1
     assert prob.supports == (((0,), (1,), (2,), (3,)),)
 
@@ -716,8 +746,7 @@ def test_orbit_cubic_edge():
 def test_orbit_maximal_cone_is_point():
     fan = fan_p2()
     support = simplex_support(2, 3)
-    degs = degrees_of(fan, [support])
-    prob = orbit_problem(fan, (0, 1), restrict_supports(fan, (0, 1), [support], degs))
+    prob = orbit_problem(fan, (0, 1), restrict_supports(fan, (0, 1), [support]))
     assert prob.m == 0
     assert all(s == ((),) for s in prob.supports)
 
@@ -728,8 +757,7 @@ def test_orbit_character_lattice_keeps_index():
     # character lattice they read {0,1,2}, not the quotient-lattice {0,2,4}
     fan = fan_p3()
     support = simplex_support(3, 2)
-    degs = degrees_of(fan, [support])
-    prob = orbit_problem(fan, (0, 3), restrict_supports(fan, (0, 3), [support], degs))
+    prob = orbit_problem(fan, (0, 3), restrict_supports(fan, (0, 3), [support]))
     assert prob.m == 1
     assert prob.supports == (((0,), (1,), (2,)),)
 
@@ -741,9 +769,8 @@ def test_orbit_drops_identically_vanishing_restrictions():
 
     fan = fan_p2p1()
     support = [(1, 0, 0), (0, 1, 1)]
-    degs = degrees_of(fan, [support])
     cone = (0, 3)  # e1 together with e3
-    assert restrict_supports(fan, cone, [support], degs) == [()]
-    prob = orbit_problem(fan, cone, restrict_supports(fan, cone, [support], degs))
+    assert restrict_supports(fan, cone, [support]) == [()]
+    prob = orbit_problem(fan, cone, restrict_supports(fan, cone, [support]))
     assert prob.m == 1
     assert prob.supports == ()

@@ -89,7 +89,7 @@ def test_coeff_cubic_structure_sheaf():
     fan = fan_p2()
     ctx = build_context(fan)
     degs = degrees_of(fan, [simplex_support(2, 3)])
-    (row,) = degs.rows
+    (row,) = degs
     series = _series(ctx, degs, "alt", 0)
     assert series == [{ctx.class_key((0, 0, 0)): 1, ctx.class_key(row): -1}]
     assert series == forms_series_by_factors(ctx, degs, "alt", 0)
@@ -278,7 +278,7 @@ def test_zero_degree_row_cancels_everything():
     fan = fan_p2()
     ctx = build_context(fan)
     degs = degrees_of(fan, [((0, 0),)])
-    assert [tuple(row) for row in degs.rows] == [(0, 0, 0)]
+    assert [tuple(row) for row in degs] == [(0, 0, 0)]
     for kind in KINDS:
         assert chi_all(ctx, degs, kind, 2) == [0, 0, 0], kind
     for p in range(3):

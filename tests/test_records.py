@@ -8,7 +8,6 @@ import pytest
 from toric_hodge.cli import ProblemDocument
 from toric_hodge.fans import (
     AdaptedSubfan,
-    DegreeMatrix,
     Fan,
     TorusCIProblem,
     ValidationReport,
@@ -28,7 +27,6 @@ RECORDS = {
         {"rays": ((1, 0), (0, 1), (-1, -1)), "maximal_cones": ((0, 1), (1, 2), (0, 2))},
         [],
     ),
-    "DegreeMatrix": (DegreeMatrix, {"rows": ((0, 1, 2), (3, 0, 0))}, {}, []),
     "TorusCIProblem": (
         TorusCIProblem,
         {"m": 2, "supports": [[[1, 0], (0, 0), [1, 0]], [(0, 1), (0, 0)]]},

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_hodge.fans import DegreeMatrix, is_complete, is_regular, is_simplicial, validate
+from toric_hodge.fans import is_complete, is_regular, is_simplicial, validate
 from toric_hodge.forms import chi_alt, chi_sym, chi_tensor
 from toric_hodge.hilbert import build_context, h_of_s
 from toric_hodge.wps import (
@@ -203,7 +203,7 @@ def test_wps_chi_vs_fan_path_spot():
     fan = wps_fan(w)
     ctx = build_context(fan)
     row = (12, 0, 0, 0)
-    degs = DegreeMatrix((row,))
+    degs = (row,)
     for kind, fn in [("alt", chi_alt), ("sym", chi_sym), ("tensor", chi_tensor)]:
         for p in range(3):
             assert wps_chi(w, [12], p, kind) == fn(ctx, degs, p), (kind, p)
