@@ -21,6 +21,7 @@ import os
 import sys
 from collections import namedtuple
 from functools import cache
+from itertools import chain, repeat
 
 from .errors import ConsistencyError, InputError
 from .fans import (
@@ -77,7 +78,9 @@ def _int_vector(obj, what):
 def _vector_list(obj, what):
     if not isinstance(obj, list):
         raise InputError(f"{what} must be an array")
-    if not all(map(_is_int_list, obj)):
+    # whole-list passes that run in C: a Python-level check per point took twice as long
+    if not (all(map(isinstance, obj, repeat(list)))
+            and {int}.issuperset(map(type, chain.from_iterable(obj)))):
         raise InputError(f"{what} entry must be an array of integers")
     return tuple(map(tuple, obj))
 

@@ -9,7 +9,7 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed; the computation cannot be trusted."""
 
     CHECKS = ("duality", "symmetry", "nonnegativity", "unbounded region", "refined fan",
-              "orbit dimension")  # the checks that `check` names
+              "orbit dimension", "ample class")  # the checks that `check` names
     subproblem = None  # (m, supports) of the e_c recursion's problem whose check fired
     depth = 0  # recursive epq_c_ci calls above that problem
 

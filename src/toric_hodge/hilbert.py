@@ -46,6 +46,10 @@ Where dim >= 3 the coordinates are permuted too, so that the dim - 2 that
 On a simplicial fan the walk follows one branch, I = all rays or I = {},
 when s or -1 - s is nef (Demazure vanishing and Serre duality: Cox-Little-
 Schenck, Toric Varieties, 9.1-9.2), tested by the wall forms `_walls` (6.4).
+On a surface a class where neither is nef is not walked: for an ample
+Cartier class A (`ample_key`), H(s + k A) is a polynomial of degree <= 2 in
+k (Snapper; Lazarsfeld, Positivity I, 1.1.24), so H(s) is interpolated from
+three classes s + k A far enough along to be nef.
 """
 
 from __future__ import annotations
@@ -74,12 +78,12 @@ class HilbertContext:
     """Per-fan precomputation enabling fast evaluation of H(s).
 
     Immutable after construction apart from the H memo and the lazy
-    properties (`frontier`, `period`, `anticanonical_key`, `_walls`), which
-    only cache deterministic values (safe for concurrent reuse: a duplicated
-    computation always lands on the same result).  The memo is keyed by the
-    divisor class of s (`class_key`).  The walk reads `_rays`, the rays in
-    walk order with their coordinates permuted, and `_bits`, their bits in
-    `c_table`.
+    properties (`frontier`, `period`, `anticanonical_key`, `ample_key`,
+    `_walls`), which only cache deterministic values (safe for concurrent
+    reuse: a duplicated computation always lands on the same result).  The
+    memo is keyed by the divisor class of s (`class_key`).  The walk reads
+    `_rays`, the rays in walk order with their coordinates permuted, and
+    `_bits`, their bits in `c_table`.
     """
 
     def __init__(self, fan: Fan, c_table):
@@ -166,6 +170,31 @@ class HilbertContext:
     def anticanonical_key(self) -> tuple:
         return self.class_key((1,) * self.r)
 
+    @cached_property
+    def ample_key(self):
+        """The class of an ample Cartier divisor on a simplicial surface fan,
+        None on any other: the integer polygon with the rays as inner normals.
+        Its edge lengths l > 0 solve sum l_k p_k = 0, summing over k the
+        relation that writes -p_k in its cone; the edges l_k (p_k[1], -p_k[0])
+        run counter-clockwise from v = 0, and a_k = -<p_k, v_k>."""
+        if self.fan.dim != 2 or not self.simplicial:
+            return None
+        rays, after, ell = self.fan.rays, {}, [0] * self.r
+        for i, j in self.fan.maximal_cones:  # after[i]: the next ray counter-clockwise
+            i, j = (i, j) if _det(rays[i], rays[j]) > 0 else (j, i)
+            after[i] = j
+        for k, p in enumerate(rays):  # det(i, j) p_k + det(j, k) p_i + det(k, i) p_j = 0
+            i, j = next(c for c in after.items() if _det(rays[c[1]], p) >= 0 <= _det(p, rays[c[0]]))
+            for m, b, c in ((k, i, j), (i, j, k), (j, k, i)):
+                ell[m] += _det(rays[b], rays[c])
+        a, v, k = [0] * self.r, (0, 0), 0
+        for _ in range(self.r):  # v: the vertex where edge k starts
+            (x, y), a[k] = rays[k], -dot(rays[k], v)
+            v, k = (v[0] + ell[k] * y, v[1] - ell[k] * x), after[k]
+        if any(sum(c * a[i] for i, c in w) <= 0 for w, _ in self._walls):
+            raise ConsistencyError("ample class", f"polygon with edge lengths {ell} is not ample")
+        return self.class_key(a)
+
     def _coordinate_order(self):
         """The coordinates, narrowest first, of {x : <p_j, x> >= -1}, whose
         vertices times L are the integer vectors -sum_k n_k L / c_k."""
@@ -209,6 +238,10 @@ class HilbertContext:
     def class_divisor(self, key) -> tuple:
         """A divisor s whose class has this key."""
         return vec_mat(key, self._key_rows)
+
+
+def _det(p, q):
+    return p[0] * q[1] - p[1] * q[0]
 
 
 def _reduce(a, rows):
@@ -335,7 +368,44 @@ def h_of_s(ctx: HilbertContext, s) -> int:
 def _h_of_key(ctx: HilbertContext, key) -> int:
     """H at the class `key`, memoized per class.  On a simplicial fan a miss
     reads the memo at the Serre-dual class of -1 - s first: H(-1 - s) =
-    (-1)^n H(s) (CLS 9.2).  Else a depth-first walk over the rays in walk
+    (-1)^n H(s) (CLS 9.2).  Else H is interpolated along the `ample_key` of
+    a surface when neither s nor -1 - s is nef (`nef_side`, `_h_by_shift`),
+    and walked (`_walk`) otherwise.
+    """
+    memo = ctx._h_memo
+    if key not in memo and ctx.simplicial:
+        dual = ctx.reduce_class([-a - x for a, x in zip(ctx.anticanonical_key, key)])
+        if dual in memo:
+            memo[key] = (-1) ** ctx.fan.dim * memo[dual]
+    if key not in memo:
+        s = ctx.class_divisor(key)
+        nef = ctx.nef_side(s)
+        shift = nef is None and ctx.ample_key is not None
+        memo[key] = _h_by_shift(ctx, key, s) if shift else _walk(ctx, key, nef)
+    return memo[key]
+
+
+def _h_by_shift(ctx: HilbertContext, key, s) -> int:
+    """H(s) on a surface from H(s + k A), A = `ample_key`, a polynomial in k of
+    degree <= 2 (Snapper).  k0 is the least k >= 0 that makes every wall form
+    of s + k A nonnegative, so the samples k = k0 .. k0 + 2 are nef and walk
+    one branch; H(s) = sum over j <= 2 of their forward differences times
+    C(-k0, j)."""
+    memo, ample = ctx._h_memo, ctx.ample_key
+    a = ctx.class_divisor(ample)
+    k0 = max(0, *(-(sum(c * s[i] for i, c in w) // sum(c * a[i] for i, c in w))
+                  for w, _ in ctx._walls))
+    h = []
+    for k in range(k0, k0 + 3):
+        sample = ctx.reduce_class([x + k * y for x, y in zip(key, ample)])
+        if sample not in memo:  # never shifted again: it is nef
+            memo[sample] = _walk(ctx, sample, True)
+        h.append(memo[sample])
+    return h[0] - k0 * (h[1] - h[0]) + choose(-k0, 2) * (h[2] - 2 * h[1] + h[0])
+
+
+def _walk(ctx: HilbertContext, key, nef) -> int:
+    """H at the class `key` by a depth-first walk over the rays in walk
     order, on the representative `class_divisor(key)` and from the context's
     `frontier`.  A node at depth j has decided for the rays before j whether
     they lie in I, and carries the Fourier-Motzkin cascade of their
@@ -344,21 +414,13 @@ def _h_of_key(ctx: HilbertContext, key) -> int:
     extends its parent's cascade by its one row and is dropped when the
     extension shows it empty.  At a leaf the table is {0: chi_I}, and the
     region is checked bounded and counted, both from the carried cascade.
-    When s or -1 - s is nef (`nef_side`), only the branch with every ray in
-    I (or none) is walked: no other region has chi != 0.
+    When nef is True (s nef) or False (-1 - s nef), only the branch with
+    every ray in I (or none) is walked: no other region has chi != 0.
     """
-    memo = ctx._h_memo
-    if key not in memo and ctx.simplicial:
-        dual = ctx.reduce_class([-a - x for a, x in zip(ctx.anticanonical_key, key)])
-        if dual in memo:
-            memo[key] = (-1) ** ctx.fan.dim * memo[dual]
-    if key in memo:
-        return memo[key]
     r, dim, depth, bits = ctx.r, ctx.fan.dim, ctx._depth, ctx._bits
     # the representative class_divisor(key) on the rays after the frontier
     halfspaces = [None] * depth + _halfspaces(ctx._rays[depth:], vec_mat(key, ctx._tail_rows))
     states, sides = ctx.frontier, (0, 1)
-    nef = ctx.nef_side(ctx.class_divisor(key))
     if nef is not None:  # chi != 0 only on I = all rays (nef s) or I = {} (nef -1 - s)
         full, sides = (sum(bits[:depth]), (0,)) if nef else (0, (1,))
         states = [state for state in states if state[1] == full]
@@ -376,8 +438,7 @@ def _h_of_key(ctx: HilbertContext, key) -> int:
             total += walk(j + 1, *child)
         return total
 
-    memo[key] = sum(walk(depth, *state) for state in states)
-    return memo[key]
+    return sum(walk(depth, *state) for state in states)
 
 
 def choose(e: int, j: int) -> int:

@@ -153,6 +153,20 @@ def test_exit_code_boolean_rejected(field, tmp_path, capsys):
     assert "integer" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("bad", [[1, True], [1, "2"], [1, [2]], [1, None], "12", 7, None])
+def test_a_bad_point_deep_in_a_large_support_is_rejected(bad, tmp_path, capsys):
+    # a support's points are type-checked by passes over the whole list, and
+    # one bad entry among 1,001 points still gets the one message for entries
+    points = [[i % 5, i % 7] for i in range(1000)]
+    points.insert(997, bad)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"fan": _P2, "supports": [points]}))
+    assert cli.main(["euler", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: support entry must be an array of integers\n"
+    assert captured.out == ""
+
+
 def test_exit_code_precondition(capsys):
     # a fan that is not complete cannot feed the Euler machinery
     assert cli.main(["euler", data("open_cone.json")]) == 3

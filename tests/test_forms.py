@@ -230,8 +230,11 @@ def test_class_coordinates_match_the_series_in_exponents(kind, monkeypatch):
         ctx = build_context(fan)
         seen.clear()
         values = chi_all(ctx, degs, kind, 12)
-        # sums of keys are reduced again, so each class is evaluated at most once
-        assert seen and len(seen) == len(set(seen)) == len(ctx._h_memo), name
+        # sums of keys are reduced again, so each class is evaluated at most
+        # once; on a surface the memo also holds the nef classes that H at a
+        # class with neither s nor -1 - s nef is interpolated from
+        assert seen and len(seen) == len(set(seen)) and set(seen) <= ctx._h_memo.keys(), name
+        assert fan.dim == 2 or len(seen) == len(ctx._h_memo), name
         assert all(ctx.class_key(ctx.class_divisor(key)) == key for key in seen), name
         fresh = build_context(fan)
         expected = chi_forms_by_exponents(
@@ -243,8 +246,9 @@ def test_class_coordinates_match_the_series_in_exponents(kind, monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_chi_all_keys_each_ray_and_degree_row_once(kind, monkeypatch):
     # the series and H work on class keys from start to end: `class_key` runs
-    # on the r unit vectors, the k degree rows, the zero vector and the
-    # anticanonical class, however many classes H is taken at
+    # on the r unit vectors, the k degree rows, the zero vector, the
+    # anticanonical class and, on a surface that needs it, the ample class,
+    # however many classes H is taken at
     calls, asked = [], []
     key, classes = HilbertContext.class_key, forms.h_of_classes
     monkeypatch.setattr(HilbertContext, "class_key", lambda c, s: calls.append(s) or key(c, s))
@@ -255,7 +259,8 @@ def test_chi_all_keys_each_ray_and_degree_row_once(kind, monkeypatch):
         ctx = build_context(fan)
         calls.clear()
         chi_all(ctx, degs, kind, 8)
-        assert len(calls) == ctx.r + len(degs) + 2, name
+        ample = vars(ctx).get("ample_key") is not None
+        assert len(calls) == ctx.r + len(degs) + 2 + ample, name
         total += len(calls)
     assert sum(asked) > 3 * total  # the classes outnumber the calls
 

@@ -1,12 +1,13 @@
 """Inclusion-exclusion Hilbert function."""
 
+import math
 import random
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toric_hodge import forms, hilbert, lattice
@@ -83,22 +84,23 @@ def test_h_of_s_walk_keeps_the_unbounded_region_guard():
     # nonzero on unbounded regions; the cell walk must reach one and raise,
     # also when the forged ray is decided in the frontier.  Neither s nor
     # -1 - s is nef here, so the whole walk runs (a nef s trusts the table
-    # and follows one branch, as the coset fits of h_of_classes trust it)
-    forged = HilbertContext(fan_p2(), {0b001: 1})
-    assert forged._depth == 2 and forged.frontier
-    assert forged.nef_side((-1, 0, 0)) is None
+    # and follows one branch, as the coset fits of h_of_classes trust it).
+    # The fans are 3-D: on a surface such an s is read off nef classes
+    forged = HilbertContext(fan_p3(), {0b0001: 1})
+    assert forged._depth == 3 and forged.frontier
+    assert forged.nef_side((-1, 0, 0, 0)) is None and forged.ample_key is None
     with pytest.raises(ConsistencyError) as info:
-        h_of_s(forged, (-1, 0, 0))
+        h_of_s(forged, (-1, 0, 0, 0))
     assert info.value.check == "unbounded region"
-    # P(1,2,3) with its weight-1 ray first: the walk decides rays 1 and 2 in
+    # P(1,2,3,5) with its weight-1 ray first: the walk decides rays 1 to 3 in
     # the frontier, and the error names the rays by their bits in the fan
-    fan = Fan(2, ((-2, -3), (1, 0), (0, 1)), ((0, 1), (0, 2), (1, 2)))
-    for table, mask in (({0b010: 1}, "0b110"), ({0b001: 1}, "0b11")):
+    fan = Fan(3, ((-2, -3, -5), (1, 0, 0), (0, 1, 0), (0, 0, 1)), tuple(combinations(range(4), 3)))
+    for table, mask in (({0b0010: 1}, "0b1110"), ({0b0001: 1}, "0b111")):
         forged = HilbertContext(fan, table)
-        assert forged._order == [1, 2, 0]
-        assert forged.nef_side((2, -1, -1)) is None
+        assert forged._order == [1, 2, 3, 0]
+        assert forged.nef_side((2, -1, -1, -1)) is None
         with pytest.raises(ConsistencyError, match=f"ray set {mask}$"):
-            h_of_s(forged, (2, -1, -1))
+            h_of_s(forged, (2, -1, -1, -1))
 
 
 def test_h_line_bundle_degrees_on_p1():
@@ -434,7 +436,9 @@ def test_fitted_h_matches_the_walk(fan, data):
     steps += [(6,) * f, (-6,) * f]
     keys = [start[:t] + tuple(x + period * z for x, z in zip(start[t:], step)) for step in steps]
     fitted = hilbert.h_of_classes(ctx, keys)
-    assert len(ctx._h_memo) == comb(f + n, n)  # only the samples were walked
+    # only the samples were evaluated; on a surface a sample that is not nef
+    # adds the three nef classes it is interpolated from
+    assert comb(f + n, n) <= len(ctx._h_memo) <= (4 if n == 2 else 1) * comb(f + n, n)
     for key in keys:
         assert fitted[key] == h_of_s(fresh, ctx.class_divisor(key)), key
 
@@ -537,6 +541,12 @@ def test_period_is_the_cartier_index(s):
 NEF_FANS = FIT_FANS + (REFINED_14,)
 
 
+def _walk_only(patch):
+    # neither the nef branch nor, on a surface, the shift along an ample class
+    patch.setattr(HilbertContext, "nef_side", lambda ctx, s: None)
+    patch.setattr(HilbertContext, "ample_key", None)
+
+
 @st.composite
 def nef_relatives(draw, fan):
     """An s of one of four kinds: t_j = -min over a few lattice points v of
@@ -565,7 +575,7 @@ def test_nef_branch_equals_the_walk(fan, data):
     s = data.draw(nef_relatives(fan))
     value = h_of_s(build_context(fan), s)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(HilbertContext, "nef_side", lambda ctx, s: None)
+        _walk_only(patch)
         assert h_of_s(build_context(fan), s) == value
 
 
@@ -594,8 +604,9 @@ def _count_extensions(monkeypatch):
 
 def test_nef_branch_decides_each_ray_once(monkeypatch):
     # a nef s and its dual, each on a context of its own, extend the cascade
-    # at most once per ray after the frontier; a walk of the same fan extends
-    # it hundreds of times.  On the context of s the dual costs nothing
+    # at most once per ray after the frontier (a walk of every cell of this
+    # fan extends it hundreds of times).  On the context of s the dual costs
+    # nothing
     fan = polygon_fan(14)
     count = _count_extensions(monkeypatch)
     ctx = build_context(fan)
@@ -613,11 +624,26 @@ def test_nef_branch_decides_each_ray_once(monkeypatch):
         all(a * x + b * y >= -t for (a, b), t in zip(fan.rays, nef))
         for x in range(-5, 6) for y in range(-5, 6)
     )
-    s = [1, -2, 0, 3, -1, 2, 0, -3, 1, 2, -2, 0, 1, -1]
+
+
+@pytest.mark.parametrize("fan", [polygon_fan(12), polygon_fan(14), REFINED_14])
+def test_surfaces_shift_instead_of_walking(fan, monkeypatch):
+    # a work count, not a timing: on a surface an s with neither s nor
+    # -1 - s nef is read off three nef classes, each one branch long, while
+    # a 3-D fan still walks the cells of the arrangement
+    ctx = build_context(fan)
+    assert ctx.frontier
+    count = _count_extensions(monkeypatch)
+    s = [1, -2, 0, 3, -1, 2, 0, -3, 1, 2, -2, 0, 1, -1][: ctx.r]
     assert ctx.nef_side(s) is None
-    before = len(count)
-    h_of_s(ctx, s)
-    assert len(count) - before >= 100
+    value = h_of_s(ctx, s)
+    if fan.dim == 2:
+        assert len(count) <= (fan.dim + 1) * (ctx.r - ctx._depth)
+        with pytest.MonkeyPatch.context() as patch:
+            _walk_only(patch)
+            assert h_of_s(build_context(fan), s) == value
+    else:
+        assert len(count) > 50
 
 
 def test_non_simplicial_fans_keep_the_walk(monkeypatch):
@@ -631,6 +657,72 @@ def test_non_simplicial_fans_keep_the_walk(monkeypatch):
         before = len(count)
         assert h_of_s(ctx, s) == brute_h(fan, s)
         assert len(count) - before > ctx.r - ctx._depth
+
+
+# Complete 2-D fans from random primitive rays, their cones spanned by rays
+# adjacent in angle (often singular), and two fixed ones: Cl = Z + Z/3, and
+# L = 9,009.  On them H at an s with neither s nor -1 - s nef is read off
+# three nef classes along `ample_key`
+SURFACES = (
+    ((2, -1), (-1, 2), (-1, -1)),
+    ((3, -1), (1, 2), (-4, 1), (-1, -3), (2, -5)),
+)
+
+
+def _surface(rays):
+    rays = sorted(rays, key=lambda p: math.atan2(p[1], p[0]))
+    cones = tuple(tuple(sorted((i, (i + 1) % len(rays)))) for i in range(len(rays)))
+    return Fan(2, tuple(rays), cones)
+
+
+def _primitive(p):
+    g = math.gcd(*p)
+    return (p[0] // g, p[1] // g)
+
+
+@st.composite
+def surfaces(draw):
+    fixed = draw(st.sampled_from(SURFACES + (None,) * 4))
+    if fixed:
+        return _surface(fixed)
+    point = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)
+    size = draw(st.integers(2, 23))
+    rays = set(map(_primitive, draw(st.lists(point, min_size=size, max_size=size))))
+    assume(any(a * d != b * c for (a, b), (c, d) in combinations(rays, 2)))
+    # rays spanning the plane with a positive relation span it positively
+    total = tuple(-sum(x) for x in zip(*rays))
+    if any(total):
+        rays.add(_primitive(total))
+    return _surface(rays)
+
+
+@given(surfaces(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_shifted_h_on_random_surfaces(fan, data):
+    ctx = build_context(fan)
+    r, rays = ctx.r, fan.rays
+    a = ctx.class_divisor(ctx.ample_key)
+    assert all(sum(c * a[i] for i, c in w) > 0 for w, _ in ctx._walls)
+    # the polygon closes: its vertices, one per cone and counter-clockwise,
+    # are lattice points (a is Cartier), joined by positive multiples of the
+    # rays turned clockwise (a is ample)
+    vertices = []
+    for i in range(r):
+        (p, q), (u, v), b, c = rays[i], rays[(i + 1) % r], a[i], a[(i + 1) % r]
+        d, x, y = p * v - q * u, c * q - b * v, b * u - c * p
+        assert d > 0 and x % d == y % d == 0
+        vertices.append((x // d, y // d))
+    for i in range(r):
+        (x, y), (u, v), p = vertices[i - 1], vertices[i], rays[i]
+        assert (u - x) * p[0] + (v - y) * p[1] == 0 < (u - x) * p[1] - (v - y) * p[0]
+    for _ in range(3):
+        s = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        value = h_of_s(ctx, s)
+        if r <= 8:
+            assert value == brute_h(fan, s)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(HilbertContext, "ample_key", None)
+            assert h_of_s(build_context(fan), s) == value
 
 
 # Serre duality, H(-1 - s) = (-1)^n H(s): on a simplicial fan the dual of an

@@ -387,7 +387,7 @@ def test_every_consistency_check_is_named():
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
                 if getattr(node.exc.func, "id", None) == "ConsistencyError":
                     names.append(node.exc.args[0].value)
-    assert len(names) == 10 and set(names) == set(ConsistencyError.CHECKS)
+    assert len(names) == 11 and set(names) == set(ConsistencyError.CHECKS)
 
 
 def test_hodge_compact_rejects_non_complete():
