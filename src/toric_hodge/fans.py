@@ -99,17 +99,20 @@ def _cone_lattice(dim, rays):
 
 @lru_cache(maxsize=65536)
 def _cone_hrep(dim, rays):
-    span = _cone_lattice(dim, rays)
-    rank, right = span.rank, span.right
-    eqs = [primitive(u) for u in span.kernel]
-    reduced = [span.coord(r) for r in rays]
-    facets = []
-    for a, mask in _double_description(reduced, rank).items():
-        # map stops after a's `rank` entries: U's first columns
-        normal = primitive(tuple([sum(map(mul, row, a)) for row in right]))
-        facets.append((normal, tuple(i for i in range(len(rays)) if mask >> i & 1)))
-    facets.sort()
-    return tuple(eqs), tuple(n for n, _ in facets), tuple(t for _, t in facets)
+    """The facet normals of rays that span R^dim come straight from the double
+    description; rays of lower rank are solved in a basis of their
+    saturation, and the normals mapped back by U's first `rank` columns."""
+    try:
+        eqs, incidence = (), _double_description(rays, dim)
+    except ValueError:  # rank below dim
+        span = _cone_lattice(dim, rays)
+        eqs = tuple(primitive(u) for u in span.kernel)
+        reduced = _double_description([span.coord(r) for r in rays], span.rank)
+        incidence = {primitive(tuple([sum(map(mul, row, a)) for row in span.right])): mask
+                     for a, mask in reduced.items()}
+    facets = sorted((n, tuple(i for i in range(len(rays)) if mask >> i & 1))
+                    for n, mask in incidence.items())
+    return eqs, tuple(n for n, _ in facets), tuple(t for _, t in facets)
 
 
 def cone_contains(fan: Fan, cone: Cone, vector) -> bool:
@@ -184,7 +187,8 @@ class ValidationReport(
 
 
 def validate(fan: Fan) -> ValidationReport:
-    """Check the rays, each cone, and that the cones meet in common faces.
+    """Check the rays, each cone (one listed twice is named), and that the
+    cones meet in common faces.
 
     A fan that passes the wall certificate of `is_complete` (every wall in
     two cones on opposite sides, one generic vector in one cone; DLRS ch. 4)
@@ -212,7 +216,7 @@ def validate(fan: Fan) -> ValidationReport:
     if problems:
         return ValidationReport(False, tuple(problems))
 
-    used = set()
+    used, listed = set(), set()
     for cone in fan.maximal_cones:
         if len(set(cone)) != len(cone):
             problems.append(f"cone {cone} repeats a ray index")
@@ -220,6 +224,10 @@ def validate(fan: Fan) -> ValidationReport:
         if any(i < 0 or i >= len(fan.rays) for i in cone):
             problems.append(f"cone {cone} has an out-of-range ray index")
             continue
+        if frozenset(cone) in listed:
+            problems.append(f"cone {cone} repeats an earlier maximal cone")
+            continue
+        listed.add(frozenset(cone))
         used.update(cone)
         # a cone on independent rays is strongly convex and has no redundant ray
         if not _is_simplicial_cone(fan, cone):
@@ -283,7 +291,10 @@ def _is_face_of(fan: Fan, cone: Cone, sub_rays) -> bool:
 
 
 def _is_simplicial_cone(fan: Fan, cone: Cone) -> bool:
-    """Are the cone's rays linearly independent?  Cached per ray set."""
+    """Are the cone's rays linearly independent?  Read from the cached
+    H-representation of `dim` rays (no equality) or lattice of fewer."""
+    if len(cone) >= fan.dim:  # more than dim rays never are
+        return len(cone) == fan.dim and not _hrep(fan, cone)[0]
     return _cone_lattice(fan.dim, tuple(fan.rays[i] for i in cone)).rank == len(cone)
 
 

@@ -9,7 +9,10 @@ and kernels.  Vector helpers map `operator` functions and raise ValueError
 on a length mismatch.  The double description (`_double_description`)
 returns extreme rays with their incidence masks, so a hull reads its
 vertices off its facets with no rank test; it meets the points farthest
-from their centroid first.  All of it is sized for dimension about 6.
+from their centroid first, and its starting simplex and that simplex's
+rays come from one elimination.  Full-dimensional objects are solved in
+ambient coordinates; only lower-dimensional ones go through a saturation.
+All of it is sized for dimension about 6.
 
 Lattice points are counted from levels of exact coordinate projections,
 which come from one of two places.  A polytope given by its vertices has
@@ -134,17 +137,10 @@ def rank_of(rows) -> int:
     return len(_eliminate(rows)[1])
 
 
-def independent_rows(rows, target_rank=None):
-    """Indices of a lexicographically-first maximal independent subset.
-
-    These are the pivot columns of the transpose; with `target_rank` only
-    the first that many are returned (the first rows alone, when independent).
-    """
-    if target_rank is not None:
-        head = _eliminate([list(col) for col in zip(*rows[:target_rank])])[1]
-        if len(head) == target_rank:
-            return head
-    return _eliminate([list(col) for col in zip(*rows)])[1][:target_rank]
+def independent_rows(rows):
+    """Indices of a lexicographically-first maximal independent subset: the
+    pivot columns of the transpose."""
+    return _eliminate([list(col) for col in zip(*rows)])[1]
 
 
 def det_int(mat) -> int:
@@ -246,19 +242,24 @@ def _double_description(normals, dim):
     """The extreme rays as {ray: mask}, bit i set when the ray is tight on normals[i].
 
     Incremental double description with the combinatorial adjacency test;
-    the masks are its bookkeeping, so the incidences come for free.
+    the masks are its bookkeeping, so the incidences come for free.  It
+    starts from the simplex cone of the first `dim` normals, eliminated once
+    as [B | I]; only when they are dependent are other rows looked for.
     """
     if dim == 0:
         return {}
     normals = [tuple(n) for n in normals]
-    basis_idx = independent_rows(normals, target_rank=dim)
-    if len(basis_idx) < dim:
-        raise ValueError("cone is not pointed (constraints do not have full rank)")
 
     # the simplex cone of the basis rows: its rays are the columns of B^-1,
     # read positively scaled from det(B) * B^-1
-    a, _, d = _eliminate([list(normals[k]) + [int(i == j) for j in range(dim)]
-                          for i, k in enumerate(basis_idx)])
+    identity = mat_identity(dim)
+    basis_idx = range(min(dim, len(normals)))
+    a, pivots, d = _eliminate([list(normals[k]) + identity[i] for i, k in enumerate(basis_idx)])
+    if pivots != list(range(dim)):  # B is short or singular
+        basis_idx = independent_rows(normals)
+        if len(basis_idx) < dim:
+            raise ValueError("cone is not pointed (constraints do not have full rank)")
+        a, _, d = _eliminate([list(normals[k]) + identity[i] for i, k in enumerate(basis_idx)])
     sign = 1 if d > 0 else -1
     rays = [primitive(tuple(sign * row[dim + j] for row in a)) for j in range(dim)]
 
@@ -648,8 +649,11 @@ def convex_hull(points) -> Polytope:
 
     The facets come from the double description of the dual cone, fed the
     points farthest from their centroid first, so that it meets the final
-    facets early (Fukuda and Prodon, 1996).  A point is a vertex exactly
-    when it lies on `dim` or more facets and no other point lies on all.
+    facets early (Fukuda and Prodon, 1996).  A full-dimensional hull is
+    solved on the lifted differences in ambient coordinates; a lower one in
+    a basis of the saturation of its differences, with its facet normals
+    mapped back.  A point is a vertex exactly when it lies on `dim` or more
+    facets and no other point lies on all.
     """
     pts = sorted(set(tuple(int(x) for x in p) for p in points))
     if not pts:
@@ -661,44 +665,39 @@ def convex_hull(points) -> Polytope:
     centre, n = [sum(col) for col in zip(*pts)], len(pts)
     pts.sort(key=lambda p: -sum([(n * x - c) ** 2 for x, c in zip(p, centre)]))
     p0 = pts[0]
-    # the primitive rows of the reduced echelon form depend only on the
-    # affine hull, so the Polytope depends only on the hull, not on the
-    # points that span it; the first `ambient` differences usually span it
+    # facets of the full-dimensional (reduced) polytope: extreme rays of the
+    # dual cone {(a, c) : a.r + c >= 0 for every (reduced) point r}; bit i of
+    # a facet's mask is set when pts[i] lies on it
     diffs = [vec_sub(p, p0) for p in pts]
-    a, pivots, _ = _eliminate(diffs[1 : ambient + 1])
-    if len(pivots) < ambient:
+    rank, eqs = ambient, []
+    try:  # a full-dimensional hull, in ambient coordinates
+        incidence = _double_description([d + (1,) for d in diffs], ambient + 1)
+    except ValueError:  # the lifted differences have rank below ambient + 1
+        # the primitive rows of the reduced echelon form depend only on the
+        # affine hull, so the Polytope depends only on the hull, not on the
+        # points that span it
         a, pivots, _ = _eliminate(diffs[1:])
-    span = row_lattice([primitive(row) for row in a[: len(pivots)]], ambient)
-    rank = span.rank
-
-    # affine-hull equalities from the kernel of the difference matrix
-    eqs = []
-    for u in span.kernel:
-        u = primitive(u)
-        val = dot(u, p0)
-        eqs.append((u, val))
-        eqs.append((vec_neg(u), -val))
-
+        rank = len(pivots)
+        span = row_lattice([primitive(row) for row in a[:rank]], ambient)
+        # affine-hull equalities from the kernel of the difference matrix
+        for u in span.kernel:
+            u = primitive(u)
+            val = dot(u, p0)
+            eqs.append((u, val))
+            eqs.append((vec_neg(u), -val))
+        incidence = _double_description([span.coord(d) + (1,) for d in diffs], rank + 1)
     if rank == 0:
         return Polytope((p0,), tuple(sorted(eqs)), dim=0, ambient_dim=ambient)
-
-    # facets of the full-dimensional reduced polytope: extreme rays of the
-    # dual cone {(a, c) : a.r + c >= 0 for every reduced point r}; bit i of
-    # a facet's mask is set when pts[i] lies on it
-    incidence = _double_description([span.coord(d) + (1,) for d in diffs], rank + 1)
-
-    # map a reduced-space functional back to the ambient lattice
-    right = span.right
-    t0 = vec_mat(p0, right)[:rank]
 
     facets = list(eqs)
     for fr in incidence:
         a, c = fr[:rank], fr[rank]
-        w = tuple([sum(map(mul, row, a)) for row in right])  # U's first `rank` columns
-        # the facet passes through a lattice vertex v with bound = <w, v>,
-        # so gcd(w) divides the bound
-        g = gcd(*w)
-        facets.append((tuple(x // g for x in w), (dot(a, t0) - c) // g))
+        if rank < ambient:  # back to the ambient lattice: U's first `rank` columns
+            a = tuple([sum(map(mul, row, a)) for row in span.right])
+        # the facet passes through a lattice vertex v with bound = <a, v>,
+        # so gcd(a) divides the bound
+        g = gcd(*a)
+        facets.append((tuple(x // g for x in a), (dot(a, p0) - c) // g))
 
     vertices = []
     for i, p in enumerate(pts):

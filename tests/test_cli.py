@@ -626,6 +626,20 @@ def test_fan_check_reports_invalid(capsys):
         os.unlink(path)
 
 
+def test_fan_check_json_names_a_repeated_maximal_cone(tmp_path, capsys):
+    # P^2 with (0, 1) listed again as (1, 0): no cone is missing, but the
+    # second copy is no new cone and the fan is invalid, not incomplete
+    doc = tmp_path / "p2.json"
+    doc.write_text(json.dumps({"fan": dict(_P2, max_cones=_P2["max_cones"] + [[1, 0]])}))
+    assert cli.main(["fan-check", "--json", str(doc)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "adapted": None, "complete": False, "problems": ["cone (0, 1) repeats an earlier maximal cone"],
+        "regular": False, "simplicial": False, "valid": False,
+    }
+    assert cli.main(["hodge", str(doc)]) == 3
+    assert "cone (0, 1) repeats an earlier maximal cone" in capsys.readouterr().err
+
+
 def test_console_script_if_installed():
     exe = shutil.which("toric-hodge")
     if exe is None:

@@ -74,6 +74,15 @@ def test_validate_duplicate_ray():
     assert "duplicates" in report.first_violation
 
 
+def test_validate_repeated_maximal_cone():
+    # the same ray set listed twice, in either order, is named once per repeat
+    for again in ((0, 1), (1, 0)):
+        fan = Fan(2, fan_p2().rays, fan_p2().maximal_cones + (again,))
+        report = validate(fan)
+        assert not report.ok and not report.complete
+        assert report.problems == ("cone (0, 1) repeats an earlier maximal cone",)
+
+
 def test_validate_nonprimitive_ray():
     fan = Fan(2, ((2, 0), (0, 1)), ((0, 1),))
     assert not validate(fan).ok
@@ -125,22 +134,28 @@ def pointed_cones(draw):
 @example((2, [(1, 0), (0, 1), (1, 1)]))
 @example((3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 0, 1)]))
 @example((3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]))  # dependent, none redundant
+@example((3, [(1, 0, 1), (-1, 0, 1), (0, 0, 1), (0, 1, 1), (0, -1, 1)]))  # first 3 dependent
 @example((4, [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1),
              (0, 0, -1, 1)]))  # over an octahedron: none redundant
 def test_redundant_rays_match_the_extreme_rays(case):
     # facet normals are the extreme rays of the dual cone, and the extreme
     # rays of the cone those normals cut out are the irredundant rays; the
     # same rays in the hyperplane x_{dim+1} = 0 of Z^{dim+1} give a cone with
-    # an equality and the same redundant rays
+    # an equality and the same redundant rays.  A lifted cone of dim + 1 or
+    # more rays is tried as a full-dimensional cone before its saturation
     dim, rays = case
     facets = brute_extreme_rays(rays, dim)
     extreme = set(brute_extreme_rays(facets, dim))
     cone = tuple(range(len(rays)))
     expected = [f"ray {i} is redundant in cone {cone}" for i in cone if rays[i] not in extreme]
+    assert cone_hrep(Fan(dim, rays, (cone,)), cone) == ((), tuple(facets))
     for fan in (Fan(dim, rays, (cone,)), Fan(dim + 1, [r + (0,) for r in rays], (cone,))):
         report = validate(fan)
         assert [p for p in report.problems if "redundant" in p] == expected
         assert report.ok == (not expected) and not report.complete
+        eqs, ineqs = cone_hrep(fan, cone)
+        cut = brute_extreme_rays(ineqs + eqs + tuple(tuple(-x for x in e) for e in eqs), fan.dim)
+        assert cut == sorted(fan.rays[i] for i in cone if rays[i] in extreme)
 
 
 def test_simplicial_fans_build_maximal_cone_hreps_only():
@@ -150,8 +165,11 @@ def test_simplicial_fans_build_maximal_cone_hreps_only():
     fan = simplicial_refinement(normal_fan(minkowski_support([support]), 4))
     assert is_simplicial(fan) and len(fan.maximal_cones) == 26
     fans_mod._cone_hrep.cache_clear()
+    fans_mod._cone_lattice.cache_clear()
     assert validate(fan).complete
     assert fans_mod._cone_hrep.cache_info().misses == len(fan.maximal_cones)
+    # full-dimensional cones are solved without a saturation
+    assert fans_mod._cone_lattice.cache_info().misses == 0
 
 
 def _count_certificates(monkeypatch):
@@ -247,8 +265,9 @@ def random_normal_fans(draw):
 @given(random_normal_fans())
 @settings(max_examples=60, deadline=None)
 def test_simplicial_predicates_match_ranks(fan):
-    # is_simplicial and cone_faces read the rank of a cone's rays from its
-    # cached lattice; check them against rank_of and enumerated facets
+    # is_simplicial and cone_faces read independence off a cone's cached
+    # H-representation (dim rays: no equality) or cached lattice (fewer
+    # rays); check them against rank_of and enumerated facets
     ranks = [rank_of([fan.rays[i] for i in cone]) for cone in fan.maximal_cones]
     assert is_simplicial(fan) == all(r == len(c) for r, c in zip(ranks, fan.maximal_cones))
     for cone, rank in zip(fan.maximal_cones, ranks):
@@ -532,21 +551,32 @@ def _octagon_covering(step):
 
 
 def _check_wall_certificate(fan):
-    # validate keeps its verdict and message, and its `complete` is the certificate
+    # validate keeps its verdict and message, and its `complete` is the
+    # certificate; a cone listed twice (a flip can land on another cone) is
+    # named before any pair of cones is compared
+    cones = fan.maximal_cones
+    repeats = tuple(f"cone {c} repeats an earlier maximal cone"
+                    for i, c in enumerate(cones) if c in cones[:i])
     bad = first_bad_pair(fan)
     report = validate(fan)
-    if bad is None:
+    if repeats:
+        assert report.problems == repeats
+    elif bad is None:
         assert report.ok
     else:
         assert report.problems == (f"cones {bad[0]} and {bad[1]} do not meet in a common face",)
     assert is_complete(fan) == (bad is None and complete_by_ridges(fan))
-    assert report.complete == (bad is None and complete_by_ridges(fan))
+    assert report.complete == (not repeats and bad is None and complete_by_ridges(fan))
 
 
 @given(altered_normal_fans())
 @settings(max_examples=80, deadline=None)
 @example(fan_octahedron())
 @example(_fan_of(3, _cone_vectors(fan_octahedron())[1:]))
+@example(Fan(3, ((-1, 1, -1), (-1, 1, 1), (-1, 3, -1), (-1, 3, 1), (1, -3, -1), (1, -3, 1),
+                 (1, -1, -1), (1, -1, 1)),
+             ((0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 6), (0, 4, 5), (0, 4, 6), (0, 1, 3),
+              (1, 5, 7), (2, 3, 7), (2, 6, 7), (4, 5, 7), (4, 6, 7))))  # a flip onto (0, 1, 3)
 def test_wall_certificate_on_normal_fans(fan):
     _check_wall_certificate(fan)
 
