@@ -19,7 +19,6 @@ from .fans import (
     is_regular,
     is_simplicial,
     normal_fan,
-    orbit_problem,
     restrict_supports,
     simplicial_refinement,
     validate,
@@ -89,7 +88,6 @@ __all__ = [
     "is_simplicial",
     "minkowski_support",
     "normal_fan",
-    "orbit_problem",
     "primitive",
     "residue_infinity",
     "residue_zero",

@@ -3,8 +3,8 @@
 A fan is stored by its primitive ray generators and its maximal cones; a
 cone is just a sorted tuple of ray indices.  Structural predicates
 (complete / simplicial / regular), simplicial refinement, restriction of
-Newton-polytope supports to cones, adaptedness, degree vectors, and the
-reduction of a support system to a torus orbit all live here.
+Newton-polytope supports to cones (the faces an orbit's system is solved
+on), adaptedness and degree vectors all live here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .lattice import (
     primitive,
     rank_of,
     row_lattice,
-    vec_sub,
 )
 
 Cone = tuple  # sorted tuple of ray indices into the parent fan's ray list
@@ -93,11 +92,6 @@ def _hrep(fan: Fan, cone: Cone):
 
 
 @lru_cache(maxsize=65536)
-def _cone_lattice(dim, rays):
-    return row_lattice(rays, dim)
-
-
-@lru_cache(maxsize=65536)
 def _cone_hrep(dim, rays):
     """The facet normals of rays that span R^dim come straight from the double
     description; rays of lower rank are solved in a basis of their
@@ -105,7 +99,7 @@ def _cone_hrep(dim, rays):
     try:
         eqs, incidence = (), _double_description(rays, dim)
     except ValueError:  # rank below dim
-        span = _cone_lattice(dim, rays)
+        span = row_lattice(rays, dim)
         eqs = tuple(primitive(u) for u in span.kernel)
         reduced = _double_description([span.coord(r) for r in rays], span.rank)
         incidence = {primitive(tuple([sum(map(mul, row, a)) for row in span.right])): mask
@@ -292,10 +286,10 @@ def _is_face_of(fan: Fan, cone: Cone, sub_rays) -> bool:
 
 def _is_simplicial_cone(fan: Fan, cone: Cone) -> bool:
     """Are the cone's rays linearly independent?  Read from the cached
-    H-representation of `dim` rays (no equality) or lattice of fewer."""
+    H-representation of `dim` rays (no equality), or the rank of fewer."""
     if len(cone) >= fan.dim:  # more than dim rays never are
         return len(cone) == fan.dim and not _hrep(fan, cone)[0]
-    return _cone_lattice(fan.dim, tuple(fan.rays[i] for i in cone)).rank == len(cone)
+    return rank_of(fan.ray_matrix(cone)) == len(cone)
 
 
 def is_simplicial(fan: Fan) -> bool:
@@ -398,7 +392,7 @@ def simplicial_refinement(fan: Fan) -> Fan:
 
 
 # ---------------------------------------------------------------------------
-# supports, degrees, adaptedness, orbit reduction
+# supports, degrees, adaptedness
 
 
 def degrees_of(fan: Fan, supports) -> tuple:
@@ -460,26 +454,3 @@ def adapted_subfan(fan: Fan, supports) -> AdaptedSubfan:
     whole = all(per_cone[c] for c in fan.maximal_cones)
     return AdaptedSubfan(per_cone=per_cone, whole_fan=whole)
 
-
-def orbit_problem(fan: Fan, cone: Cone, restricted) -> TorusCIProblem:
-    """A support system on the torus orbit of a cone.
-
-    `restricted` holds the supports' facial restrictions to the cone
-    (`restrict_supports`); those that vanish identically (empty) impose no
-    condition on the orbit and are dropped.  Surviving supports are
-    translated into the orbit's character lattice, i.e. the sublattice of
-    Z^m orthogonal to the cone's rays, expressed in an integral basis.  The
-    result is a torus problem of dimension m - dim(cone).
-    """
-    cone = tuple(sorted(cone))
-    survivors = [s for s in restricted if s]
-    if not cone:
-        return TorusCIProblem(m=fan.dim, supports=tuple(survivors))
-    span = _cone_lattice(fan.dim, tuple(tuple(fan.rays[i]) for i in cone))
-    reduced = []
-    for s in survivors:
-        base = min(s)
-        coords = sorted(span.kernel_coord(vec_sub(q, base)) for q in s)
-        rebase = coords[0]
-        reduced.append(tuple(vec_sub(c, rebase) for c in coords))
-    return TorusCIProblem(m=fan.dim - span.rank, supports=tuple(reduced))

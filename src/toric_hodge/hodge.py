@@ -8,8 +8,9 @@ induction on the torus dimension and the number of equations:
   1. a singleton support or an overdetermined system gives the empty variety;
   2. no equations gives the torus itself;
   3. supports spanning a lower-dimensional lattice split off a torus factor
-     (Kuenneth convolution after rewriting in the saturated lattice); then
-     the problem is solved, and memoized, on the vertices of its supports, as
+     (Kuenneth convolution after rewriting in the saturated lattice), and
+     more equations than that lattice's rank have no solution; then the
+     problem is solved, and memoized, on the vertices of its supports, as
      the table depends only on the polytopes conv(S_i) (Khovanskii); faces and
      unimodular images of vertex sets are vertex sets, so deeper calls skip it;
   4. below the middle weight the ordinary table agrees with the torus,
@@ -19,10 +20,13 @@ induction on the torus dimension and the number of equations:
      the middle;
   6. the problem is compactified inside a pulling refinement of the normal
      fan of the Minkowski sum of the supports (simplicial, on the same rays),
-     and every boundary orbit is solved recursively, except those whose
-     restricted supports hold a single point or outnumber m - dim(sigma):
-     their table is zero by step 1 (the fan is built and checked against
-     its cap before step 4, so a fan past the cap fails fast);
+     and every boundary orbit O_sigma is solved recursively, except those
+     whose restricted supports hold a single point or outnumber
+     m - dim(sigma): their table is zero by step 1 (the fan is built and
+     checked against its cap before step 4, so a fan past the cap fails
+     fast).  The restrictions are faces of the supports, and sigma^perp is
+     saturated, so an orbit goes through the reduction of step 3 from the
+     ambient lattice, with no coordinates of its own;
   7. the row sums e^p_c = sum_q e_c^{pq} of the open part are read from
      lattice-point counts of Minkowski combinations of the supports, each
      counted on the facets of the coordinate projections of their sum,
@@ -54,7 +58,6 @@ from .fans import (
     degrees_of,
     is_simplicial,
     normal_fan,
-    orbit_problem,
     restrict_supports,
     simplicial_refinement,
     validate,
@@ -75,7 +78,8 @@ from .lattice import (
 MAX_ORBIT_CONES = 1024
 
 # Tables of solved problems, oldest first; past this many the oldest is
-# dropped.  The largest (C*)^6 systems under MAX_ORBIT_CONES store about 2,245.
+# dropped.  The largest (C*)^6 systems under MAX_ORBIT_CONES store about 1,420
+# (the most of nine such systems with 959-1,023 refined cones).
 MAX_EPQ_MEMO = 4096
 _epq_memo: dict = {}
 
@@ -149,15 +153,14 @@ def _epq_c_ci_compute(problem: TorusCIProblem, vertices: bool) -> EPQTable:
     # 3. split off the torus factor complementary to the affine span
     red = affine_lattice_reduction(problem.supports)
     if red.rank < m:
-        inner = epq_c_ci(TorusCIProblem(red.rank, red.supports), vertices=vertices)
-        return inner.convolve(epq_torus(m - red.rank, "compact"))
+        return _split_torus(red, m, vertices)
     # only the hulls matter: other points are solved, and memoized, as vertices
     supports = problem.supports
     if not vertices:
         supports = tuple(convex_hull(s).vertices for s in supports)
         if supports != problem.supports:
             return epq_c_ci(TorusCIProblem(m=m, supports=supports), vertices=True)
-    delta = minkowski_support(supports, vertices=True)
+    delta = minkowski_support(supports)
     # the refined fan of step 6, checked before step 4 solves sub-collections
     fan = simplicial_refinement(normal_fan(delta, m))
     if len(fan.maximal_cones) > MAX_ORBIT_CONES:
@@ -213,6 +216,17 @@ def _epq_c_ci_compute(problem: TorusCIProblem, vertices: bool) -> EPQTable:
     return EPQTable(tuple(tuple(r) for r in e_c), "compact")
 
 
+def _split_torus(red, m: int, vertices: bool) -> EPQTable:
+    """e_c in (C*)^m of a system reduced to the saturation of its affine span:
+    the reduced system's table times the complementary torus (Kuenneth), or
+    zero when it has more equations than the saturation's rank."""
+    k = len(red.supports)
+    if k > red.rank:
+        return zero_table(m - k, "compact")
+    inner = epq_c_ci(TorusCIProblem(red.rank, red.supports), vertices=vertices)
+    return inner.convolve(epq_torus(m - red.rank, "compact"))
+
+
 def _open_row_sums(m: int, n: int, levels) -> list:
     """Row sums e^p_c, p = 0..n, of a generic system in (C*)^m (Khovanskii).
 
@@ -244,8 +258,9 @@ def _open_row_sums(m: int, n: int, levels) -> list:
 def _orbit_sum(fan: Fan, cones, supports, size: int) -> list:
     """Sum of the orbit tables e_c of simplicial cones, as a size x size matrix.
 
-    Zero tables (step 1) are told from the restricted supports in ambient
-    coordinates, before any orbit coordinates are computed.
+    Each orbit's table comes from its surviving faces in ambient coordinates,
+    through the reduction of step 3; zero tables (step 1) are told from the
+    faces before that reduction.
     """
     acc = [[0] * size for _ in range(size)]
     for cone in cones:
@@ -256,7 +271,7 @@ def _orbit_sum(fan: Fan, cones, supports, size: int) -> list:
             raise ConsistencyError("orbit dimension", msg)
         if len(survivors) > dim or any(len(s) == 1 for s in survivors):
             continue
-        piece = epq_c_ci(orbit_problem(fan, cone, survivors), vertices=True)
+        piece = _split_torus(affine_lattice_reduction(survivors), dim, True)
         for row, piece_row in zip(acc, piece.entries):
             for q, x in enumerate(piece_row):
                 row[q] += x

@@ -50,8 +50,6 @@ class EPQTable(namedtuple("EPQTable", "entries kind")):
 
     def convolve(self, other: "EPQTable") -> "EPQTable":
         """Kuenneth product: out[p][q] = sum over splits of products."""
-        if self.size == 0 or other.size == 0:
-            return EPQTable((), self.kind)
         n = self.size + other.size - 1
         ent = [[0] * n for _ in range(n)]
         for p1 in range(self.size):

@@ -89,10 +89,6 @@ def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a, v):
-    return tuple([dot(row, v) for row in a])
-
-
 def vec_mat(v, a):
     if len(v) != len(a):
         raise ValueError("vector and matrix of different lengths")
@@ -161,8 +157,7 @@ class RowLattice(namedtuple("RowLattice", "dim rank right right_inverse kernel")
     its integer coordinates in a basis of the saturation, the largest
     sublattice of Z^dim with the same span (`coord`).  The remaining
     columns are an integer basis of the kernel {q in Z^dim : R q = 0}
-    (`kernel`); the last rows of U^-1 give exact coordinates in that basis
-    (`kernel_coord`).
+    (`kernel`).  U^-1 comes with U (`right_inverse`).
     """
 
     __slots__ = ()
@@ -172,12 +167,6 @@ class RowLattice(namedtuple("RowLattice", "dim rank right right_inverse kernel")
         if any(full[i] != 0 for i in range(self.rank, self.dim)):
             raise ValueError("vector outside the rational span")
         return tuple(full[: self.rank])
-
-    def kernel_coord(self, q):
-        full = mat_vec(self.right_inverse, q)
-        if any(full[i] != 0 for i in range(self.rank)):
-            raise ValueError("vector not in the kernel lattice")
-        return tuple(full[self.rank :])
 
 
 def row_lattice(rows, dim) -> RowLattice:
@@ -713,20 +702,18 @@ def convex_hull(points) -> Polytope:
     )
 
 
-def minkowski_support(supports, *, vertices: bool = False) -> Polytope:
+def minkowski_support(supports) -> Polytope:
     """Convex hull of the pointwise Minkowski sum of finite point sets.
 
-    The hull of a Minkowski sum is the hull of the sums of vertices, so with
-    more than one support only the vertices of each support's hull are added.
-    `vertices` says that each support is already the vertex set of its hull.
+    Every sum of the given points is formed and hulled once; the hull of a
+    Minkowski sum is the hull of the sums of vertices, so vertex sets are
+    the cheapest input.
     """
     if not supports:
         raise ValueError("no supports given")
     for s in supports:
         if not s:
             raise ValueError("empty support set")
-    if len(supports) > 1 and not vertices:
-        supports = [convex_hull(s).vertices for s in supports]
     sums = set()
     for combo in product(*supports):
         total = tuple(combo[0])

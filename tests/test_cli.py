@@ -122,6 +122,19 @@ def test_hodge_torus_overdetermined_renders_empty(capsys):
         os.unlink(path)
 
 
+@pytest.mark.parametrize("supports", [
+    [[[0, 0], [1, 0]], [[0, 0], [2, 0]]],  # two equations on one line
+    [[[0, 0]], [[1, 1], [2, 2]]],  # a monomial
+], ids=["rank-deficient", "monomial"])
+def test_hodge_torus_empty_system_reports_its_dimension(tmp_path, capsys, supports):
+    # both systems are empty in (C*)^2, with the table of n = dim - k = 0
+    doc = tmp_path / "torus.json"
+    doc.write_text(json.dumps({"dim": 2, "supports": supports}))
+    assert cli.main(["hodge-torus", "--json", str(doc)]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert table["n"] == 0 and table["entries"] == [[0]]
+
+
 def test_exit_code_parse_error(capsys):
     assert cli.main(["fan-check", data("malformed.json")]) == 2
     assert cli.main(["hodge", data("does_not_exist.json")]) == 2

@@ -26,14 +26,19 @@ from toric_hodge.fans import (
     is_regular,
     is_simplicial,
     normal_fan,
-    orbit_problem,
     restrict_supports,
     simplicial_refinement,
     validate,
 )
 from toric_hodge.hilbert import build_context
 from toric_hodge.hodge import clear_epq_memo, epq_c_ci, hodge_compact
-from toric_hodge.lattice import convex_hull, minkowski_support, primitive, rank_of
+from toric_hodge.lattice import (
+    affine_lattice_reduction,
+    convex_hull,
+    minkowski_support,
+    primitive,
+    rank_of,
+)
 
 from helpers import (
     apply_matrix,
@@ -165,11 +170,14 @@ def test_simplicial_fans_build_maximal_cone_hreps_only():
     fan = simplicial_refinement(normal_fan(minkowski_support([support]), 4))
     assert is_simplicial(fan) and len(fan.maximal_cones) == 26
     fans_mod._cone_hrep.cache_clear()
-    fans_mod._cone_lattice.cache_clear()
-    assert validate(fan).complete
+    saturations = []
+    row_lattice = fans_mod.row_lattice
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fans_mod, "row_lattice", lambda *a: saturations.append(a) or row_lattice(*a))
+        assert validate(fan).complete
     assert fans_mod._cone_hrep.cache_info().misses == len(fan.maximal_cones)
     # full-dimensional cones are solved without a saturation
-    assert fans_mod._cone_lattice.cache_info().misses == 0
+    assert saturations == []
 
 
 def _count_certificates(monkeypatch):
@@ -755,41 +763,47 @@ def test_normal_fan_of_unit_simplex_matches_projective(m):
 
 
 # --- orbit problems ----------------------------------------------------------
+# An orbit's system is its surviving faces, rewritten in the saturation of
+# their affine span (the reduction of step 3 of `epq_c_ci`).
+
+
+def _orbit_reduction(fan, cone, supports):
+    return affine_lattice_reduction([s for s in restrict_supports(fan, cone, supports) if s])
 
 
 def test_orbit_zero_cone_identity():
     fan = fan_p2()
     support = simplex_support(2, 3)
-    prob = orbit_problem(fan, (), restrict_supports(fan, (), [support]))
-    assert prob.m == 2
-    assert prob.supports == (tuple(sorted(support)),)
+    red = _orbit_reduction(fan, (), [support])
+    assert red.rank == 2
+    assert red.supports == (tuple(sorted(support)),)
 
 
 def test_orbit_cubic_edge():
     fan = fan_p2()
     support = simplex_support(2, 3)
-    prob = orbit_problem(fan, (0,), restrict_supports(fan, (0,), [support]))
-    assert prob.m == 1
-    assert prob.supports == (((0,), (1,), (2,), (3,)),)
+    red = _orbit_reduction(fan, (0,), [support])
+    assert red.rank == 1
+    assert red.supports == (((0,), (1,), (2,), (3,)),)
 
 
 def test_orbit_maximal_cone_is_point():
     fan = fan_p2()
     support = simplex_support(2, 3)
-    prob = orbit_problem(fan, (0, 1), restrict_supports(fan, (0, 1), [support]))
-    assert prob.m == 0
-    assert all(s == ((),) for s in prob.supports)
+    red = _orbit_reduction(fan, (0, 1), [support])
+    assert red.rank == 0
+    assert red.supports == (((),),)
 
 
 def test_orbit_character_lattice_keeps_index():
     # quadric on projective 3-space, restricted to the cone <e1, -e1-e2-e3>:
-    # the surviving points differ by (0,1,-1)-multiples; in the orbit's own
-    # character lattice they read {0,1,2}, not the quotient-lattice {0,2,4}
+    # the surviving points differ by (0,1,-1)-multiples; in the saturation of
+    # their span they read {0,1,2}, not the quotient-lattice {0,2,4}
     fan = fan_p3()
     support = simplex_support(3, 2)
-    prob = orbit_problem(fan, (0, 3), restrict_supports(fan, (0, 3), [support]))
-    assert prob.m == 1
-    assert prob.supports == (((0,), (1,), (2,)),)
+    red = _orbit_reduction(fan, (0, 3), [support])
+    assert red.rank == 1
+    assert red.supports == (((0,), (1,), (2,)),)
 
 
 def test_orbit_drops_identically_vanishing_restrictions():
@@ -801,6 +815,6 @@ def test_orbit_drops_identically_vanishing_restrictions():
     support = [(1, 0, 0), (0, 1, 1)]
     cone = (0, 3)  # e1 together with e3
     assert restrict_supports(fan, cone, [support]) == [()]
-    prob = orbit_problem(fan, cone, restrict_supports(fan, cone, [support]))
-    assert prob.m == 1
-    assert prob.supports == ()
+    red = _orbit_reduction(fan, cone, [support])
+    assert red.rank == 0
+    assert red.supports == ()

@@ -296,13 +296,13 @@ def test_recursion_carries_vertices_and_skips_empty_orbits(monkeypatch):
 
 def test_restrict_supports_runs_once_per_orbit(monkeypatch):
     # _orbit_sum restricts each cone's supports once and hands the survivors
-    # to orbit_problem, which restricts nothing
+    # to affine_lattice_reduction, which restricts nothing
     import toric_hodge.fans as fans_mod
     import toric_hodge.hodge as hodge_mod
 
-    counts = {"restrict": 0, "cones": 0, "orbits": 0}
-    restrict, orbit_sum, orbit = (
-        fans_mod.restrict_supports, hodge_mod._orbit_sum, hodge_mod.orbit_problem)
+    counts = {"restrict": 0, "cones": 0, "reductions": 0}
+    restrict, orbit_sum, reduce = (
+        fans_mod.restrict_supports, hodge_mod._orbit_sum, hodge_mod.affine_lattice_reduction)
 
     def counting_restrict(*args):
         counts["restrict"] += 1
@@ -312,19 +312,45 @@ def test_restrict_supports_runs_once_per_orbit(monkeypatch):
         counts["cones"] += len(cones)
         return orbit_sum(fan, cones, *args)
 
-    def counting_orbit(*args):
-        counts["orbits"] += 1
-        return orbit(*args)
+    def counting_reduction(*args):
+        counts["reductions"] += 1
+        return reduce(*args)
 
     for module in (fans_mod, hodge_mod):
         monkeypatch.setattr(module, "restrict_supports", counting_restrict)
     monkeypatch.setattr(hodge_mod, "_orbit_sum", counting_orbit_sum)
-    monkeypatch.setattr(hodge_mod, "orbit_problem", counting_orbit)
+    monkeypatch.setattr(hodge_mod, "affine_lattice_reduction", counting_reduction)
     clear_epq_memo()
     table = hodge_compact(fan_p2p1(), [product_support([(2, 2), (1, 1)])])
     clear_epq_memo()
     assert table.get(1, 1) > 0
-    assert counts["restrict"] == counts["cones"] > counts["orbits"] > 0
+    assert counts["restrict"] == counts["cones"] > counts["reductions"] > 0
+
+
+def test_orbit_work_barely_depends_on_coordinates(monkeypatch):
+    # the P^4 (2,3) CI under signed permutations of rays and supports together:
+    # orbits are solved in the saturation of their faces, so copies reach the
+    # memo under the same keys far more often than in per-cone coordinates
+    import toric_hodge.hodge as hodge_mod
+
+    computes = []
+    compute = hodge_mod._epq_c_ci_compute
+    monkeypatch.setattr(
+        hodge_mod, "_epq_c_ci_compute", lambda *a: computes.append(1) or compute(*a))
+    fan, supports = fan_projective(4), [simplex_support(4, 2), simplex_support(4, 3)]
+    rng = random.Random(7)
+    for _ in range(8):
+        perm, signs = rng.sample(range(4), 4), [rng.choice((-1, 1)) for _ in range(4)]
+
+        def move(v):
+            return tuple(signs[i] * v[perm[i]] for i in range(4))
+
+        moved = Fan(4, [move(r) for r in fan.rays], fan.maximal_cones)
+        clear_epq_memo()
+        table = hodge_compact(moved, [[move(q) for q in s] for s in supports])
+        assert table.entries == ((1, 0, 1), (0, 20, 0), (1, 0, 1))
+    clear_epq_memo()
+    assert len(computes) <= 100  # 148 when each cone had its own orbit coordinates
 
 
 def test_orbit_cone_cap_is_checked_before_sub_collections(monkeypatch):

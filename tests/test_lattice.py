@@ -26,7 +26,6 @@ from toric_hodge.lattice import (
     dot,
     extend_cascade,
     independent_rows,
-    mat_vec,
     minkowski_support,
     primitive,
     projection_levels,
@@ -96,10 +95,10 @@ def test_det_int_sign_follows_row_swaps():
         assert det_int(mat) == sp.Matrix(mat).det()
 
 
-@given(integer_matrices(), st.lists(st.integers(min_value=-3, max_value=3), max_size=6))
+@given(integer_matrices())
 @settings(max_examples=100, deadline=None)
-@example(rows=[[2, 4, 0]], mix=[])
-def test_row_lattice_coordinates(rows, mix):
+@example(rows=[[2, 4, 0]])
+def test_row_lattice_coordinates(rows):
     dim = len(rows[0])
     span = row_lattice(rows, dim)
     assert span.rank == sp.Matrix(rows).rank()
@@ -120,18 +119,13 @@ def test_row_lattice_coordinates(rows, mix):
         assert [sum(c[i] * basis[i][j] for i in range(span.rank)) for j in range(dim)] == row
     for q in span.kernel:
         assert all(dot(row, q) == 0 for row in rows)
-    for i, q in enumerate(span.kernel):
-        assert span.kernel_coord(q) == tuple(int(i == j) for j in range(len(span.kernel)))
-    mix = (mix + [0] * dim)[: len(span.kernel)]
-    q = tuple(sum(c * k[j] for c, k in zip(mix, span.kernel)) for j in range(dim))
-    assert span.kernel_coord(q) == tuple(mix)
 
 
 def test_row_lattice_of_no_rows_is_the_whole_lattice():
     span = row_lattice([], 3)
     assert span.rank == 0
     assert span.kernel == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert span.kernel_coord((4, -1, 2)) == (4, -1, 2)
+    assert span.right == span.right_inverse == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 # --- primitive ---------------------------------------------------------------
@@ -279,10 +273,9 @@ def test_hull_reads_vertices_without_ranks(monkeypatch):
         lambda: dot((1, 2), (1, 2, 3)),
         lambda: vec_add((1,), (1, 2)),
         lambda: vec_sub((1, 2), (1,)),
-        lambda: mat_vec([(1, 2), (3, 4)], (1, 2, 3)),
         lambda: vec_mat((1, 2, 3), [(1, 2), (3, 4)]),
     ],
-    ids=["dot", "vec_add", "vec_sub", "mat_vec", "vec_mat"],
+    ids=["dot", "vec_add", "vec_sub", "vec_mat"],
 )
 def test_kernel_helpers_reject_length_mismatch(call):
     with pytest.raises(ValueError):
@@ -772,7 +765,7 @@ def test_minkowski_of_vertex_sets_hulls_only_the_sum(supports):
     hull = lattice.convex_hull
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "convex_hull", lambda pts: calls.append(1) or hull(pts))
-        poly = minkowski_support(vertex_sets, vertices=True)
+        poly = minkowski_support(vertex_sets)
     assert poly == minkowski_support(supports)
     assert len(calls) == 1
 

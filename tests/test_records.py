@@ -46,7 +46,6 @@ RECORDS = {
         {},
         [
             (lambda: _LINE.coord((1, 0)), "vector outside the rational span"),
-            (lambda: _LINE.kernel_coord((1, 1)), "vector not in the kernel lattice"),
         ],
     ),
     "Polytope": (
