@@ -224,7 +224,7 @@ def _split_torus(red, m: int, vertices: bool) -> EPQTable:
     if k > red.rank:
         return zero_table(m - k, "compact")
     inner = epq_c_ci(TorusCIProblem(red.rank, red.supports), vertices=vertices)
-    return inner.convolve(epq_torus(m - red.rank, "compact"))
+    return inner if red.rank == m else inner.convolve(epq_torus(m - red.rank, "compact"))
 
 
 def _open_row_sums(m: int, n: int, levels) -> list:

@@ -170,7 +170,19 @@ class RowLattice(namedtuple("RowLattice", "dim rank right right_inverse kernel")
 
 
 def row_lattice(rows, dim) -> RowLattice:
-    """Saturation and kernel of integer rows in Z^dim, from one column reduction.
+    """Saturation and kernel of integer rows in Z^dim, from one column reduction."""
+    _, cols, inverse, rank = _column_reduce(rows, dim)
+    return RowLattice(
+        dim=dim,
+        rank=rank,
+        right=tuple(zip(*cols)),
+        right_inverse=tuple(map(tuple, inverse)),
+        kernel=tuple(map(tuple, cols[rank:])),
+    )
+
+
+def _column_reduce(rows, dim):
+    """R U = [L | 0] as (R U, the columns of U, U^-1, rank), by column operations.
 
     The rows are taken in order.  Column operations on columns t.. clear a
     row except in column t: the pivot is the first column whose entry has
@@ -205,13 +217,7 @@ def row_lattice(rows, dim) -> RowLattice:
             if not any(row[t + 1 :]):
                 t += 1
                 break
-    return RowLattice(
-        dim=dim,
-        rank=t,
-        right=tuple(zip(*cols)),
-        right_inverse=tuple(map(tuple, inverse)),
-        kernel=tuple(map(tuple, cols[t:])),
-    )
+    return a, cols, inverse, t
 
 
 # ---------------------------------------------------------------------------
@@ -763,29 +769,25 @@ def affine_lattice_reduction(supports) -> AffineReduction:
     Each support is translated by its lexicographically smallest element;
     the lattice generated by all translated points is saturated (so any
     complementary torus factor splits off integrally) and the points are
-    re-expressed in a basis of that saturation.
+    re-expressed in a basis of that saturation, read off the rows R U of
+    one column reduction with no further product.
     """
     supports = [sorted(set(tuple(q) for q in s)) for s in supports]
     for s in supports:
         if not s:
             raise ValueError("empty support set")
-    dim = len(supports[0][0]) if supports and supports[0] else 0
-    translated = []
-    for s in supports:
-        base = s[0]
-        translated.append([vec_sub(q, base) for q in s])
-    everything = [q for s in translated for q in s]
-    span = row_lattice(everything, dim)
-    rank = span.rank
+    dim = len(supports[0][0]) if supports else 0
+    translated = [[vec_sub(q, s[0]) for q in s] for s in supports]  # still sorted
+    rows, _, _, rank = _column_reduce([q for s in translated for q in s], dim)
     if rank == dim:
         # the saturation is the whole lattice; keep identity coordinates so
         # that reducing an already reduced system is a fixpoint
-        reduced = tuple(tuple(sorted(s)) for s in translated)
+        reduced = tuple(map(tuple, translated))
     else:
-        rebased = []
+        rows = iter(rows)
+        reduced = []
         for s in translated:
-            coords = sorted(span.coord(q) for q in s)
-            base = coords[0]
-            rebased.append(tuple(vec_sub(q, base) for q in coords))
-        reduced = tuple(rebased)
+            coords = sorted(tuple(next(rows)[:rank]) for _ in s)
+            reduced.append(tuple(vec_sub(q, coords[0]) for q in coords))
+        reduced = tuple(reduced)
     return AffineReduction(rank=rank, supports=reduced)
